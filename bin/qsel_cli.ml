@@ -188,22 +188,23 @@ let bounds_cmd =
 (* simulate: run one protocol integration under a fault scenario *)
 
 let simulate_cmd =
+  let protocols =
+    Qs_harness.Stack.
+      [
+        ("xpaxos-enum", (xpaxos, Baseline));
+        ("xpaxos-qs", (xpaxos, Selecting));
+        ("pbft-full", (pbft, Baseline));
+        ("pbft-selected", (pbft, Selecting));
+        ("minbft-full", (minbft, Baseline));
+        ("minbft-selected", (minbft, Selecting));
+        ("chain", (chain, Selecting));
+        ("star", (star, Selecting));
+      ]
+  in
   let protocol =
     Arg.(
       value
-      & opt
-          (enum
-             [
-               ("xpaxos-enum", `Xpaxos_enum);
-               ("xpaxos-qs", `Xpaxos_qs);
-               ("pbft-full", `Pbft_full);
-               ("pbft-selected", `Pbft_selected);
-               ("minbft-full", `Minbft_full);
-               ("minbft-selected", `Minbft_selected);
-               ("chain", `Chain);
-               ("star", `Star);
-             ])
-          `Xpaxos_qs
+      & opt (enum (List.map (fun (name, _) -> (name, name)) protocols)) "xpaxos-qs"
       & info [ "protocol" ] ~doc:"Which integration to run.")
   in
   let f = Arg.(value & opt int 2 & info [ "f" ] ~doc:"Failure budget.") in
@@ -219,116 +220,16 @@ let simulate_cmd =
   let run protocol f mute requests until seed verbose metrics =
     with_metrics metrics @@ fun () ->
     if verbose then Qs_stdx.Debug.enable ();
+    let (module S : Qs_harness.Stack.STACK), variant = List.assoc protocol protocols in
+    let c = S.create ~n:(S.default_n ~f) ~f ~seed:(Int64.of_int seed) variant in
+    List.iter (fun p -> S.set_mute c p true) mute;
     let ms = Qs_sim.Stime.of_ms in
-    let seed64 = Int64.of_int seed in
-    let strategy = Qs_fd.Timeout.Exponential { factor = 2.0; max = ms 2000 } in
-    let report name committed total messages extra =
-      Printf.printf "%s: committed %d/%d requests, %d messages%s\n" name committed total
-        messages extra
-    in
     let ops = List.init requests (fun i -> Printf.sprintf "op%d" i) in
-    match protocol with
-    | `Xpaxos_enum | `Xpaxos_qs ->
-      let mode =
-        if protocol = `Xpaxos_enum then Qs_xpaxos.Replica.Enumeration
-        else Qs_xpaxos.Replica.Quorum_selection
-      in
-      let n = (2 * f) + 1 in
-      let c =
-        Qs_xpaxos.Xcluster.create ~seed:seed64
-          { Qs_xpaxos.Replica.n; f; mode; initial_timeout = ms 25; timeout_strategy = strategy }
-      in
-      List.iter (fun p -> Qs_xpaxos.Xcluster.set_fault c p Qs_xpaxos.Replica.Mute) mute;
-      let rs = List.map (Qs_xpaxos.Xcluster.submit c ~resubmit_every:(ms 100)) ops in
-      Qs_xpaxos.Xcluster.run ~until:(ms until) c;
-      report "xpaxos"
-        (List.length (List.filter (Qs_xpaxos.Xcluster.is_globally_committed c) rs))
-        requests
-        (Qs_xpaxos.Xcluster.message_count c)
-        (Printf.sprintf ", max view %d, final group %s" (Qs_xpaxos.Xcluster.max_view c)
-           (Qs_core.Pid.set_to_string (Qs_xpaxos.Replica.group (Qs_xpaxos.Xcluster.replica c (n - 1)))))
-    | `Pbft_full | `Pbft_selected ->
-      let participation =
-        if protocol = `Pbft_full then Qs_pbft.Preplica.Full else Qs_pbft.Preplica.Selected
-      in
-      let n = (3 * f) + 1 in
-      let c =
-        Qs_pbft.Pcluster.create ~seed:seed64
-          {
-            Qs_pbft.Preplica.n;
-            f;
-            participation;
-            initial_timeout = ms 25;
-            timeout_strategy = strategy;
-          }
-      in
-      List.iter (fun p -> Qs_pbft.Pcluster.set_fault c p Qs_pbft.Preplica.Mute) mute;
-      let rs = List.map (Qs_pbft.Pcluster.submit c ~resubmit_every:(ms 100)) ops in
-      Qs_pbft.Pcluster.run ~until:(ms until) c;
-      report "pbft"
-        (List.length (List.filter (Qs_pbft.Pcluster.is_globally_committed c) rs))
-        requests
-        (Qs_pbft.Pcluster.message_count c)
-        (Printf.sprintf ", active %s"
-           (Qs_core.Pid.set_to_string
-              (Qs_pbft.Preplica.participants (Qs_pbft.Pcluster.replica c (n - 1)))))
-    | `Minbft_full | `Minbft_selected ->
-      let participation =
-        if protocol = `Minbft_full then Qs_minbft.Mreplica.Full else Qs_minbft.Mreplica.Selected
-      in
-      let n = (2 * f) + 1 in
-      let c =
-        Qs_minbft.Mcluster.create ~seed:seed64
-          {
-            Qs_minbft.Mreplica.n;
-            f;
-            participation;
-            initial_timeout = ms 25;
-            timeout_strategy = strategy;
-          }
-      in
-      List.iter (fun p -> Qs_minbft.Mcluster.set_fault c p Qs_minbft.Mreplica.Mute) mute;
-      let rs = List.map (Qs_minbft.Mcluster.submit c ~resubmit_every:(ms 100)) ops in
-      Qs_minbft.Mcluster.run ~until:(ms until) c;
-      report "minbft"
-        (List.length (List.filter (Qs_minbft.Mcluster.is_committed c) rs))
-        requests
-        (Qs_minbft.Mcluster.message_count c)
-        (Printf.sprintf ", active %s"
-           (Qs_core.Pid.set_to_string
-              (Qs_minbft.Mreplica.active (Qs_minbft.Mcluster.replica c (n - 1)))))
-    | `Chain ->
-      let n = (3 * f) + 1 in
-      let c =
-        Qs_bchain.Chain_cluster.create ~seed:seed64
-          { Qs_bchain.Chain_node.n; f; initial_timeout = ms 25; timeout_strategy = strategy }
-      in
-      List.iter (fun p -> Qs_bchain.Chain_cluster.set_fault c p Qs_bchain.Chain_node.Mute) mute;
-      let rs = List.map (Qs_bchain.Chain_cluster.submit c ~resubmit_every:(ms 100)) ops in
-      Qs_bchain.Chain_cluster.run ~until:(ms until) c;
-      report "chain"
-        (List.length (List.filter (Qs_bchain.Chain_cluster.is_committed c) rs))
-        requests
-        (Qs_bchain.Chain_cluster.message_count c)
-        (Printf.sprintf ", chain %s"
-           (Qs_core.Pid.set_to_string (Qs_bchain.Chain_cluster.current_chain c)))
-    | `Star ->
-      let n = (3 * f) + 1 in
-      let c =
-        Qs_star.Star_cluster.create ~seed:seed64
-          { Qs_star.Star_node.n; f; initial_timeout = ms 25; timeout_strategy = strategy }
-      in
-      List.iter (fun p -> Qs_star.Star_cluster.set_fault c p Qs_star.Star_node.Mute) mute;
-      let rs = List.map (Qs_star.Star_cluster.submit c ~resubmit_every:(ms 100)) ops in
-      Qs_star.Star_cluster.run ~until:(ms until) c;
-      report "star"
-        (List.length (List.filter (Qs_star.Star_cluster.is_committed c) rs))
-        requests
-        (Qs_star.Star_cluster.message_count c)
-        (Printf.sprintf ", leader %s quorum %s"
-           (Qs_core.Pid.to_string (Qs_star.Star_node.leader (Qs_star.Star_cluster.node c (n - 1))))
-           (Qs_core.Pid.set_to_string
-              (Qs_star.Star_node.quorum (Qs_star.Star_cluster.node c (n - 1)))))
+    let rs = List.map (S.C.submit c ~resubmit_every:(ms 100)) ops in
+    S.C.run ~until:(ms until) c;
+    Printf.printf "%s: committed %d/%d requests, %d messages%s\n" S.name
+      (List.length (List.filter (S.C.is_committed c) rs))
+      requests (S.C.message_count c) (S.summary c)
   in
   let doc = "Run one protocol integration under a fault scenario in the simulator." in
   Cmd.v (Cmd.info "simulate" ~doc)
@@ -782,8 +683,7 @@ let serve_cmd =
                | `Enum -> Qs_xpaxos.Replica.Enumeration
                | `Qs -> Qs_xpaxos.Replica.Quorum_selection);
             initial_timeout = Qs_sim.Stime.of_ms 150;
-            timeout_strategy =
-              Qs_fd.Timeout.Exponential { factor = 2.0; max = Qs_sim.Stime.of_ms 2000 };
+            timeout_strategy = Qs_harness.Stack.timeout_strategy;
           }
         in
         let node =

@@ -14,7 +14,7 @@ module Pid = Qs_core.Pid
 let ms = Stime.of_ms
 
 let show_chain cluster label =
-  let node = Chain_cluster.node cluster 5 in
+  let node = Chain_cluster.replica cluster 5 in
   Printf.printf "%-38s chain: %s\n" label
     (String.concat " -> " (List.map Pid.to_string (Chain_node.chain node)))
 
@@ -48,7 +48,7 @@ let () =
     (Pid.set_to_string (Chain_cluster.executed_by cluster r2));
 
   (* The suspicion that triggered it, straight from quorum selection: *)
-  let qs = Chain_node.quorum_selector (Chain_cluster.node cluster 5) in
+  let qs = Chain_node.quorum_selector (Chain_cluster.replica cluster 5) in
   Printf.printf "\nquorum selection at p6: epoch=%d quorum=%s\n"
     (Qs_core.Quorum_select.epoch qs)
     (Pid.set_to_string (Qs_core.Quorum_select.last_quorum qs))

@@ -32,7 +32,7 @@ let run participation label =
     List.init 5 (fun i -> Pcluster.submit c ~resubmit_every:(ms 150) (Printf.sprintf "w%d" i))
   in
   Pcluster.run ~until:(ms 6000) c;
-  let committed = List.length (List.filter (Pcluster.is_globally_committed c) warmup) in
+  let committed = List.length (List.filter (Pcluster.is_committed c) warmup) in
   let phase1 = Pcluster.message_count c in
   (* Phase 2 — steady state: 20 requests after stabilization. This is where
      running only the active quorum pays off, forever. *)
@@ -41,7 +41,7 @@ let run participation label =
     List.init 20 (fun i -> Pcluster.submit c ~resubmit_every:(ms 150) (Printf.sprintf "s%d" i))
   in
   Pcluster.run ~until:(ms 12000) c;
-  let committed2 = List.length (List.filter (Pcluster.is_globally_committed c) steady) in
+  let committed2 = List.length (List.filter (Pcluster.is_committed c) steady) in
   let phase2 = Pcluster.message_count c in
   Printf.printf
     "%-36s fault phase: %d/5 committed, %4d msgs, %d view change(s)\n\

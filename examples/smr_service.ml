@@ -71,7 +71,7 @@ let () =
     [ 1; 2; 3; 4 ];
 
   print_newline ();
-  let committed = List.filter (Xcluster.is_globally_committed cluster) !requests in
+  let committed = List.filter (Xcluster.is_committed cluster) !requests in
   Printf.printf "committed %d/%d client requests\n" (List.length committed)
     (List.length !requests);
 

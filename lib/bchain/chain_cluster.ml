@@ -1,109 +1,36 @@
-module Sim = Qs_sim.Sim
-module Network = Qs_sim.Network
-module Stime = Qs_sim.Stime
-module Pid = Qs_core.Pid
+include Qs_sim.Smr_cluster.Make (struct
+  type t = Chain_node.t
 
-type t = {
-  sim : Sim.t;
-  net : Chain_msg.t Network.t;
-  nodes : Chain_node.t array;
-  config : Chain_node.config;
-  mutable next_rid : int;
-  executions : (int * int, Pid.t list ref) Hashtbl.t;
-  submit_times : (int * int, Stime.t) Hashtbl.t;
-  commit_times : (int * int, Stime.t) Hashtbl.t;
-}
+  type msg = Chain_msg.t
 
-let create ?(seed = 1L) ?(delay = Network.Fixed (Stime.of_ms 1)) config =
-  let sim = Sim.create ~seed () in
-  let net = Network.create ~sim ~n:config.Chain_node.n ~delay ~fifo:true () in
-  let auth = Qs_crypto.Auth.create config.Chain_node.n in
-  let executions = Hashtbl.create 64 in
-  let commit_times = Hashtbl.create 64 in
-  let threshold = config.Chain_node.n - config.Chain_node.f in
-  let nodes =
-    Array.init config.Chain_node.n (fun me ->
-        Chain_node.create config ~me ~auth ~sim
-          ~net_send:(fun ~dst msg -> Network.send net ~src:me ~dst msg)
-          ~on_execute:(fun request ->
-            let key = (request.Chain_msg.client, request.Chain_msg.rid) in
-            let cell =
-              match Hashtbl.find_opt executions key with
-              | Some c -> c
-              | None ->
-                let c = ref [] in
-                Hashtbl.replace executions key c;
-                c
-            in
-            if not (List.mem me !cell) then begin
-              cell := me :: !cell;
-              if List.length !cell = threshold && not (Hashtbl.mem commit_times key) then
-                Hashtbl.replace commit_times key (Sim.now sim)
-            end)
-          ())
-  in
-  Array.iteri
-    (fun i node -> Network.set_handler net i (fun ~src msg -> Chain_node.receive node ~src msg))
-    nodes;
-  {
-    sim;
-    net;
-    nodes;
-    config;
-    next_rid = 0;
-    executions;
-    submit_times = Hashtbl.create 64;
-    commit_times;
-  }
+  type request = Chain_msg.request
 
-let sim t = t.sim
+  type config = Chain_node.config
 
-let net t = t.net
+  type fault = Chain_node.fault
 
-let node t i = t.nodes.(i)
+  let n config = config.Chain_node.n
 
-let set_fault t i fault = Chain_node.set_fault t.nodes.(i) fault
+  let setup config =
+    let auth = Qs_crypto.Auth.create config.Chain_node.n in
+    fun ~me ~sim ~net_send ~on_execute ->
+      Chain_node.create config ~me ~auth ~sim ~net_send ~on_execute ()
 
-let executed_by t (request : Chain_msg.request) =
-  match Hashtbl.find_opt t.executions (request.Chain_msg.client, request.Chain_msg.rid) with
-  | Some cell -> List.sort compare !cell
-  | None -> []
+  let stamp_threshold config = config.Chain_node.n - config.Chain_node.f
 
-let is_committed t request =
-  let executed = executed_by t request in
-  Array.exists
-    (fun node ->
-      let chain = Chain_node.chain node in
-      chain <> [] && List.for_all (fun p -> List.mem p executed) chain)
-    t.nodes
+  let commit_rule _ = Qs_sim.Smr_cluster.Covers Chain_node.chain
 
-let submit t ?(client = 0) ?resubmit_every op =
-  let rid = t.next_rid in
-  t.next_rid <- t.next_rid + 1;
-  let request = { Chain_msg.client; rid; op } in
-  Hashtbl.replace t.submit_times (client, rid) (Sim.now t.sim);
-  let deliver () = Array.iter (fun node -> Chain_node.submit node request) t.nodes in
-  Sim.schedule t.sim ~delay:0 deliver;
-  (match resubmit_every with
-   | None -> ()
-   | Some period ->
-     let rec again () =
-       if not (is_committed t request) then begin
-         deliver ();
-         Sim.schedule t.sim ~delay:period again
-       end
-     in
-     Sim.schedule t.sim ~delay:period again);
-  request
+  let receive = Chain_node.receive
 
-let run ?until ?max_events t = Sim.run ?until ?max_events t.sim
+  let submit = Chain_node.submit
 
-let message_count t = Network.sent_count t.net
+  let executed = Chain_node.executed
 
-let current_chain t = Chain_node.chain t.nodes.(0)
+  let set_fault = Chain_node.set_fault
 
-let commit_latency t (request : Chain_msg.request) =
-  let key = (request.Chain_msg.client, request.Chain_msg.rid) in
-  match (Hashtbl.find_opt t.submit_times key, Hashtbl.find_opt t.commit_times key) with
-  | Some s, Some c -> Some (c - s)
-  | _ -> None
+  let request ~client ~rid op = { Chain_msg.client; rid; op }
+
+  let key (r : Chain_msg.request) = (r.client, r.rid)
+end)
+
+let current_chain t = Chain_node.chain (replica t 0)

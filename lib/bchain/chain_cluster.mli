@@ -1,33 +1,15 @@
-(** A chain-replication cluster in the simulator (mirrors
-    {!Qs_xpaxos.Xcluster}). *)
+(** A chain-replication cluster in the simulator: the shared
+    {!Qs_sim.Smr_cluster}, where a request commits once every member of
+    some node's current chain executed it; commit latency is stamped at
+    [n − f] executions. *)
 
-type t
-
-val create :
-  ?seed:int64 -> ?delay:Qs_sim.Network.delay_model -> Chain_node.config -> t
-
-val sim : t -> Qs_sim.Sim.t
-
-val net : t -> Chain_msg.t Qs_sim.Network.t
-
-val node : t -> Qs_core.Pid.t -> Chain_node.t
-
-val set_fault : t -> Qs_core.Pid.t -> Chain_node.fault -> unit
-
-val submit :
-  t -> ?client:int -> ?resubmit_every:Qs_sim.Stime.t -> string -> Chain_msg.request
-
-val run : ?until:Qs_sim.Stime.t -> ?max_events:int -> t -> unit
-
-val executed_by : t -> Chain_msg.request -> Qs_core.Pid.t list
-
-val is_committed : t -> Chain_msg.request -> bool
-(** Executed by every member of some node's current chain. *)
-
-val message_count : t -> int
+include
+  Qs_sim.Smr_cluster.S
+    with type replica = Chain_node.t
+     and type msg = Chain_msg.t
+     and type request = Chain_msg.request
+     and type config = Chain_node.config
+     and type fault = Chain_node.fault
 
 val current_chain : t -> Qs_core.Pid.t list
-(** The chain at the first correct-looking node (for reporting). *)
-
-val commit_latency : t -> Chain_msg.request -> Qs_sim.Stime.t option
-(** Time from submission until [n − f] nodes executed the request. *)
+(** The chain at node 0 (for reporting). *)

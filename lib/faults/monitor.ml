@@ -375,12 +375,6 @@ let reset t =
 (* Periodic history probe: prefix consistency + exactly-once, checked online
    so divergence is caught (and timestamped) while the run is in flight. *)
 
-let rec is_prefix a b =
-  match (a, b) with
-  | [], _ -> true
-  | _, [] -> false
-  | x :: a', y :: b' -> x = y && is_prefix a' b'
-
 let check_histories t ~at histories =
   t.checks <- t.checks + 1;
   List.iter
@@ -395,7 +389,7 @@ let check_histories t ~at histories =
     | (p1, h1) :: rest ->
       List.iter
         (fun (p2, h2) ->
-          if not (is_prefix h1 h2 || is_prefix h2 h1) then
+          if not (Qs_sim.Smr_cluster.prefix_compatible h1 h2) then
             violate t ~at "prefix-consistency"
               (Printf.sprintf "histories of p%d and p%d diverged" p1 p2))
         rest;

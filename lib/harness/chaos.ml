@@ -1,10 +1,8 @@
 module Stime = Qs_sim.Stime
 module Sim = Qs_sim.Sim
 module Network = Qs_sim.Network
-module Timeout = Qs_fd.Timeout
 module Detector = Qs_fd.Detector
 module QS = Qs_core.Quorum_select
-module FS = Qs_follower.Follower_select
 module Suspicion_matrix = Qs_core.Suspicion_matrix
 module Metrics = Qs_obs.Metrics
 module Journal = Qs_obs.Journal
@@ -17,9 +15,7 @@ module Rejoin = Qs_recovery.Rejoin
 module Evidence = Qs_evidence.Evidence
 module Membership = Qs_membership.Membership
 module Mconfig = Qs_membership.Config
-module Msg = Qs_core.Msg
 module Auth = Qs_crypto.Auth
-module Fmsg = Qs_follower.Fmsg
 
 let ms = Stime.of_ms
 
@@ -49,23 +45,26 @@ type params = {
   policy : Qs_core.Selection_policy.t;
 }
 
+let descriptor = function
+  | Xpaxos_enum -> (Stack.xpaxos, Stack.Baseline)
+  | Xpaxos_qs -> (Stack.xpaxos, Stack.Selecting)
+  | Pbft -> (Stack.pbft, Stack.Selecting)
+  | Minbft -> (Stack.minbft, Stack.Selecting)
+  | Chain -> (Stack.chain, Stack.Selecting)
+  | Star -> (Stack.star, Stack.Selecting)
+
 let default_params stack =
-  let base n =
-    {
-      n;
-      f = 2;
-      horizon = ms 10_000;
-      requests = 3;
-      resubmit_every = ms 150;
-      probe_every = ms 250;
-      spares = [];
-      policy = Qs_core.Selection_policy.default;
-    }
-  in
-  match stack with
-  | Xpaxos_enum | Xpaxos_qs -> { (base 5) with requests = 4 }
-  | Minbft -> base 5
-  | Pbft | Chain | Star -> base 7
+  let (module S : Stack.STACK), _ = descriptor stack in
+  {
+    n = S.default_n ~f:2;
+    f = 2;
+    horizon = ms 10_000;
+    requests = (match stack with Xpaxos_enum | Xpaxos_qs -> 4 | _ -> 3);
+    resubmit_every = ms 150;
+    probe_every = ms 250;
+    spares = [];
+    policy = Qs_core.Selection_policy.default;
+  }
 
 (* Churn campaigns run one universe size up with one spare (the top pid,
    outside the initial membership) and a budget of f = 3 so a join, a leave
@@ -99,8 +98,6 @@ let regions_for params =
     (fun l -> (l, Qs_core.Topology.members topo l))
     (Qs_core.Topology.labels topo)
 
-let strategy = Timeout.Exponential { factor = 2.0; max = ms 2000 }
-
 (* ------------------------------------------------------------------ *)
 (* Recovery plane.
 
@@ -119,7 +116,40 @@ let rejoin_max_retries = (Rejoin.default_config ~n:2).Rejoin.max_retries
    bookkeeping cannot see. *)
 let delta_full_every = 8
 
-let recovery_plane ~sim ~n ?(delta = fun _ -> None) ~collect ~adopt () =
+(* Delta-gossip engines wrap the selector's live matrix directly; the merge
+   callback is the dormancy-respecting re-evaluation, never [absorb]. *)
+let selector_delta (s : Stack.selector) p =
+  (Qs_core.Delta.create ~me:p (s.matrix ()), s.reevaluate)
+
+(* The rejoin payload and amnesia wipe of a stack whose durable state is
+   just the selection CRDT (its SMR log is documented durable-by-default;
+   only XPaxos models deep log durability, see {!Stack.durable}). *)
+let selector_durable ~n ~sel ~detector =
+  {
+    Stack.collect =
+      (fun p ->
+        let matrix, epoch =
+          match sel p with
+          | Some (s : Stack.selector) -> (s.matrix (), s.epoch ())
+          | None -> (Suspicion_matrix.create n, 1)
+        in
+        { Rejoin.matrix = Codec.encode_matrix matrix; epoch; extra = "" });
+    adopt =
+      (fun p ~matrix ~epoch ~extra:_ ->
+        match sel p with Some s -> s.absorb ~matrix ~epoch | None -> ());
+    wipe =
+      (fun p ->
+        (match sel p with Some s -> s.amnesia () | None -> ());
+        Detector.amnesia (detector p);
+        None);
+  }
+
+(* The injector's CrashAmnesia recovery hook: wipe volatile state (which may
+   return a durable snapshot), drop in-flight messages addressed to the dead
+   incarnation on both planes, and start the rejoin round. The durable
+   payload goes in as a self State_push — buffered with the peers' responses
+   and merged at completion. *)
+let attach_recovery ~sim ~n ~net ~sel ~(durable : Stack.durable) =
   let rnet = Network.create ~sim ~n ~delay:(Network.Fixed (ms 1)) ~fifo:true () in
   let config =
     { (Rejoin.default_config ~n) with Rejoin.gossip_every = Some (ms 1000) }
@@ -128,15 +158,16 @@ let recovery_plane ~sim ~n ?(delta = fun _ -> None) ~collect ~adopt () =
     Array.init n (fun me ->
         let node =
           Rejoin.create ~sim config ~me
-            ~collect:(fun () -> collect me)
-            ~adopt:(fun ~matrix ~epoch ~extra -> adopt me ~matrix ~epoch ~extra)
+            ~collect:(fun () -> durable.collect me)
+            ~adopt:(durable.adopt me)
             ~send:(fun ~dst msg -> Network.send rnet ~src:me ~dst msg)
             ()
         in
-        (match delta me with
-        | Some (engine, on_merge) ->
-          Rejoin.set_delta node engine ~on_merge ~full_every:delta_full_every
-        | None -> ());
+        Option.iter
+          (fun s ->
+            let engine, on_merge = selector_delta s me in
+            Rejoin.set_delta node engine ~on_merge ~full_every:delta_full_every)
+          (sel me);
         node)
   in
   Array.iteri
@@ -144,21 +175,12 @@ let recovery_plane ~sim ~n ?(delta = fun _ -> None) ~collect ~adopt () =
       Network.set_handler rnet i (fun ~src msg -> Rejoin.handle node ~src msg))
     nodes;
   Array.iter Rejoin.start_gossip nodes;
-  (rnet, nodes)
-
-(* The injector's CrashAmnesia recovery hook: wipe volatile state (which may
-   return a durable snapshot), drop in-flight messages addressed to the dead
-   incarnation on both planes, and start the rejoin round. The durable
-   payload goes in as a self State_push — buffered with the peers' responses
-   and merged at completion. *)
-let attach_recovery ~sim ~n ~delta ~net_drop ~collect ~adopt ~wipe =
-  let rnet, nodes = recovery_plane ~sim ~n ~delta ~collect ~adopt () in
   let amnesia p =
-    let durable = wipe p in
-    ignore (net_drop p : int);
+    let snapshot = durable.wipe p in
+    ignore (Network.drop_pending_to net p : int);
     ignore (Network.drop_pending_to rnet p : int);
     Rejoin.start nodes.(p);
-    match durable with
+    match snapshot with
     | Some payload -> Rejoin.handle nodes.(p) ~src:p (Rejoin.State_push { payload })
     | None -> ()
   in
@@ -189,8 +211,7 @@ type churn = {
 
 let no_churn = { cjoin = ignore; cleave = ignore; ceject = ignore }
 
-let attach_churn ~n ~f ~spares ?min_n ~set_mute ~rnodes ~reattach_delta
-    ~reconfigure ~amnesia () =
+let attach_churn ~n ~f ~spares ?min_n ~set_mute ~rnodes ~sel ~amnesia () =
   if spares = [] then no_churn
   else begin
     let members =
@@ -219,10 +240,14 @@ let attach_churn ~n ~f ~spares ?min_n ~set_mute ~rnodes ~reattach_delta
         let cepoch = Mconfig.cepoch fresh in
         List.iter
           (fun q ->
-            reconfigure q ~cepoch;
-            (* The selector's matrix is a fresh object after the remap;
-               re-wrap the delta-gossip engine around it. *)
-            reattach_delta q)
+            match sel q with
+            | Some s ->
+              s.Stack.reconfigure { QS.n; f } ~me:q ~cepoch;
+              (* The selector's matrix is a fresh object after the remap;
+                 re-wrap the delta-gossip engine around it. *)
+              let engine, on_merge = selector_delta s q in
+              Rejoin.set_delta rnodes.(q) engine ~on_merge ~full_every:delta_full_every
+            | None -> ())
           (Mconfig.members fresh);
         true
     in
@@ -252,50 +277,6 @@ let attach_churn ~n ~f ~spares ?min_n ~set_mute ~rnodes ~reattach_delta
     { cjoin; cleave; ceject }
   end
 
-(* Suspicion-plane payloads for the stacks whose durable state is just the
-   selection CRDT (their SMR logs are documented durable-by-default; only
-   XPaxos models deep log durability). *)
-let qs_payload ~n qsel =
-  match qsel with
-  | Some qsel ->
-    { Rejoin.matrix = Codec.encode_matrix (QS.matrix qsel); epoch = QS.epoch qsel; extra = "" }
-  | None ->
-    { Rejoin.matrix = Codec.encode_matrix (Suspicion_matrix.create n); epoch = 1; extra = "" }
-
-let qs_adopt qsel ~matrix ~epoch ~extra:_ =
-  match qsel with Some qsel -> QS.absorb qsel ~matrix ~epoch | None -> ()
-
-let qs_wipe qsel detector =
-  (match qsel with Some qsel -> QS.amnesia qsel | None -> ());
-  Detector.amnesia detector;
-  None
-
-(* Delta-gossip engines wrap the selector's live matrix directly; the merge
-   callback is the dormancy-respecting re-evaluation, never [absorb]. *)
-let qs_delta qsel p =
-  match qsel with
-  | Some qsel ->
-    Some (Qs_core.Delta.create ~me:p (QS.matrix qsel), fun () -> QS.reevaluate qsel)
-  | None -> None
-
-(* Churn controller over quorum-selection stacks: width-preserving
-   reconfigure (same n, identity slot remap, bumped membership epoch) plus
-   a fresh delta-gossip engine around the remapped matrix. *)
-let qs_churn ~n ~f ~spares ?min_n ~set_mute ~rnodes ~sel ~amnesia () =
-  let reattach_delta p =
-    match qs_delta (sel p) p with
-    | Some (engine, on_merge) ->
-      Rejoin.set_delta rnodes.(p) engine ~on_merge ~full_every:delta_full_every
-    | None -> ()
-  in
-  let reconfigure p ~cepoch =
-    match sel p with
-    | Some s -> QS.reconfigure s { QS.n; f } ~me:p ~cepoch ~of_new:Fun.id
-    | None -> ()
-  in
-  attach_churn ~n ~f ~spares ?min_n ~set_mute ~rnodes ~reattach_delta
-    ~reconfigure ~amnesia ()
-
 (* ------------------------------------------------------------------ *)
 (* Commission-fault (evidence) plane.
 
@@ -313,7 +294,7 @@ let qs_churn ~n ~f ~spares ?min_n ~set_mute ~rnodes ~sel ~amnesia () =
    secret, so [Auth.create n] here yields the same keys — the hooks can
    sign as the Byzantine source without new cluster accessors. *)
 
-let attach_evidence ~sim ~net ~n ~auth ~extract ~exclude ?(eject = ignore) () =
+let attach_evidence ~sim ~net ~n ~auth ~extract ~exclude ~eject =
   let stores = Array.init n (fun me -> Evidence.create ~auth ~me ~n) in
   Array.iteri
     (fun me store ->
@@ -343,114 +324,12 @@ let attach_evidence ~sim ~net ~n ~auth ~extract ~exclude ?(eject = ignore) () =
       | Network.Send | Network.Dropped -> ());
   stores
 
-(* The three protocol-speaking commission hooks for a stack whose suspicion
-   rows travel as a [Qsel of Msg.t] body inside a sealed
-   (sender, body, signature) envelope. [row_of] projects the signed UPDATE
-   out of a frame, [wrap] seals a fresh envelope around one, [corrupt]
-   invalidates an envelope's own tag. *)
-let qsel_hooks ~n ~auth ~row_of ~wrap ~sender_of ~corrupt =
-  (* Equivocation: replace src's own row with a destination-specific
-     variant re-signed under its own key. Bumping coordinate [dst] makes
-     any two variants for different destinations pointwise incomparable,
-     so a store holding one variant convicts on the first forwarded copy
-     of another. *)
-  let equivocate ~src ~dst m =
-    match row_of m with
-    | Some qm when qm.Msg.update.Msg.owner = src ->
-      let u = qm.Msg.update in
-      let row = Array.copy u.Msg.row in
-      row.(dst) <- row.(dst) + 1;
-      Some (wrap ~sender:src (Msg.seal auth { u with Msg.row = row }))
-    | _ -> None
-  in
-  (* Slander: a frame claiming [victim] signed a row it never produced.
-     The tag cannot be forged (Section IV), so receivers reject it and
-     blame the channel — the victim stays clean. *)
-  let slander ~src ~victim =
-    let u =
-      {
-        Msg.owner = victim;
-        row = Array.init n (fun k -> if k = src then 999 else 0);
-      }
-    in
-    let forged = Auth.forge auth ~claimed:victim (Msg.encode u) in
-    Some (wrap ~sender:src { Msg.update = u; signature = forged.Auth.signature })
-  in
-  (* Tampering: flip a row entry and leave the owner's tag stale —
-     receivers verify and drop, the evidence store quarantines the channel
-     and leaves the claimed owner unblamed. Frames without a row get their
-     envelope tag corrupted instead (rejected wholesale on receipt). *)
-  let tamper m =
-    match row_of m with
-    | Some qm ->
-      let u = qm.Msg.update in
-      let row = Array.copy u.Msg.row in
-      row.(0) <- row.(0) + 1;
-      wrap ~sender:(sender_of m)
-        { qm with Msg.update = { u with Msg.row = row } }
-    | None -> corrupt m
-  in
-  (equivocate, slander, tamper)
-
-(* Star is the odd one out: rows travel as [Fsel (Update _)] sealed at the
-   Fmsg layer, so the hooks speak Fmsg and the extractor transcodes.
-   A row whose Fmsg tag verifies really was vouched for by its owner, so
-   re-sealing it as a [Msg.t] attestation (same key directory, same
-   signer) loses nothing and lets one evidence-store currency serve all
-   five stacks; a row whose Fmsg tag fails is forwarded with a broken
-   [Msg.t] tag so the store's forgery path fires. *)
-let star_extract ~auth (m : Qs_star.Star_msg.t) =
-  match m.Qs_star.Star_msg.body with
-  | Qs_star.Star_msg.Fsel ({ Fmsg.payload = Fmsg.Update u; _ } as fm) ->
-    if Fmsg.verify auth fm then Some (Msg.seal auth u)
-    else Some { Msg.update = u; signature = "" }
-  | _ -> None
-
-let star_hooks ~n ~auth =
-  let wrap ~sender fm =
-    Qs_star.Star_msg.seal auth ~sender (Qs_star.Star_msg.Fsel fm)
-  in
-  let equivocate ~src ~dst (m : Qs_star.Star_msg.t) =
-    match m.Qs_star.Star_msg.body with
-    | Qs_star.Star_msg.Fsel { Fmsg.payload = Fmsg.Update u; _ }
-      when u.Msg.owner = src ->
-      let row = Array.copy u.Msg.row in
-      row.(dst) <- row.(dst) + 1;
-      Some
-        (wrap ~sender:src
-           (Fmsg.seal auth (Fmsg.Update { u with Msg.row = row })))
-    | _ -> None
-  in
-  let slander ~src ~victim =
-    let u =
-      {
-        Msg.owner = victim;
-        row = Array.init n (fun k -> if k = src then 999 else 0);
-      }
-    in
-    let payload = Fmsg.Update u in
-    let forged = Auth.forge auth ~claimed:victim (Fmsg.encode payload) in
-    Some
-      (wrap ~sender:src { Fmsg.payload; signature = forged.Auth.signature })
-  in
-  let tamper (m : Qs_star.Star_msg.t) =
-    match m.Qs_star.Star_msg.body with
-    | Qs_star.Star_msg.Fsel ({ Fmsg.payload = Fmsg.Update u; _ } as fm) ->
-      let row = Array.copy u.Msg.row in
-      row.(0) <- row.(0) + 1;
-      wrap ~sender:m.Qs_star.Star_msg.sender
-        { fm with Fmsg.payload = Fmsg.Update { u with Msg.row = row } }
-    | _ -> { m with Qs_star.Star_msg.signature = "" }
-  in
-  (equivocate, slander, tamper)
-
 (* What one simulated run must expose to the generic driver: after faults
    are installed and requests submitted, the monitor needs the executed
    histories of the unblamed processes, and liveness needs the commit
    census. *)
 type instance = {
   sim : Sim.t;
-  set_mute : int -> bool -> unit;
   set_policy : Qs_core.Selection_policy.t -> unit;
   install : Fault.schedule -> unit;
   submit_all : unit -> unit;
@@ -459,434 +338,58 @@ type instance = {
   evidence : Evidence.t array;
 }
 
-(* Install the same policy at every selector — policies are static config,
-   and Agreement relies on all correct processes selecting through the same
-   function. *)
-let qs_set_policy ~n sel pol =
-  for p = 0 to n - 1 do
-    match sel p with Some s -> QS.set_policy s pol | None -> ()
-  done
-
 let make_instance stack ~params ~seed =
-  let seed64 = Int64.of_int seed in
+  let (module S : Stack.STACK), variant = descriptor stack in
   let n = params.n and f = params.f in
   let ops = List.init params.requests (fun i -> Printf.sprintf "op%d" i) in
-  match stack with
-  | Xpaxos_enum | Xpaxos_qs ->
-    let mode =
-      if stack = Xpaxos_enum then Qs_xpaxos.Replica.Enumeration
-      else Qs_xpaxos.Replica.Quorum_selection
-    in
-    let c =
-      Qs_xpaxos.Xcluster.create ~seed:seed64
-        { Qs_xpaxos.Replica.n; f; mode; initial_timeout = ms 25; timeout_strategy = strategy }
-    in
-    (* Deep durability: view, committed log prefix, selection state and
-       adapted timeouts persist (fsynced at execute) and survive amnesia. *)
-    Qs_xpaxos.Xcluster.attach_durability c;
-    let sel p = Qs_xpaxos.Replica.quorum_selector (Qs_xpaxos.Xcluster.replica c p) in
-    let set_mute p m =
-      Qs_xpaxos.Xcluster.set_fault c p
-        (if m then Qs_xpaxos.Replica.Mute else Qs_xpaxos.Replica.Honest)
-    in
-    let rnet, rnodes, amnesia =
-      attach_recovery ~sim:(Qs_xpaxos.Xcluster.sim c) ~n
-        ~delta:(fun p -> qs_delta (sel p) p)
-        ~net_drop:(Network.drop_pending_to (Qs_xpaxos.Xcluster.net c))
-        ~collect:(Qs_xpaxos.Xcluster.collect_payload c)
-        ~adopt:(fun p ~matrix ~epoch ~extra ->
-          Qs_xpaxos.Xcluster.adopt_payload c p ~matrix ~epoch ~extra)
-        ~wipe:(fun p -> Some (Qs_xpaxos.Xcluster.amnesia c p))
-    in
-    let auth = Auth.create n in
-    let row_of (m : Qs_xpaxos.Xmsg.t) =
-      match m.Qs_xpaxos.Xmsg.body with
-      | Qs_xpaxos.Xmsg.Qsel qm -> Some qm
-      | _ -> None
-    in
-    let churn = ref no_churn in
-    let evidence =
-      attach_evidence ~sim:(Qs_xpaxos.Xcluster.sim c)
-        ~net:(Qs_xpaxos.Xcluster.net c) ~n ~auth ~extract:row_of
-        ~exclude:(fun me culprit ->
-          match sel me with Some s -> QS.exclude s culprit | None -> ())
-        ~eject:(fun culprit -> !churn.ceject culprit) ()
-    in
-    churn :=
-      qs_churn ~n ~f ~spares:params.spares ~set_mute ~rnodes ~sel ~amnesia ();
-    let equivocate, slander, tamper =
-      qsel_hooks ~n ~auth ~row_of
-        ~wrap:(fun ~sender qm ->
-          Qs_xpaxos.Xmsg.seal auth ~sender (Qs_xpaxos.Xmsg.Qsel qm))
-        ~sender_of:(fun m -> m.Qs_xpaxos.Xmsg.sender)
-        ~corrupt:(fun m -> { m with Qs_xpaxos.Xmsg.signature = "" })
-    in
-    let requests = ref [] in
-    {
-      sim = Qs_xpaxos.Xcluster.sim c;
-      set_mute;
-      set_policy = qs_set_policy ~n sel;
-      install =
-        (fun schedule ->
-          ignore (Injector.install ~net:rnet schedule);
-          ignore
-            (Injector.install ~net:(Qs_xpaxos.Xcluster.net c) ~set_mute ~amnesia
-               ~equivocate ~slander ~tamper
-               ~join:(fun p -> !churn.cjoin p)
-               ~leave:(fun p -> !churn.cleave p)
-               schedule));
-      submit_all =
-        (fun () ->
-          requests :=
-            List.map
-              (Qs_xpaxos.Xcluster.submit c ~resubmit_every:params.resubmit_every)
-              ops);
-      committed =
-        (fun () ->
-          List.length
-            (List.filter (Qs_xpaxos.Xcluster.is_globally_committed c) !requests));
-      histories =
-        (fun correct ->
-          List.map
-            (fun p ->
-              ( p,
-                List.map
-                  (fun (r : Qs_xpaxos.Xmsg.request) -> (r.client, r.rid))
-                  (Qs_xpaxos.Replica.executed (Qs_xpaxos.Xcluster.replica c p)) ))
-            correct);
-      evidence;
-    }
-  | Pbft ->
-    let c =
-      Qs_pbft.Pcluster.create ~seed:seed64
-        {
-          Qs_pbft.Preplica.n;
-          f;
-          participation = Qs_pbft.Preplica.Selected;
-          initial_timeout = ms 25;
-          timeout_strategy = strategy;
-        }
-    in
-    let requests = ref [] in
-    let sel p = Qs_pbft.Preplica.quorum_selector (Qs_pbft.Pcluster.replica c p) in
-    let rnet, rnodes, amnesia =
-      attach_recovery ~sim:(Qs_pbft.Pcluster.sim c) ~n
-        ~delta:(fun p -> qs_delta (sel p) p)
-        ~net_drop:(Network.drop_pending_to (Qs_pbft.Pcluster.net c))
-        ~collect:(fun p -> qs_payload ~n (sel p))
-        ~adopt:(fun p -> qs_adopt (sel p))
-        ~wipe:(fun p ->
-          qs_wipe (sel p) (Qs_pbft.Preplica.detector (Qs_pbft.Pcluster.replica c p)))
-    in
-    let set_mute p m =
-      Qs_pbft.Pcluster.set_fault c p
-        (if m then Qs_pbft.Preplica.Mute else Qs_pbft.Preplica.Honest)
-    in
-    let auth = Auth.create n in
-    let row_of (m : Qs_pbft.Pmsg.t) =
-      match m.Qs_pbft.Pmsg.body with
-      | Qs_pbft.Pmsg.Qsel qm -> Some qm
-      | _ -> None
-    in
-    let churn = ref no_churn in
-    let evidence =
-      attach_evidence ~sim:(Qs_pbft.Pcluster.sim c) ~net:(Qs_pbft.Pcluster.net c)
-        ~n ~auth ~extract:row_of
-        ~exclude:(fun me culprit ->
-          match sel me with Some s -> QS.exclude s culprit | None -> ())
-        ~eject:(fun culprit -> !churn.ceject culprit) ()
-    in
-    churn :=
-      qs_churn ~n ~f ~spares:params.spares ~set_mute ~rnodes ~sel ~amnesia ();
-    let equivocate, slander, tamper =
-      qsel_hooks ~n ~auth ~row_of
-        ~wrap:(fun ~sender qm ->
-          Qs_pbft.Pmsg.seal auth ~sender (Qs_pbft.Pmsg.Qsel qm))
-        ~sender_of:(fun m -> m.Qs_pbft.Pmsg.sender)
-        ~corrupt:(fun m -> { m with Qs_pbft.Pmsg.signature = "" })
-    in
-    {
-      sim = Qs_pbft.Pcluster.sim c;
-      set_mute;
-      set_policy = qs_set_policy ~n sel;
-      install =
-        (fun schedule ->
-          ignore (Injector.install ~net:rnet schedule);
-          ignore
-            (Injector.install ~net:(Qs_pbft.Pcluster.net c) ~set_mute ~amnesia
-               ~equivocate ~slander ~tamper
-               ~join:(fun p -> !churn.cjoin p)
-               ~leave:(fun p -> !churn.cleave p)
-               schedule));
-      submit_all =
-        (fun () ->
-          requests :=
-            List.map (Qs_pbft.Pcluster.submit c ~resubmit_every:params.resubmit_every) ops);
-      committed =
-        (fun () ->
-          List.length (List.filter (Qs_pbft.Pcluster.is_globally_committed c) !requests));
-      histories =
-        (fun correct ->
-          List.map
-            (fun p ->
-              ( p,
-                List.map
-                  (fun (r : Qs_pbft.Pmsg.request) -> (r.client, r.rid))
-                  (Qs_pbft.Preplica.executed (Qs_pbft.Pcluster.replica c p)) ))
-            correct);
-      evidence;
-    }
-  | Minbft ->
-    let c =
-      Qs_minbft.Mcluster.create ~seed:seed64
-        {
-          Qs_minbft.Mreplica.n;
-          f;
-          participation = Qs_minbft.Mreplica.Selected;
-          initial_timeout = ms 25;
-          timeout_strategy = strategy;
-        }
-    in
-    let requests = ref [] in
-    let sel p = Qs_minbft.Mreplica.quorum_selector (Qs_minbft.Mcluster.replica c p) in
-    let rnet, rnodes, amnesia =
-      attach_recovery ~sim:(Qs_minbft.Mcluster.sim c) ~n
-        ~delta:(fun p -> qs_delta (sel p) p)
-        ~net_drop:(Network.drop_pending_to (Qs_minbft.Mcluster.net c))
-        ~collect:(fun p -> qs_payload ~n (sel p))
-        ~adopt:(fun p -> qs_adopt (sel p))
-        ~wipe:(fun p ->
-          qs_wipe (sel p)
-            (Qs_minbft.Mreplica.detector (Qs_minbft.Mcluster.replica c p)))
-    in
-    let set_mute p m =
-      Qs_minbft.Mcluster.set_fault c p
-        (if m then Qs_minbft.Mreplica.Mute else Qs_minbft.Mreplica.Honest)
-    in
-    let auth = Auth.create n in
-    let row_of (m : Qs_minbft.Mmsg.t) =
-      match m.Qs_minbft.Mmsg.body with
-      | Qs_minbft.Mmsg.Qsel qm -> Some qm
-      | _ -> None
-    in
-    let churn = ref no_churn in
-    let evidence =
-      attach_evidence ~sim:(Qs_minbft.Mcluster.sim c)
-        ~net:(Qs_minbft.Mcluster.net c) ~n ~auth ~extract:row_of
-        ~exclude:(fun me culprit ->
-          match sel me with Some s -> QS.exclude s culprit | None -> ())
-        ~eject:(fun culprit -> !churn.ceject culprit) ()
-    in
-    (* n = 2f+1 here, so the generic 2f+1 floor would freeze the
-       membership; the binding bound is the slot-filling one. *)
-    churn :=
-      qs_churn ~n ~f ~spares:params.spares ~min_n:(n - f) ~set_mute ~rnodes
-        ~sel ~amnesia ();
-    let equivocate, slander, tamper =
-      qsel_hooks ~n ~auth ~row_of
-        ~wrap:(fun ~sender qm ->
-          Qs_minbft.Mmsg.seal auth ~sender (Qs_minbft.Mmsg.Qsel qm))
-        ~sender_of:(fun m -> m.Qs_minbft.Mmsg.sender)
-        ~corrupt:(fun m -> { m with Qs_minbft.Mmsg.signature = "" })
-    in
-    {
-      sim = Qs_minbft.Mcluster.sim c;
-      set_mute;
-      set_policy = qs_set_policy ~n sel;
-      install =
-        (fun schedule ->
-          ignore (Injector.install ~net:rnet schedule);
-          ignore
-            (Injector.install ~net:(Qs_minbft.Mcluster.net c) ~set_mute ~amnesia
-               ~equivocate ~slander ~tamper
-               ~join:(fun p -> !churn.cjoin p)
-               ~leave:(fun p -> !churn.cleave p)
-               schedule));
-      submit_all =
-        (fun () ->
-          requests :=
-            List.map (Qs_minbft.Mcluster.submit c ~resubmit_every:params.resubmit_every) ops);
-      committed =
-        (fun () -> List.length (List.filter (Qs_minbft.Mcluster.is_committed c) !requests));
-      histories =
-        (fun correct ->
-          List.map
-            (fun p ->
-              ( p,
-                List.map
-                  (fun (r : Qs_minbft.Mmsg.request) -> (r.client, r.rid))
-                  (Qs_minbft.Mreplica.executed (Qs_minbft.Mcluster.replica c p)) ))
-            correct);
-      evidence;
-    }
-  | Chain ->
-    let c =
-      Qs_bchain.Chain_cluster.create ~seed:seed64
-        { Qs_bchain.Chain_node.n; f; initial_timeout = ms 25; timeout_strategy = strategy }
-    in
-    let requests = ref [] in
-    let sel p =
-      Some (Qs_bchain.Chain_node.quorum_selector (Qs_bchain.Chain_cluster.node c p))
-    in
-    let rnet, rnodes, amnesia =
-      attach_recovery ~sim:(Qs_bchain.Chain_cluster.sim c) ~n
-        ~delta:(fun p -> qs_delta (sel p) p)
-        ~net_drop:(Network.drop_pending_to (Qs_bchain.Chain_cluster.net c))
-        ~collect:(fun p -> qs_payload ~n (sel p))
-        ~adopt:(fun p -> qs_adopt (sel p))
-        ~wipe:(fun p ->
-          qs_wipe (sel p)
-            (Qs_bchain.Chain_node.detector (Qs_bchain.Chain_cluster.node c p)))
-    in
-    let set_mute p m =
-      Qs_bchain.Chain_cluster.set_fault c p
-        (if m then Qs_bchain.Chain_node.Mute else Qs_bchain.Chain_node.Honest)
-    in
-    let auth = Auth.create n in
-    let row_of (m : Qs_bchain.Chain_msg.t) =
-      match m.Qs_bchain.Chain_msg.body with
-      | Qs_bchain.Chain_msg.Qsel qm -> Some qm
-      | _ -> None
-    in
-    let churn = ref no_churn in
-    let evidence =
-      attach_evidence ~sim:(Qs_bchain.Chain_cluster.sim c)
-        ~net:(Qs_bchain.Chain_cluster.net c) ~n ~auth ~extract:row_of
-        ~exclude:(fun me culprit ->
-          QS.exclude
-            (Qs_bchain.Chain_node.quorum_selector
-               (Qs_bchain.Chain_cluster.node c me))
-            culprit)
-        ~eject:(fun culprit -> !churn.ceject culprit) ()
-    in
-    churn :=
-      qs_churn ~n ~f ~spares:params.spares ~set_mute ~rnodes ~sel ~amnesia ();
-    let equivocate, slander, tamper =
-      qsel_hooks ~n ~auth ~row_of
-        ~wrap:(fun ~sender qm ->
-          Qs_bchain.Chain_msg.seal auth ~sender (Qs_bchain.Chain_msg.Qsel qm))
-        ~sender_of:(fun m -> m.Qs_bchain.Chain_msg.sender)
-        ~corrupt:(fun m -> { m with Qs_bchain.Chain_msg.signature = "" })
-    in
-    {
-      sim = Qs_bchain.Chain_cluster.sim c;
-      set_mute;
-      set_policy = qs_set_policy ~n sel;
-      install =
-        (fun schedule ->
-          ignore (Injector.install ~net:rnet schedule);
-          ignore
-            (Injector.install ~net:(Qs_bchain.Chain_cluster.net c) ~set_mute
-               ~amnesia ~equivocate ~slander ~tamper
-               ~join:(fun p -> !churn.cjoin p)
-               ~leave:(fun p -> !churn.cleave p)
-               schedule));
-      submit_all =
-        (fun () ->
-          requests :=
-            List.map
-              (Qs_bchain.Chain_cluster.submit c ~resubmit_every:params.resubmit_every)
-              ops);
-      committed =
-        (fun () ->
-          List.length (List.filter (Qs_bchain.Chain_cluster.is_committed c) !requests));
-      histories =
-        (fun correct ->
-          List.map
-            (fun p ->
-              ( p,
-                List.map
-                  (fun (r : Qs_bchain.Chain_msg.request) -> (r.client, r.rid))
-                  (Qs_bchain.Chain_node.executed (Qs_bchain.Chain_cluster.node c p)) ))
-            correct);
-      evidence;
-    }
-  | Star ->
-    let c =
-      Qs_star.Star_cluster.create ~seed:seed64
-        { Qs_star.Star_node.n; f; initial_timeout = ms 25; timeout_strategy = strategy }
-    in
-    let requests = ref [] in
-    let sel p = Qs_star.Star_node.selector (Qs_star.Star_cluster.node c p) in
-    let fs_delta p =
-      Some
-        ( Qs_core.Delta.create ~me:p (FS.matrix (sel p)),
-          fun () -> FS.reevaluate (sel p) )
-    in
-    let rnet, rnodes, amnesia =
-      attach_recovery ~sim:(Qs_star.Star_cluster.sim c) ~n ~delta:fs_delta
-        ~net_drop:(Network.drop_pending_to (Qs_star.Star_cluster.net c))
-        ~collect:(fun p ->
-          {
-            Rejoin.matrix = Codec.encode_matrix (FS.matrix (sel p));
-            epoch = FS.epoch (sel p);
-            extra = "";
-          })
-        ~adopt:(fun p ~matrix ~epoch ~extra:_ -> FS.absorb (sel p) ~matrix ~epoch)
-        ~wipe:(fun p ->
-          FS.amnesia (sel p);
-          Detector.amnesia (Qs_star.Star_node.detector (Qs_star.Star_cluster.node c p));
-          None)
-    in
-    let set_mute p m =
-      Qs_star.Star_cluster.set_fault c p
-        (if m then Qs_star.Star_node.Mute else Qs_star.Star_node.Honest)
-    in
-    let auth = Auth.create n in
-    let churn = ref no_churn in
-    let evidence =
-      attach_evidence ~sim:(Qs_star.Star_cluster.sim c)
-        ~net:(Qs_star.Star_cluster.net c) ~n ~auth ~extract:(star_extract ~auth)
-        ~exclude:(fun me culprit -> FS.exclude (sel me) culprit)
-        ~eject:(fun culprit -> !churn.ceject culprit) ()
-    in
-    churn :=
-      attach_churn ~n ~f ~spares:params.spares ~set_mute ~rnodes
-        ~reattach_delta:(fun p ->
-          match fs_delta p with
-          | Some (engine, on_merge) ->
-            Rejoin.set_delta rnodes.(p) engine ~on_merge
-              ~full_every:delta_full_every
-          | None -> ())
-        ~reconfigure:(fun p ~cepoch ->
-          FS.reconfigure (sel p) { QS.n; f } ~me:p ~cepoch ~of_new:Fun.id)
-        ~amnesia ();
-    let equivocate, slander, tamper = star_hooks ~n ~auth in
-    {
-      sim = Qs_star.Star_cluster.sim c;
-      set_mute;
-      set_policy =
-        (fun pol ->
-          for p = 0 to n - 1 do
-            FS.set_policy (sel p) pol
-          done);
-      install =
-        (fun schedule ->
-          ignore (Injector.install ~net:rnet schedule);
-          ignore
-            (Injector.install ~net:(Qs_star.Star_cluster.net c) ~set_mute ~amnesia
-               ~equivocate ~slander ~tamper
-               ~join:(fun p -> !churn.cjoin p)
-               ~leave:(fun p -> !churn.cleave p)
-               schedule));
-      submit_all =
-        (fun () ->
-          requests :=
-            List.map (Qs_star.Star_cluster.submit c ~resubmit_every:params.resubmit_every) ops);
-      committed =
-        (fun () ->
-          List.length (List.filter (Qs_star.Star_cluster.is_committed c) !requests));
-      histories =
-        (fun correct ->
-          List.map
-            (fun p ->
-              ( p,
-                List.map
-                  (fun (r : Qs_star.Star_msg.request) -> (r.client, r.rid))
-                  (Qs_star.Star_node.executed (Qs_star.Star_cluster.node c p)) ))
-            correct);
-      evidence;
-    }
+  let c = S.create ~n ~f ~seed:(Int64.of_int seed) variant in
+  let sim = S.C.sim c and net = S.C.net c in
+  let sel = S.selector c in
+  let set_mute = S.set_mute c in
+  let durable =
+    match S.deep_durability with
+    | Some attach -> attach c
+    | None -> selector_durable ~n ~sel ~detector:(S.detector c)
+  in
+  let rnet, rnodes, amnesia = attach_recovery ~sim ~n ~net ~sel ~durable in
+  let auth = Auth.create n in
+  let hooks = S.commission auth ~n in
+  let churn = ref no_churn in
+  let evidence =
+    attach_evidence ~sim ~net ~n ~auth ~extract:hooks.extract
+      ~exclude:(fun me culprit -> Option.iter (fun s -> s.Stack.exclude culprit) (sel me))
+      ~eject:(fun culprit -> !churn.ceject culprit)
+  in
+  churn :=
+    attach_churn ~n ~f ~spares:params.spares ?min_n:(S.churn_min_n ~n ~f) ~set_mute
+      ~rnodes ~sel ~amnesia ();
+  let requests = ref [] in
+  {
+    sim;
+    (* The same policy at every selector — policies are static config, and
+       Agreement relies on all correct processes selecting through the
+       same function. *)
+    set_policy =
+      (fun pol ->
+        for p = 0 to n - 1 do
+          Option.iter (fun s -> s.Stack.set_policy pol) (sel p)
+        done);
+    install =
+      (fun schedule ->
+        ignore (Injector.install ~net:rnet schedule);
+        ignore
+          (Injector.install ~net ~set_mute ~amnesia ~equivocate:hooks.equivocate
+             ~slander:hooks.slander ~tamper:hooks.tamper
+             ~join:(fun p -> !churn.cjoin p)
+             ~leave:(fun p -> !churn.cleave p)
+             schedule));
+    submit_all =
+      (fun () ->
+        requests := List.map (S.C.submit c ~resubmit_every:params.resubmit_every) ops);
+    committed = (fun () -> List.length (List.filter (S.C.is_committed c) !requests));
+    histories = (fun correct -> List.map (fun p -> (p, S.C.history c p)) correct);
+    evidence;
+  }
 
 let bound_for stack ~f =
   match stack with

@@ -32,8 +32,8 @@
     (gossiped to the other stores), quarantine forgery channels, and wire
     convictions into the stacks' quorum selectors as permanent exclusions.
     The injector's protocol-speaking hooks (equivocate / slander / tamper)
-    are supplied per stack, so [Fault.Equivocate] and friends produce real
-    re-signed wire frames. *)
+    come from each stack's {!Stack} descriptor, so [Fault.Equivocate] and
+    friends produce real re-signed wire frames. *)
 
 type stack = Xpaxos_enum | Xpaxos_qs | Pbft | Minbft | Chain | Star
 

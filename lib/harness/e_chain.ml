@@ -11,7 +11,7 @@ let chain_config ~n ~f ~timeout =
     Chain_node.n;
     f;
     initial_timeout = timeout;
-    timeout_strategy = Timeout.Exponential { factor = 2.0; max = ms 2000 };
+    timeout_strategy = Stack.timeout_strategy;
   }
 
 let chain_messages_per_request ~n ~f =
@@ -138,6 +138,6 @@ let run () =
     Verdict.make "re-chaining: request commits despite a mute chain member"
       (Chain_cluster.is_committed c r)
     :: Verdict.make "re-chaining: mute member excluded from the new chain"
-         (not (List.mem 2 (Chain_node.chain (Chain_cluster.node c 0))))
+         (not (List.mem 2 (Chain_node.chain (Chain_cluster.replica c 0))))
     :: !verdicts;
   (t, List.rev !verdicts)

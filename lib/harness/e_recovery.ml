@@ -1,125 +1,28 @@
 module Table = Qs_stdx.Table
 module Stime = Qs_sim.Stime
-module Timeout = Qs_fd.Timeout
 
 let ms = Stime.of_ms
 
-type row = {
-  protocol : string;
-  happy_latency : Stime.t;
-  recovery_latency : Stime.t option;
-}
-
 (* Every scenario follows the same script: warm up with one request, mute an
    active non-leader member at 200ms, submit the probe at 300ms, report the
-   probe's commit latency. Timeouts are 25ms with exponential backoff, links
-   are 1ms. *)
-let timeout = ms 25
+   probe's commit latency. Timeouts are the stacks' default 25ms with
+   exponential backoff, links are 1ms. *)
+let timeout = Stack.initial_timeout
 
 let probe_at = ms 300
 
-let strategy = Timeout.Exponential { factor = 2.0; max = ms 2000 }
-
-(* Each runner returns (happy latency, recovery latency option). *)
-
-let xpaxos_qs () =
-  let config =
-    {
-      Qs_xpaxos.Replica.n = 5;
-      f = 2;
-      mode = Qs_xpaxos.Replica.Quorum_selection;
-      initial_timeout = timeout;
-      timeout_strategy = strategy;
-    }
-  in
-  let c = Qs_xpaxos.Xcluster.create config in
-  let warm = Qs_xpaxos.Xcluster.submit c "warm" in
-  Qs_xpaxos.Xcluster.run ~until:(ms 200) c;
-  let happy = Option.get (Qs_xpaxos.Xcluster.commit_latency c warm) in
-  Qs_xpaxos.Xcluster.set_fault c 1 Qs_xpaxos.Replica.Mute;
-  Qs_sim.Sim.schedule_at (Qs_xpaxos.Xcluster.sim c) ~at:probe_at (fun () -> ());
-  Qs_xpaxos.Xcluster.run ~until:probe_at c;
-  let probe = Qs_xpaxos.Xcluster.submit c ~resubmit_every:(ms 100) "probe" in
-  Qs_xpaxos.Xcluster.run ~until:(ms 20_000) c;
-  (happy, Qs_xpaxos.Xcluster.commit_latency c probe)
-
-let pbft_selected () =
-  let config =
-    {
-      Qs_pbft.Preplica.n = 7;
-      f = 2;
-      participation = Qs_pbft.Preplica.Selected;
-      initial_timeout = timeout;
-      timeout_strategy = strategy;
-    }
-  in
-  let c = Qs_pbft.Pcluster.create config in
-  let warm = Qs_pbft.Pcluster.submit c "warm" in
-  Qs_pbft.Pcluster.run ~until:(ms 200) c;
-  let happy = Option.get (Qs_pbft.Pcluster.commit_latency c warm) in
-  Qs_pbft.Pcluster.set_fault c 1 Qs_pbft.Preplica.Mute;
-  Qs_pbft.Pcluster.run ~until:probe_at c;
-  let probe = Qs_pbft.Pcluster.submit c ~resubmit_every:(ms 100) "probe" in
-  Qs_pbft.Pcluster.run ~until:(ms 20_000) c;
-  (happy, Qs_pbft.Pcluster.commit_latency c probe)
-
-let minbft_selected () =
-  let config =
-    {
-      Qs_minbft.Mreplica.n = 5;
-      f = 2;
-      participation = Qs_minbft.Mreplica.Selected;
-      initial_timeout = timeout;
-      timeout_strategy = strategy;
-    }
-  in
-  let c = Qs_minbft.Mcluster.create config in
-  let warm = Qs_minbft.Mcluster.submit c "warm" in
-  Qs_minbft.Mcluster.run ~until:(ms 200) c;
-  let happy = Option.get (Qs_minbft.Mcluster.commit_latency c warm) in
-  Qs_minbft.Mcluster.set_fault c 1 Qs_minbft.Mreplica.Mute;
-  Qs_minbft.Mcluster.run ~until:probe_at c;
-  let probe = Qs_minbft.Mcluster.submit c ~resubmit_every:(ms 100) "probe" in
-  Qs_minbft.Mcluster.run ~until:(ms 20_000) c;
-  (happy, Qs_minbft.Mcluster.commit_latency c probe)
-
-let chain () =
-  let config =
-    {
-      Qs_bchain.Chain_node.n = 7;
-      f = 2;
-      initial_timeout = timeout;
-      timeout_strategy = strategy;
-    }
-  in
-  let c = Qs_bchain.Chain_cluster.create config in
-  let warm = Qs_bchain.Chain_cluster.submit c "warm" in
-  Qs_bchain.Chain_cluster.run ~until:(ms 200) c;
-  let happy = Option.get (Qs_bchain.Chain_cluster.commit_latency c warm) in
-  Qs_bchain.Chain_cluster.set_fault c 2 Qs_bchain.Chain_node.Mute;
-  Qs_bchain.Chain_cluster.run ~until:probe_at c;
-  let probe = Qs_bchain.Chain_cluster.submit c ~resubmit_every:(ms 100) "probe" in
-  Qs_bchain.Chain_cluster.run ~until:(ms 20_000) c;
-  (happy, Qs_bchain.Chain_cluster.commit_latency c probe)
-
-let star () =
-  let config =
-    {
-      Qs_star.Star_node.n = 7;
-      f = 2;
-      initial_timeout = timeout;
-      timeout_strategy = strategy;
-    }
-  in
-  let c = Qs_star.Star_cluster.create config in
-  let warm = Qs_star.Star_cluster.submit c "warm" in
-  Qs_star.Star_cluster.run ~until:(ms 200) c;
-  let happy = Option.get (Qs_star.Star_cluster.commit_latency c warm) in
-  Qs_star.Star_cluster.set_fault c 2 Qs_star.Star_node.Mute;
-  Qs_star.Star_cluster.run ~until:probe_at c;
-  let probe = Qs_star.Star_cluster.submit c ~resubmit_every:(ms 100) "probe" in
-  Qs_star.Star_cluster.run ~until:(ms 20_000) c;
-  (happy, Qs_star.Star_cluster.commit_latency c probe)
+(* (happy latency, recovery latency option) of one stack at f = 2. *)
+let mute_and_probe (module S : Stack.STACK) ~victim =
+  let f = 2 in
+  let c = S.create ~n:(S.default_n ~f) ~f ~seed:1L Stack.Selecting in
+  let warm = S.C.submit c "warm" in
+  S.C.run ~until:(ms 200) c;
+  let happy = Option.get (S.C.commit_latency c warm) in
+  S.set_mute c victim true;
+  S.C.run ~until:probe_at c;
+  let probe = S.C.submit c ~resubmit_every:(ms 100) "probe" in
+  S.C.run ~until:(ms 20_000) c;
+  (happy, S.C.commit_latency c probe)
 
 (* Strategy ablation: the same mute-and-probe script on the XPaxos + QS
    stack, but with configurable link delay and timeout strategy. When links
@@ -149,13 +52,15 @@ let xpaxos_recovery ?(delay = Qs_sim.Network.Fixed (ms 1)) ?(initial = timeout)
 
 let run () =
   let rows =
-    [
-      ("XPaxos + quorum selection", xpaxos_qs ());
-      ("PBFT selected", pbft_selected ());
-      ("MinBFT selected (trusted comp.)", minbft_selected ());
-      ("Chain (BChain-style)", chain ());
-      ("Star + follower selection", star ());
-    ]
+    List.map
+      (fun (name, stack, victim) -> (name, mute_and_probe stack ~victim))
+      [
+        ("XPaxos + quorum selection", Stack.xpaxos, 1);
+        ("PBFT selected", Stack.pbft, 1);
+        ("MinBFT selected (trusted comp.)", Stack.minbft, 1);
+        ("Chain (BChain-style)", Stack.chain, 2);
+        ("Star + follower selection", Stack.star, 2);
+      ]
   in
   let t =
     Table.create

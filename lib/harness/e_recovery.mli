@@ -14,12 +14,6 @@
     selection). Happy-path latency is reported next to it, so the
     reaction premium is visible. *)
 
-type row = {
-  protocol : string;
-  happy_latency : Qs_sim.Stime.t;
-  recovery_latency : Qs_sim.Stime.t option;  (** None = did not recover *)
-}
-
 val run : unit -> Qs_stdx.Table.t * Verdict.t list
 
 val xpaxos_recovery :

@@ -1,6 +1,5 @@
 module Table = Qs_stdx.Table
 module Stime = Qs_sim.Stime
-module Timeout = Qs_fd.Timeout
 
 let ms = Stime.of_ms
 
@@ -10,7 +9,7 @@ let config ~n ~f =
     f;
     heartbeat_period = ms 50;
     initial_timeout = ms 120;
-    timeout_strategy = Timeout.Exponential { factor = 2.0; max = ms 2000 };
+    timeout_strategy = Stack.timeout_strategy;
   }
 
 let crash_case ~n ~f =

@@ -1,6 +1,5 @@
 module Table = Qs_stdx.Table
 module Stime = Qs_sim.Stime
-module Timeout = Qs_fd.Timeout
 module Star_node = Qs_star.Star_node
 module Star_cluster = Qs_star.Star_cluster
 
@@ -10,8 +9,8 @@ let config ~n ~f =
   {
     Star_node.n;
     f;
-    initial_timeout = ms 25;
-    timeout_strategy = Timeout.Exponential { factor = 2.0; max = ms 2000 };
+    initial_timeout = Stack.initial_timeout;
+    timeout_strategy = Stack.timeout_strategy;
   }
 
 let run ?(fs = [ 1; 2; 3 ]) () =

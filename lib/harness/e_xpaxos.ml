@@ -14,7 +14,7 @@ let config ~mode ~n ~f ~timeout =
     f;
     mode;
     initial_timeout = timeout;
-    timeout_strategy = Timeout.Exponential { factor = 2.0; max = ms 2000 };
+    timeout_strategy = Stack.timeout_strategy;
   }
 
 (* Run with f mute low-id replicas until the request commits; report how many
@@ -28,7 +28,7 @@ let recovery_run ~mode ~n ~f =
   let deadline = ms 600_000 in
   let rec loop at =
     Xcluster.run ~until:at c;
-    if Xcluster.is_globally_committed c request || at > deadline then ()
+    if Xcluster.is_committed c request || at > deadline then ()
     else loop (at + ms 1000)
   in
   loop (ms 1000);
@@ -36,7 +36,7 @@ let recovery_run ~mode ~n ~f =
   let max_changes =
     List.fold_left (fun acc p -> max acc (Replica.view_changes (Xcluster.replica c p))) 0 correct
   in
-  (Xcluster.is_globally_committed c request, max_changes)
+  (Xcluster.is_committed c request, max_changes)
 
 let e5_viewchanges ?(fs = [ 1; 2; 3; 4 ]) () =
   let t =
@@ -87,7 +87,7 @@ let messages_per_request ~n ~f =
   let c = Xcluster.create (config ~mode:Replica.Enumeration ~n ~f ~timeout:(ms 1000)) in
   let requests = List.init 5 (fun i -> Xcluster.submit c (Printf.sprintf "op%d" i)) in
   Xcluster.run c;
-  let all_committed = List.for_all (Xcluster.is_globally_committed c) requests in
+  let all_committed = List.for_all (Xcluster.is_committed c) requests in
   if not all_committed then invalid_arg "messages_per_request: happy run failed";
   Xcluster.message_count c / List.length requests
 
@@ -127,7 +127,7 @@ let pbft_messages_per_request ~f ~participation =
   in
   let requests = List.init 5 (fun i -> PC.submit c (Printf.sprintf "op%d" i)) in
   PC.run c;
-  if not (List.for_all (PC.is_globally_committed c) requests) then
+  if not (List.for_all (PC.is_committed c) requests) then
     invalid_arg "pbft happy run failed";
   PC.message_count c / List.length requests
 
@@ -244,7 +244,7 @@ let e8_flows () =
   let buf = Buffer.create 1024 in
   let happy_verdicts =
     let c =
-      Xcluster.create ~fifo:true (config ~mode:Replica.Enumeration ~n:5 ~f:2 ~timeout:(ms 1000))
+      Xcluster.create (config ~mode:Replica.Enumeration ~n:5 ~f:2 ~timeout:(ms 1000))
     in
     let tr = Qs_sim.Trace.create () in
     Qs_sim.Trace.attach tr ~label:(fun m -> Xmsg.tag m.Xmsg.body) (Xcluster.net c);
@@ -261,14 +261,14 @@ let e8_flows () =
            entries)
     in
     [
-      Verdict.make "fig2: request committed" (Xcluster.is_globally_committed c r);
+      Verdict.make "fig2: request committed" (Xcluster.is_committed c r);
       Verdict.make "fig2: leader sent q-1 PREPAREs" (sends "PREPARE" = 2);
       Verdict.make "fig2: every member sent q-1 COMMITs" (sends "COMMIT" = 6);
     ]
   in
   let fig3_verdicts =
     let c =
-      Xcluster.create ~fifo:true (config ~mode:Replica.Enumeration ~n:5 ~f:2 ~timeout:(ms 1000))
+      Xcluster.create (config ~mode:Replica.Enumeration ~n:5 ~f:2 ~timeout:(ms 1000))
     in
     let tr = Qs_sim.Trace.create () in
     Qs_sim.Trace.attach tr ~label:(fun m -> Xmsg.tag m.Xmsg.body) (Xcluster.net c);
@@ -301,7 +301,7 @@ let e8_flows () =
       | _ -> false
     in
     [
-      Verdict.make "fig3: request committed despite the delay" (Xcluster.is_globally_committed c r);
+      Verdict.make "fig3: request committed despite the delay" (Xcluster.is_committed c r);
       Verdict.make "fig3: p3 sent COMMIT before receiving the PREPARE" ordered;
     ]
   in

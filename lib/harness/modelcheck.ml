@@ -899,8 +899,8 @@ let make_xpaxos mode spec =
       Replica.n = spec.n;
       f = spec.f;
       mode;
-      initial_timeout = Stime.of_ms 25;
-      timeout_strategy = Qs_fd.Timeout.Exponential { factor = 2.0; max = Stime.of_ms 2000 };
+      initial_timeout = Stack.initial_timeout;
+      timeout_strategy = Stack.timeout_strategy;
     }
   in
   let qsize = Replica.quorum_size rcfg in
@@ -964,12 +964,6 @@ let make_xpaxos mode spec =
             (Replica.executed (Xcluster.replica (cluster ()) p)) ))
       correct
   in
-  let rec is_prefix a b =
-    match (a, b) with
-    | [], _ -> true
-    | _, [] -> false
-    | x :: a', y :: b' -> x = y && is_prefix a' b'
-  in
   let history_violations () =
     let hs = histories () in
     let dup =
@@ -984,7 +978,7 @@ let make_xpaxos mode spec =
         | (p, h) :: rest ->
           List.filter_map
             (fun (q, h') ->
-              if is_prefix h h' || is_prefix h' h then None else Some (p, q))
+              if Qs_sim.Smr_cluster.prefix_compatible h h' then None else Some (p, q))
             rest
           @ pairs rest
       in

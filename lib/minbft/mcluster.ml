@@ -1,103 +1,36 @@
-module Sim = Qs_sim.Sim
-module Network = Qs_sim.Network
-module Stime = Qs_sim.Stime
-module Pid = Qs_core.Pid
+include Qs_sim.Smr_cluster.Make (struct
+  type t = Mreplica.t
 
-type t = {
-  sim : Sim.t;
-  net : Mmsg.t Network.t;
-  replicas : Mreplica.t array;
-  config : Mreplica.config;
-  mutable next_rid : int;
-  executions : (int * int, Pid.t list ref) Hashtbl.t;
-  submit_times : (int * int, Stime.t) Hashtbl.t;
-  commit_times : (int * int, Stime.t) Hashtbl.t;
-}
+  type msg = Mmsg.t
 
-let create ?(seed = 1L) ?(delay = Network.Fixed (Stime.of_ms 1)) config =
-  let sim = Sim.create ~seed () in
-  let net = Network.create ~sim ~n:config.Mreplica.n ~delay ~fifo:true () in
-  let auth = Qs_crypto.Auth.create config.Mreplica.n in
-  let usig_directory, usigs = Usig.setup ~n:config.Mreplica.n in
-  let executions = Hashtbl.create 64 in
-  let commit_times = Hashtbl.create 64 in
-  let threshold = config.Mreplica.f + 1 in
-  let replicas =
-    Array.init config.Mreplica.n (fun me ->
-        Mreplica.create config ~me ~auth ~usig:usigs.(me) ~usig_directory ~sim
-          ~net_send:(fun ~dst msg -> Network.send net ~src:me ~dst msg)
-          ~on_execute:(fun request ->
-            let key = (request.Mmsg.client, request.Mmsg.rid) in
-            let cell =
-              match Hashtbl.find_opt executions key with
-              | Some c -> c
-              | None ->
-                let c = ref [] in
-                Hashtbl.replace executions key c;
-                c
-            in
-            if not (List.mem me !cell) then begin
-              cell := me :: !cell;
-              if List.length !cell = threshold && not (Hashtbl.mem commit_times key) then
-                Hashtbl.replace commit_times key (Sim.now sim)
-            end)
-          ())
-  in
-  Array.iteri
-    (fun i replica -> Network.set_handler net i (fun ~src msg -> Mreplica.receive replica ~src msg))
-    replicas;
-  {
-    sim;
-    net;
-    replicas;
-    config;
-    next_rid = 0;
-    executions;
-    submit_times = Hashtbl.create 64;
-    commit_times;
-  }
+  type request = Mmsg.request
 
-let sim t = t.sim
+  type config = Mreplica.config
 
-let net t = t.net
+  type fault = Mreplica.fault
 
-let replica t i = t.replicas.(i)
+  let n config = config.Mreplica.n
 
-let set_fault t i fault = Mreplica.set_fault t.replicas.(i) fault
+  let setup config =
+    let auth = Qs_crypto.Auth.create config.Mreplica.n in
+    let usig_directory, usigs = Usig.setup ~n:config.Mreplica.n in
+    fun ~me ~sim ~net_send ~on_execute ->
+      Mreplica.create config ~me ~auth ~usig:usigs.(me) ~usig_directory ~sim ~net_send
+        ~on_execute ()
 
-let executed_by t (request : Mmsg.request) =
-  match Hashtbl.find_opt t.executions (request.Mmsg.client, request.Mmsg.rid) with
-  | Some cell -> List.sort compare !cell
-  | None -> []
+  let stamp_threshold config = config.Mreplica.f + 1
 
-let is_committed t request =
-  List.length (executed_by t request) >= t.config.Mreplica.f + 1
+  let commit_rule config = Qs_sim.Smr_cluster.At_least (stamp_threshold config)
 
-let submit t ?(client = 0) ?resubmit_every op =
-  let rid = t.next_rid in
-  t.next_rid <- t.next_rid + 1;
-  let request = { Mmsg.client; rid; op } in
-  Hashtbl.replace t.submit_times (client, rid) (Sim.now t.sim);
-  let deliver () = Array.iter (fun r -> Mreplica.submit r request) t.replicas in
-  Sim.schedule t.sim ~delay:0 deliver;
-  (match resubmit_every with
-   | None -> ()
-   | Some period ->
-     let rec again () =
-       if not (is_committed t request) then begin
-         deliver ();
-         Sim.schedule t.sim ~delay:period again
-       end
-     in
-     Sim.schedule t.sim ~delay:period again);
-  request
+  let receive = Mreplica.receive
 
-let run ?until ?max_events t = Sim.run ?until ?max_events t.sim
+  let submit = Mreplica.submit
 
-let message_count t = Network.sent_count t.net
+  let executed = Mreplica.executed
 
-let commit_latency t (request : Mmsg.request) =
-  let key = (request.Mmsg.client, request.Mmsg.rid) in
-  match (Hashtbl.find_opt t.submit_times key, Hashtbl.find_opt t.commit_times key) with
-  | Some s, Some c -> Some (Stime.( - ) c s)
-  | _ -> None
+  let set_fault = Mreplica.set_fault
+
+  let request ~client ~rid op = { Mmsg.client; rid; op }
+
+  let key (r : Mmsg.request) = (r.client, r.rid)
+end)

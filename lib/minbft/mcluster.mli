@@ -1,29 +1,11 @@
-(** A MinBFT cluster in the simulator. *)
+(** A MinBFT cluster in the simulator: the shared {!Qs_sim.Smr_cluster},
+    committing once [f+1] replicas executed a request (the n−f = f+1 rule
+    that the trusted USIG counters buy). *)
 
-type t
-
-val create :
-  ?seed:int64 -> ?delay:Qs_sim.Network.delay_model -> Mreplica.config -> t
-
-val sim : t -> Qs_sim.Sim.t
-
-val net : t -> Mmsg.t Qs_sim.Network.t
-
-val replica : t -> Qs_core.Pid.t -> Mreplica.t
-
-val set_fault : t -> Qs_core.Pid.t -> Mreplica.fault -> unit
-
-val submit :
-  t -> ?client:int -> ?resubmit_every:Qs_sim.Stime.t -> string -> Mmsg.request
-
-val run : ?until:Qs_sim.Stime.t -> ?max_events:int -> t -> unit
-
-val executed_by : t -> Mmsg.request -> Qs_core.Pid.t list
-
-val is_committed : t -> Mmsg.request -> bool
-(** Executed by at least [f+1] replicas (the n−f = f+1 commit rule). *)
-
-val message_count : t -> int
-
-val commit_latency : t -> Mmsg.request -> Qs_sim.Stime.t option
-(** Time from submission until [f+1] replicas executed the request. *)
+include
+  Qs_sim.Smr_cluster.S
+    with type replica = Mreplica.t
+     and type msg = Mmsg.t
+     and type request = Mmsg.request
+     and type config = Mreplica.config
+     and type fault = Mreplica.fault

@@ -1,117 +1,38 @@
-module Sim = Qs_sim.Sim
-module Network = Qs_sim.Network
-module Stime = Qs_sim.Stime
-module Pid = Qs_core.Pid
+include Qs_sim.Smr_cluster.Make (struct
+  type t = Preplica.t
 
-type t = {
-  sim : Sim.t;
-  net : Pmsg.t Network.t;
-  replicas : Preplica.t array;
-  config : Preplica.config;
-  mutable next_rid : int;
-  executions : (int * int, Pid.t list ref) Hashtbl.t;
-  submit_times : (int * int, Stime.t) Hashtbl.t;
-  commit_times : (int * int, Stime.t) Hashtbl.t;
-}
+  type msg = Pmsg.t
 
-let create ?(seed = 1L) ?(delay = Network.Fixed (Stime.of_ms 1)) config =
-  let sim = Sim.create ~seed () in
-  let net = Network.create ~sim ~n:config.Preplica.n ~delay ~fifo:true () in
-  let auth = Qs_crypto.Auth.create config.Preplica.n in
-  let executions = Hashtbl.create 64 in
-  let commit_times = Hashtbl.create 64 in
-  let threshold = (2 * config.Preplica.f) + 1 in
-  let replicas =
-    Array.init config.Preplica.n (fun me ->
-        Preplica.create config ~me ~auth ~sim
-          ~net_send:(fun ~dst msg -> Network.send net ~src:me ~dst msg)
-          ~on_execute:(fun ~slot:_ request ->
-            let key = (request.Pmsg.client, request.Pmsg.rid) in
-            let cell =
-              match Hashtbl.find_opt executions key with
-              | Some c -> c
-              | None ->
-                let c = ref [] in
-                Hashtbl.replace executions key c;
-                c
-            in
-            if not (List.mem me !cell) then begin
-              cell := me :: !cell;
-              if List.length !cell = threshold && not (Hashtbl.mem commit_times key) then
-                Hashtbl.replace commit_times key (Sim.now sim)
-            end)
-          ())
-  in
-  Array.iteri
-    (fun i replica ->
-      Network.set_handler net i (fun ~src msg -> Preplica.receive replica ~src msg))
-    replicas;
-  {
-    sim;
-    net;
-    replicas;
-    config;
-    next_rid = 0;
-    executions;
-    submit_times = Hashtbl.create 64;
-    commit_times;
-  }
+  type request = Pmsg.request
 
-let sim t = t.sim
+  type config = Preplica.config
 
-let net t = t.net
+  type fault = Preplica.fault
 
-let replica t i = t.replicas.(i)
+  let n config = config.Preplica.n
 
-let set_fault t i fault = Preplica.set_fault t.replicas.(i) fault
+  let setup config =
+    let auth = Qs_crypto.Auth.create config.Preplica.n in
+    fun ~me ~sim ~net_send ~on_execute ->
+      Preplica.create config ~me ~auth ~sim ~net_send
+        ~on_execute:(fun ~slot:_ request -> on_execute request)
+        ()
 
-let executed_by t (request : Pmsg.request) =
-  match Hashtbl.find_opt t.executions (request.Pmsg.client, request.Pmsg.rid) with
-  | Some cell -> List.sort compare !cell
-  | None -> []
+  let stamp_threshold config = (2 * config.Preplica.f) + 1
 
-let is_globally_committed t request =
-  List.length (executed_by t request) >= (2 * t.config.Preplica.f) + 1
+  let commit_rule config = Qs_sim.Smr_cluster.At_least (stamp_threshold config)
 
-let submit t ?(client = 0) ?resubmit_every op =
-  let rid = t.next_rid in
-  t.next_rid <- t.next_rid + 1;
-  let request = { Pmsg.client; rid; op } in
-  Hashtbl.replace t.submit_times (client, rid) (Sim.now t.sim);
-  let deliver () = Array.iter (fun r -> Preplica.submit r request) t.replicas in
-  Sim.schedule t.sim ~delay:0 deliver;
-  (match resubmit_every with
-   | None -> ()
-   | Some period ->
-     let rec again () =
-       if not (is_globally_committed t request) then begin
-         deliver ();
-         Sim.schedule t.sim ~delay:period again
-       end
-     in
-     Sim.schedule t.sim ~delay:period again);
-  request
+  let receive = Preplica.receive
 
-let run ?until ?max_events t = Sim.run ?until ?max_events t.sim
+  let submit = Preplica.submit
 
-let rec is_prefix a b =
-  match (a, b) with
-  | [], _ -> true
-  | _, [] -> false
-  | x :: a', y :: b' -> x = y && is_prefix a' b'
+  let executed = Preplica.executed
 
-let consistent t ~correct =
-  let histories = List.map (fun p -> Preplica.executed t.replicas.(p)) correct in
-  List.for_all
-    (fun h1 -> List.for_all (fun h2 -> is_prefix h1 h2 || is_prefix h2 h1) histories)
-    histories
+  let set_fault = Preplica.set_fault
 
-let message_count t = Network.sent_count t.net
+  let request ~client ~rid op = { Pmsg.client; rid; op }
 
-let max_view t = Array.fold_left (fun acc r -> max acc (Preplica.view r)) 0 t.replicas
+  let key (r : Pmsg.request) = (r.client, r.rid)
+end)
 
-let commit_latency t (request : Pmsg.request) =
-  let key = (request.Pmsg.client, request.Pmsg.rid) in
-  match (Hashtbl.find_opt t.submit_times key, Hashtbl.find_opt t.commit_times key) with
-  | Some s, Some c -> Some (Stime.( - ) c s)
-  | _ -> None
+let max_view t = Array.fold_left (fun acc r -> max acc (Preplica.view r)) 0 (replicas t)

@@ -1,33 +1,12 @@
-(** A PBFT cluster in the simulator (mirrors {!Qs_xpaxos.Xcluster}). *)
+(** A PBFT cluster in the simulator: the shared {!Qs_sim.Smr_cluster},
+    committing once [2f+1] replicas executed a request. *)
 
-type t
-
-val create :
-  ?seed:int64 -> ?delay:Qs_sim.Network.delay_model -> Preplica.config -> t
-
-val sim : t -> Qs_sim.Sim.t
-
-val net : t -> Pmsg.t Qs_sim.Network.t
-
-val replica : t -> Qs_core.Pid.t -> Preplica.t
-
-val set_fault : t -> Qs_core.Pid.t -> Preplica.fault -> unit
-
-val submit :
-  t -> ?client:int -> ?resubmit_every:Qs_sim.Stime.t -> string -> Pmsg.request
-
-val run : ?until:Qs_sim.Stime.t -> ?max_events:int -> t -> unit
-
-val executed_by : t -> Pmsg.request -> Qs_core.Pid.t list
-
-val is_globally_committed : t -> Pmsg.request -> bool
-(** Executed by at least [2f+1] replicas. *)
-
-val consistent : t -> correct:Qs_core.Pid.t list -> bool
-
-val message_count : t -> int
+include
+  Qs_sim.Smr_cluster.S
+    with type replica = Preplica.t
+     and type msg = Pmsg.t
+     and type request = Pmsg.request
+     and type config = Preplica.config
+     and type fault = Preplica.fault
 
 val max_view : t -> int
-
-val commit_latency : t -> Pmsg.request -> Qs_sim.Stime.t option
-(** Time from submission until [2f+1] replicas executed the request. *)

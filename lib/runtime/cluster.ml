@@ -68,26 +68,6 @@ let loopback_addrs ~n ?base_port () =
     Array.iter Unix.close socks;
     addrs
 
-let is_prefix shorter longer =
-  let rec go = function
-    | [], _ -> true
-    | _, [] -> false
-    | x :: xs, y :: ys -> x = y && go (xs, ys)
-  in
-  go (shorter, longer)
-
-let pairwise_prefix_consistent histories =
-  let rec go = function
-    | [] -> true
-    | h :: rest ->
-      List.for_all
-        (fun h' ->
-          if List.length h <= List.length h' then is_prefix h h'
-          else is_prefix h' h)
-        rest
-      && go rest
-  in
-  go histories
 
 let run ?(seed = 1L) ?base_port ?(mode = Replica.Quorum_selection) ?(requests = 5)
     ?(request_timeout_ms = 4000) ?(duration_ms = 0) ?(schedule = [])
@@ -275,7 +255,7 @@ let run ?(seed = 1L) ?base_port ?(mode = Replica.Quorum_selection) ?(requests = 
           f;
           requests_submitted = requests;
           committed = !committed;
-          prefix_agreement = pairwise_prefix_consistent histories;
+          prefix_agreement = Qs_sim.Smr_cluster.prefix_consistent histories;
           violations = Monitor.violations monitor;
           monitor_checks = Monitor.checks_run monitor;
           commits_observed = Monitor.commits_observed monitor;

@@ -1,0 +1,280 @@
+(* A replicated state machine in the simulator, written once for every
+   protocol stack.
+
+   [Make] wires [n] replicas of one protocol over an eventually-synchronous
+   {!Network}, plays a simulated client that hands each request to every
+   replica (as the protocols' clients broadcast after a timeout), and
+   records which replicas executed what and when. The five clusters
+   (XPaxos, PBFT, MinBFT, chain, star) are instantiations of it plus their
+   few genuine extras. The module is mostly signatures, so it has no
+   separate interface file: [Make]'s result is sealed by [S]. *)
+
+(** One history is a prefix of the other. *)
+let prefix_compatible a b =
+  let rec is_prefix a b =
+    match (a, b) with
+    | [], _ -> true
+    | _, [] -> false
+    | x :: a', y :: b' -> x = y && is_prefix a' b'
+  in
+  is_prefix a b || is_prefix b a
+
+(** Pairwise {!prefix_compatible}: the safety invariant of state machine
+    replication over a set of executed histories. *)
+let rec prefix_consistent = function
+  | [] -> true
+  | h :: rest -> List.for_all (prefix_compatible h) rest && prefix_consistent rest
+
+(** When a request counts as committed. *)
+type 'r commit_rule =
+  | At_least of int  (** executed by at least this many replicas *)
+  | Covers of ('r -> int list)
+      (** executed by every member of some replica's current group (its
+          chain or quorum), which must be non-empty *)
+
+(** What a protocol supplies: its replica module and the few rules that
+    differ between stacks. *)
+module type REPLICA = sig
+  type t
+
+  type msg
+
+  type request
+
+  type config
+
+  type fault
+
+  val n : config -> int
+
+  val setup :
+    config ->
+    me:int ->
+    sim:Sim.t ->
+    net_send:(dst:int -> msg -> unit) ->
+    on_execute:(request -> unit) ->
+    t
+  (** [setup config] builds the cluster-wide material once (key
+      directories, trusted counters); the returned closure then creates
+      replica [me]. *)
+
+  val stamp_threshold : config -> int
+  (** Executions after which a request's commit time is stamped — the
+      point [commit_latency] measures to. *)
+
+  val commit_rule : config -> t commit_rule
+
+  val receive : t -> src:int -> msg -> unit
+
+  val submit : t -> request -> unit
+
+  val executed : t -> request list
+
+  val set_fault : t -> fault -> unit
+
+  val request : client:int -> rid:int -> string -> request
+
+  val key : request -> int * int
+  (** (client, rid) *)
+end
+
+module type S = sig
+  type t
+
+  type replica
+
+  type msg
+
+  type request
+
+  type config
+
+  type fault
+
+  val create :
+    ?seed:int64 ->
+    ?delay:Network.delay_model ->
+    ?on_execute:(int -> request -> unit) ->
+    config ->
+    t
+  (** Default delay: [Fixed 1ms]; links are FIFO, as the protocols assume of
+      point-to-point channels. [on_execute me r] runs after the cluster
+      recorded replica [me]'s execution of [r]. *)
+
+  val sim : t -> Sim.t
+
+  val net : t -> msg Network.t
+
+  val config : t -> config
+
+  val replica : t -> int -> replica
+
+  val replicas : t -> replica array
+
+  val set_fault : t -> int -> fault -> unit
+
+  val submit : t -> ?client:int -> ?resubmit_every:Stime.t -> string -> request
+  (** Schedule a client request, handed to every replica at the current
+      simulation time; redelivered every [resubmit_every] until
+      [is_committed], when given. Returns the request for querying. *)
+
+  val run : ?until:Stime.t -> ?max_events:int -> t -> unit
+
+  val executed_by : t -> request -> int list
+  (** Replicas that executed the request, sorted. *)
+
+  val is_committed : t -> request -> bool
+  (** The stack's [commit_rule]. *)
+
+  val history : t -> int -> (int * int) list
+  (** Replica [p]'s executed requests as (client, rid) keys, in order. *)
+
+  val consistent : t -> correct:int list -> bool
+  (** {!prefix_consistent} over the given replicas' executed histories. *)
+
+  val message_count : t -> int
+  (** Inter-replica messages sent (excludes self-deliveries). *)
+
+  val commit_latency : t -> request -> Stime.t option
+  (** Time from submission until [stamp_threshold] replicas executed the
+      request. *)
+end
+
+module Make (R : REPLICA) :
+  S
+    with type replica = R.t
+     and type msg = R.msg
+     and type request = R.request
+     and type config = R.config
+     and type fault = R.fault = struct
+  type replica = R.t
+
+  type msg = R.msg
+
+  type request = R.request
+
+  type config = R.config
+
+  type fault = R.fault
+
+  type t = {
+    sim : Sim.t;
+    net : msg Network.t;
+    replicas : replica array;
+    config : config;
+    commit_rule : replica commit_rule;
+    mutable next_rid : int;
+    (* (client, rid) -> replicas that executed it *)
+    executions : (int * int, int list ref) Hashtbl.t;
+    submit_times : (int * int, Stime.t) Hashtbl.t;
+    commit_times : (int * int, Stime.t) Hashtbl.t;
+  }
+
+  let create ?(seed = 1L) ?(delay = Network.Fixed (Stime.of_ms 1))
+      ?(on_execute = fun _ _ -> ()) config =
+    let n = R.n config in
+    let sim = Sim.create ~seed () in
+    let net = Network.create ~sim ~n ~delay ~fifo:true () in
+    let make = R.setup config in
+    let executions = Hashtbl.create 64 in
+    let commit_times = Hashtbl.create 64 in
+    let threshold = R.stamp_threshold config in
+    let replicas =
+      Array.init n (fun me ->
+          make ~me ~sim
+            ~net_send:(fun ~dst msg -> Network.send net ~src:me ~dst msg)
+            ~on_execute:(fun request ->
+              let key = R.key request in
+              let cell =
+                match Hashtbl.find_opt executions key with
+                | Some c -> c
+                | None ->
+                  let c = ref [] in
+                  Hashtbl.replace executions key c;
+                  c
+              in
+              if not (List.mem me !cell) then begin
+                cell := me :: !cell;
+                if List.length !cell = threshold && not (Hashtbl.mem commit_times key)
+                then Hashtbl.replace commit_times key (Sim.now sim)
+              end;
+              on_execute me request))
+    in
+    Array.iteri
+      (fun i replica ->
+        Network.set_handler net i (fun ~src msg -> R.receive replica ~src msg))
+      replicas;
+    {
+      sim;
+      net;
+      replicas;
+      config;
+      commit_rule = R.commit_rule config;
+      next_rid = 0;
+      executions;
+      submit_times = Hashtbl.create 64;
+      commit_times;
+    }
+
+  let sim t = t.sim
+
+  let net t = t.net
+
+  let config t = t.config
+
+  let replica t i = t.replicas.(i)
+
+  let replicas t = t.replicas
+
+  let set_fault t i fault = R.set_fault t.replicas.(i) fault
+
+  let executed_by t request =
+    match Hashtbl.find_opt t.executions (R.key request) with
+    | Some cell -> List.sort compare !cell
+    | None -> []
+
+  let is_committed t request =
+    let executed = executed_by t request in
+    match t.commit_rule with
+    | At_least k -> List.length executed >= k
+    | Covers group ->
+      Array.exists
+        (fun r ->
+          let g = group r in
+          g <> [] && List.for_all (fun p -> List.mem p executed) g)
+        t.replicas
+
+  let submit t ?(client = 0) ?resubmit_every op =
+    let rid = t.next_rid in
+    t.next_rid <- t.next_rid + 1;
+    let request = R.request ~client ~rid op in
+    Hashtbl.replace t.submit_times (client, rid) (Sim.now t.sim);
+    let deliver () = Array.iter (fun r -> R.submit r request) t.replicas in
+    Sim.schedule t.sim ~delay:0 deliver;
+    (match resubmit_every with
+     | None -> ()
+     | Some period ->
+       let rec again () =
+         if not (is_committed t request) then begin
+           deliver ();
+           Sim.schedule t.sim ~delay:period again
+         end
+       in
+       Sim.schedule t.sim ~delay:period again);
+    request
+
+  let run ?until ?max_events t = Sim.run ?until ?max_events t.sim
+
+  let history t p = List.map R.key (R.executed t.replicas.(p))
+
+  let consistent t ~correct =
+    prefix_consistent (List.map (fun p -> R.executed t.replicas.(p)) correct)
+
+  let message_count t = Network.sent_count t.net
+
+  let commit_latency t request =
+    let key = R.key request in
+    match (Hashtbl.find_opt t.submit_times key, Hashtbl.find_opt t.commit_times key) with
+    | Some s, Some c -> Some (Stime.( - ) c s)
+    | _ -> None
+end

@@ -1,110 +1,37 @@
-module Sim = Qs_sim.Sim
-module Network = Qs_sim.Network
-module Stime = Qs_sim.Stime
-module Pid = Qs_core.Pid
+include Qs_sim.Smr_cluster.Make (struct
+  type t = Star_node.t
 
-type t = {
-  sim : Sim.t;
-  net : Star_msg.t Network.t;
-  nodes : Star_node.t array;
-  config : Star_node.config;
-  mutable next_rid : int;
-  executions : (int * int, Pid.t list ref) Hashtbl.t;
-  submit_times : (int * int, Stime.t) Hashtbl.t;
-  commit_times : (int * int, Stime.t) Hashtbl.t;
-}
+  type msg = Star_msg.t
 
-let create ?(seed = 1L) ?(delay = Network.Fixed (Stime.of_ms 1)) config =
-  let sim = Sim.create ~seed () in
-  let net = Network.create ~sim ~n:config.Star_node.n ~delay ~fifo:true () in
-  let auth = Qs_crypto.Auth.create config.Star_node.n in
-  let executions = Hashtbl.create 64 in
-  let commit_times = Hashtbl.create 64 in
-  let threshold = config.Star_node.n - config.Star_node.f in
-  let nodes =
-    Array.init config.Star_node.n (fun me ->
-        Star_node.create config ~me ~auth ~sim
-          ~net_send:(fun ~dst msg -> Network.send net ~src:me ~dst msg)
-          ~on_execute:(fun request ->
-            let key = (request.Star_msg.client, request.Star_msg.rid) in
-            let cell =
-              match Hashtbl.find_opt executions key with
-              | Some c -> c
-              | None ->
-                let c = ref [] in
-                Hashtbl.replace executions key c;
-                c
-            in
-            if not (List.mem me !cell) then begin
-              cell := me :: !cell;
-              if List.length !cell = threshold && not (Hashtbl.mem commit_times key) then
-                Hashtbl.replace commit_times key (Sim.now sim)
-            end)
-          ())
-  in
-  Array.iteri
-    (fun i node -> Network.set_handler net i (fun ~src msg -> Star_node.receive node ~src msg))
-    nodes;
-  {
-    sim;
-    net;
-    nodes;
-    config;
-    next_rid = 0;
-    executions;
-    submit_times = Hashtbl.create 64;
-    commit_times;
-  }
+  type request = Star_msg.request
 
-let sim t = t.sim
+  type config = Star_node.config
 
-let net t = t.net
+  type fault = Star_node.fault
 
-let node t i = t.nodes.(i)
+  let n config = config.Star_node.n
 
-let set_fault t i fault = Star_node.set_fault t.nodes.(i) fault
+  let setup config =
+    let auth = Qs_crypto.Auth.create config.Star_node.n in
+    fun ~me ~sim ~net_send ~on_execute ->
+      Star_node.create config ~me ~auth ~sim ~net_send ~on_execute ()
 
-let executed_by t (request : Star_msg.request) =
-  match Hashtbl.find_opt t.executions (request.Star_msg.client, request.Star_msg.rid) with
-  | Some cell -> List.sort compare !cell
-  | None -> []
+  let stamp_threshold config = config.Star_node.n - config.Star_node.f
 
-let is_committed t request =
-  let executed = executed_by t request in
-  Array.exists
-    (fun node ->
-      let quorum = Star_node.quorum node in
-      quorum <> [] && List.for_all (fun p -> List.mem p executed) quorum)
-    t.nodes
+  let commit_rule _ = Qs_sim.Smr_cluster.Covers Star_node.quorum
 
-let submit t ?(client = 0) ?resubmit_every op =
-  let rid = t.next_rid in
-  t.next_rid <- t.next_rid + 1;
-  let request = { Star_msg.client; rid; op } in
-  Hashtbl.replace t.submit_times (client, rid) (Sim.now t.sim);
-  let deliver () = Array.iter (fun node -> Star_node.submit node request) t.nodes in
-  Sim.schedule t.sim ~delay:0 deliver;
-  (match resubmit_every with
-   | None -> ()
-   | Some period ->
-     let rec again () =
-       if not (is_committed t request) then begin
-         deliver ();
-         Sim.schedule t.sim ~delay:period again
-       end
-     in
-     Sim.schedule t.sim ~delay:period again);
-  request
+  let receive = Star_node.receive
 
-let run ?until ?max_events t = Sim.run ?until ?max_events t.sim
+  let submit = Star_node.submit
 
-let message_count t = Network.sent_count t.net
+  let executed = Star_node.executed
+
+  let set_fault = Star_node.set_fault
+
+  let request ~client ~rid op = { Star_msg.client; rid; op }
+
+  let key (r : Star_msg.request) = (r.client, r.rid)
+end)
 
 let max_quorum_epoch t =
-  Array.fold_left (fun acc node -> max acc (Star_node.quorum_epoch node)) 0 t.nodes
-
-let commit_latency t (request : Star_msg.request) =
-  let key = (request.Star_msg.client, request.Star_msg.rid) in
-  match (Hashtbl.find_opt t.submit_times key, Hashtbl.find_opt t.commit_times key) with
-  | Some s, Some c -> Some (Stime.( - ) c s)
-  | _ -> None
+  Array.fold_left (fun acc node -> max acc (Star_node.quorum_epoch node)) 0 (replicas t)

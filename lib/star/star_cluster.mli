@@ -1,33 +1,16 @@
-(** A star-topology cluster in the simulator (mirrors the other clusters). *)
+(** A star-topology cluster in the simulator: the shared
+    {!Qs_sim.Smr_cluster}, where a request commits once every member of
+    some node's current quorum executed it; commit latency is stamped at
+    [n − f] executions. *)
 
-type t
-
-val create :
-  ?seed:int64 -> ?delay:Qs_sim.Network.delay_model -> Star_node.config -> t
-
-val sim : t -> Qs_sim.Sim.t
-
-val net : t -> Star_msg.t Qs_sim.Network.t
-
-val node : t -> Qs_core.Pid.t -> Star_node.t
-
-val set_fault : t -> Qs_core.Pid.t -> Star_node.fault -> unit
-
-val submit :
-  t -> ?client:int -> ?resubmit_every:Qs_sim.Stime.t -> string -> Star_msg.request
-
-val run : ?until:Qs_sim.Stime.t -> ?max_events:int -> t -> unit
-
-val executed_by : t -> Star_msg.request -> Qs_core.Pid.t list
-
-val is_committed : t -> Star_msg.request -> bool
-(** Executed by every member of some node's current quorum. *)
-
-val message_count : t -> int
+include
+  Qs_sim.Smr_cluster.S
+    with type replica = Star_node.t
+     and type msg = Star_msg.t
+     and type request = Star_msg.request
+     and type config = Star_node.config
+     and type fault = Star_node.fault
 
 val max_quorum_epoch : t -> int
 (** Largest number of reconfigurations any node performed — the live O(f)
     metric of Theorem 9. *)
-
-val commit_latency : t -> Star_msg.request -> Qs_sim.Stime.t option
-(** Time from submission until [n − f] nodes executed the request. *)

@@ -1,23 +1,57 @@
-module Sim = Qs_sim.Sim
 module Network = Qs_sim.Network
 module Stime = Qs_sim.Stime
 module Pid = Qs_core.Pid
-module QS = Qs_core.Quorum_select
-module Timeout = Qs_fd.Timeout
 module Store = Qs_recovery.Store
-module Codec = Qs_recovery.Codec
-module Rejoin = Qs_recovery.Rejoin
+
+module C = Qs_sim.Smr_cluster.Make (struct
+  type t = Replica.t
+
+  type msg = Xmsg.t
+
+  type request = Xmsg.request
+
+  type config = Replica.config
+
+  type fault = Replica.fault
+
+  let n config = config.Replica.n
+
+  let setup config =
+    let auth = Qs_crypto.Auth.create config.Replica.n in
+    fun ~me ~sim ~net_send ~on_execute ->
+      Replica.create config ~me ~auth ~sim ~net_send
+        ~on_execute:(fun ~slot:_ request -> on_execute request)
+        ()
+
+  let stamp_threshold config = config.Replica.n - config.Replica.f
+
+  let commit_rule config = Qs_sim.Smr_cluster.At_least (stamp_threshold config)
+
+  let receive = Replica.receive
+
+  let submit = Replica.submit
+
+  let executed = Replica.executed
+
+  let set_fault = Replica.set_fault
+
+  let request ~client ~rid op = { Xmsg.client; rid; op }
+
+  let key (r : Xmsg.request) = (r.client, r.rid)
+end)
+
+type replica = C.replica
+
+type msg = C.msg
+
+type request = C.request
+
+type config = C.config
+
+type fault = C.fault
 
 type t = {
-  sim : Sim.t;
-  net : Xmsg.t Network.t;
-  replicas : Replica.t array;
-  config : Replica.config;
-  mutable next_rid : int;
-  (* (client, rid) -> replicas that executed it *)
-  executions : (int * int, Pid.t list ref) Hashtbl.t;
-  submit_times : (int * int, Stime.t) Hashtbl.t;
-  commit_times : (int * int, Stime.t) Hashtbl.t;
+  c : C.t;
   omitted : (Pid.t * Pid.t, unit) Hashtbl.t;
   delayed : (Pid.t * Pid.t, Stime.t) Hashtbl.t;
   mutable stores : Store.t array option; (* set by attach_durability *)
@@ -31,62 +65,23 @@ type t = {
 let persist t p =
   match t.stores with
   | None -> ()
-  | Some stores -> Xdurable.persist t.replicas.(p) stores.(p)
+  | Some stores -> Xdurable.persist (C.replica t.c p) stores.(p)
 
-let create ?(seed = 1L) ?(delay = Network.Fixed (Stime.of_ms 1)) ?(fifo = true) config =
-  let sim = Sim.create ~seed () in
-  let net = Network.create ~sim ~n:config.Replica.n ~delay ~fifo () in
-  let auth = Qs_crypto.Auth.create config.Replica.n in
-  let executions = Hashtbl.create 64 in
-  let commit_times = Hashtbl.create 64 in
-  let threshold = config.Replica.n - config.Replica.f in
-  (* The on_execute closures outlive this function and need the cluster
-     record that is only built below — forward reference. *)
+let create ?seed ?delay ?(on_execute = fun _ _ -> ()) config =
+  (* The execute hook outlives this function and needs the record that is
+     only built below — forward reference. *)
   let self = ref None in
-  let replicas =
-    Array.init config.Replica.n (fun me ->
-        Replica.create config ~me ~auth ~sim
-          ~net_send:(fun ~dst msg -> Network.send net ~src:me ~dst msg)
-          ~on_execute:(fun ~slot:_ request ->
-            let key = (request.Xmsg.client, request.Xmsg.rid) in
-            let cell =
-              match Hashtbl.find_opt executions key with
-              | Some c -> c
-              | None ->
-                let c = ref [] in
-                Hashtbl.replace executions key c;
-                c
-            in
-            if not (List.mem me !cell) then begin
-              cell := me :: !cell;
-              if List.length !cell = threshold && not (Hashtbl.mem commit_times key) then
-                Hashtbl.replace commit_times key (Sim.now sim)
-            end;
-            match !self with Some t -> persist t me | None -> ())
-          ())
+  let c =
+    C.create ?seed ?delay config ~on_execute:(fun me request ->
+        (match !self with Some t -> persist t me | None -> ());
+        on_execute me request)
   in
-  Array.iteri
-    (fun i replica ->
-      Network.set_handler net i (fun ~src msg -> Replica.receive replica ~src msg))
-    replicas;
   let t =
-    {
-      sim;
-      net;
-      replicas;
-      config;
-      next_rid = 0;
-      executions;
-      submit_times = Hashtbl.create 64;
-      commit_times;
-      omitted = Hashtbl.create 16;
-      delayed = Hashtbl.create 16;
-      stores = None;
-    }
+    { c; omitted = Hashtbl.create 16; delayed = Hashtbl.create 16; stores = None }
   in
   self := Some t;
   ignore
-    (Network.add_filter net (fun ~now:_ ~src ~dst _ ->
+    (Network.add_filter (C.net c) (fun ~now:_ ~src ~dst _ ->
          if Hashtbl.mem t.omitted (src, dst) then Network.Drop
          else
            match Hashtbl.find_opt t.delayed (src, dst) with
@@ -95,15 +90,33 @@ let create ?(seed = 1L) ?(delay = Network.Fixed (Stime.of_ms 1)) ?(fifo = true) 
       : Network.filter_id);
   t
 
-let sim t = t.sim
+let sim t = C.sim t.c
 
-let net t = t.net
+let net t = C.net t.c
 
-let replica t i = t.replicas.(i)
+let config t = C.config t.c
 
-let config t = t.config
+let replica t = C.replica t.c
 
-let set_fault t i fault = Replica.set_fault t.replicas.(i) fault
+let replicas t = C.replicas t.c
+
+let set_fault t = C.set_fault t.c
+
+let submit t = C.submit t.c
+
+let run ?until ?max_events t = C.run ?until ?max_events t.c
+
+let executed_by t = C.executed_by t.c
+
+let is_committed t = C.is_committed t.c
+
+let history t = C.history t.c
+
+let consistent t = C.consistent t.c
+
+let message_count t = C.message_count t.c
+
+let commit_latency t = C.commit_latency t.c
 
 let omit_link t ~src ~dst = Hashtbl.replace t.omitted (src, dst) ()
 
@@ -117,60 +130,7 @@ let heal_all t =
   Hashtbl.reset t.omitted;
   Hashtbl.reset t.delayed
 
-let executed_by t request =
-  match Hashtbl.find_opt t.executions (request.Xmsg.client, request.Xmsg.rid) with
-  | Some cell -> List.sort compare !cell
-  | None -> []
-
-let is_globally_committed t request =
-  List.length (executed_by t request)
-  >= t.config.Replica.n - t.config.Replica.f
-
-let submit t ?(client = 0) ?resubmit_every op =
-  let rid = t.next_rid in
-  t.next_rid <- t.next_rid + 1;
-  let request = { Xmsg.client; rid; op } in
-  Hashtbl.replace t.submit_times (client, rid) (Sim.now t.sim);
-  let deliver () = Array.iter (fun r -> Replica.submit r request) t.replicas in
-  Sim.schedule t.sim ~delay:0 deliver;
-  (match resubmit_every with
-   | None -> ()
-   | Some period ->
-     let rec again () =
-       if not (is_globally_committed t request) then begin
-         deliver ();
-         Sim.schedule t.sim ~delay:period again
-       end
-     in
-     Sim.schedule t.sim ~delay:period again);
-  request
-
-let run ?until ?max_events t = Sim.run ?until ?max_events t.sim
-
-let rec is_prefix a b =
-  match (a, b) with
-  | [], _ -> true
-  | _, [] -> false
-  | x :: a', y :: b' -> x = y && is_prefix a' b'
-
-let consistent t ~correct =
-  let histories = List.map (fun p -> Replica.executed t.replicas.(p)) correct in
-  List.for_all
-    (fun h1 -> List.for_all (fun h2 -> is_prefix h1 h2 || is_prefix h2 h1) histories)
-    histories
-
-let total_view_changes t =
-  Array.fold_left (fun acc r -> acc + Replica.view_changes r) 0 t.replicas
-
-let max_view t = Array.fold_left (fun acc r -> max acc (Replica.view r)) 0 t.replicas
-
-let message_count t = Network.sent_count t.net
-
-let commit_latency t (request : Xmsg.request) =
-  let key = (request.Xmsg.client, request.Xmsg.rid) in
-  match (Hashtbl.find_opt t.submit_times key, Hashtbl.find_opt t.commit_times key) with
-  | Some s, Some c -> Some (Stime.( - ) c s)
-  | _ -> None
+let max_view t = Array.fold_left (fun acc r -> max acc (Replica.view r)) 0 (replicas t)
 
 (* ------------------------------------------------------------------ *)
 (* Durability and amnesia crashes *)
@@ -179,9 +139,8 @@ let attach_durability ?fsync_every t =
   match t.stores with
   | Some _ -> ()
   | None ->
-    let stores =
-      Array.init t.config.Replica.n (fun _ -> Store.create ?fsync_every ())
-    in
+    let n = (config t).Replica.n in
+    let stores = Array.init n (fun _ -> Store.create ?fsync_every ()) in
     t.stores <- Some stores;
     (* Baseline snapshot: the pre-run state is durable by definition. *)
     Array.iteri
@@ -195,11 +154,11 @@ let store t p =
   | Some stores -> stores.(p)
   | None -> invalid_arg "Xcluster.store: durability not attached"
 
-let collect_payload t p = Xdurable.collect_payload ~n:t.config.Replica.n t.replicas.(p)
+let collect_payload t p = Xdurable.collect_payload ~n:(config t).Replica.n (replica t p)
 
 let adopt_payload t p ~matrix ~epoch ~extra =
-  Xdurable.adopt_payload t.replicas.(p) ~matrix ~epoch ~extra
+  Xdurable.adopt_payload (replica t p) ~matrix ~epoch ~extra
 
 let amnesia t p =
-  let store = match t.stores with None -> None | Some stores -> Some stores.(p) in
-  Xdurable.amnesia ~n:t.config.Replica.n t.replicas.(p) store
+  let store = Option.map (fun stores -> stores.(p)) t.stores in
+  Xdurable.amnesia ~n:(config t).Replica.n (replica t p) store

@@ -1,30 +1,15 @@
-(** An XPaxos cluster in the discrete-event simulator.
+(** An XPaxos cluster in the discrete-event simulator: the shared
+    {!Qs_sim.Smr_cluster} (commit once [n − f] replicas executed) plus
+    per-link fault injection on top of replica-level faults, view counters
+    and deep durability. *)
 
-    Wires [n] replicas over an eventually-synchronous {!Qs_sim.Network},
-    plays a simulated client (requests are handed to every replica, as an
-    XPaxos client broadcasts after a timeout), and offers per-link fault
-    injection on top of replica-level faults. *)
-
-type t
-
-val create :
-  ?seed:int64 ->
-  ?delay:Qs_sim.Network.delay_model ->
-  ?fifo:bool ->
-  Replica.config ->
-  t
-(** Default delay: [Fixed 1ms]. Default [fifo] true (XPaxos assumes
-    point-to-point FIFO channels in practice). *)
-
-val sim : t -> Qs_sim.Sim.t
-
-val net : t -> Xmsg.t Qs_sim.Network.t
-
-val replica : t -> Qs_core.Pid.t -> Replica.t
-
-val config : t -> Replica.config
-
-val set_fault : t -> Qs_core.Pid.t -> Replica.fault -> unit
+include
+  Qs_sim.Smr_cluster.S
+    with type replica = Replica.t
+     and type msg = Xmsg.t
+     and type request = Xmsg.request
+     and type config = Replica.config
+     and type fault = Replica.fault
 
 val omit_link : t -> src:Qs_core.Pid.t -> dst:Qs_core.Pid.t -> unit
 (** Drop every message on one direction of a link (an omission failure the
@@ -37,33 +22,8 @@ val heal_link : t -> src:Qs_core.Pid.t -> dst:Qs_core.Pid.t -> unit
 
 val heal_all : t -> unit
 
-val submit : t -> ?client:int -> ?resubmit_every:Qs_sim.Stime.t -> string -> Xmsg.request
-(** Schedule a client request (handed to every replica at the current
-    simulation time; redelivered every [resubmit_every] until [n − f]
-    replicas executed it, when given). Returns the request for querying. *)
-
-val run : ?until:Qs_sim.Stime.t -> ?max_events:int -> t -> unit
-
-val executed_by : t -> Xmsg.request -> Qs_core.Pid.t list
-(** Replicas that executed the request. *)
-
-val is_globally_committed : t -> Xmsg.request -> bool
-(** Executed by at least [n − f] replicas (the XFT commit condition). *)
-
-val consistent : t -> correct:Qs_core.Pid.t list -> bool
-(** Pairwise prefix-consistency of the given replicas' executed histories:
-    the safety invariant of state machine replication. *)
-
-val total_view_changes : t -> int
-(** Sum over replicas — the E5 metric is usually [max_view] instead. *)
-
 val max_view : t -> int
-
-val message_count : t -> int
-(** Inter-replica messages sent (excludes self-deliveries). *)
-
-val commit_latency : t -> Xmsg.request -> Qs_sim.Stime.t option
-(** Time from submission until [n − f] replicas executed the request. *)
+(** Largest view any replica installed — the E5 metric. *)
 
 (** {2 Durability and amnesia crashes}
 

@@ -140,7 +140,7 @@ let test_attack_mute () =
   Attack.apply c (Attack.Mute_replicas [ 0; 1 ]);
   let r = Xcluster.submit c ~resubmit_every:(ms 100) "mute-two" in
   Xcluster.run ~until:(ms 5000) c;
-  check_bool "survives two mute replicas" true (Xcluster.is_globally_committed c r);
+  check_bool "survives two mute replicas" true (Xcluster.is_committed c r);
   check_bool "consistent" true (Xcluster.consistent c ~correct:[ 2; 3; 4 ])
 
 let test_attack_omit_links () =
@@ -148,7 +148,7 @@ let test_attack_omit_links () =
   Attack.apply c (Attack.Omit_links [ (0, 1); (0, 2) ]);
   let r = Xcluster.submit c ~resubmit_every:(ms 100) "omit" in
   Xcluster.run ~until:(ms 5000) c;
-  check_bool "survives link omissions" true (Xcluster.is_globally_committed c r)
+  check_bool "survives link omissions" true (Xcluster.is_committed c r)
 
 let test_attack_equivocate () =
   let c = Xcluster.create (base_config ()) in
@@ -157,7 +157,7 @@ let test_attack_equivocate () =
   Xcluster.run ~until:(ms 5000) c;
   check_bool "detected by someone" true
     (List.exists (fun p -> List.mem 0 (Replica.detections (Xcluster.replica c p))) [ 1; 2; 3; 4 ]);
-  check_bool "committed anyway" true (Xcluster.is_globally_committed c r)
+  check_bool "committed anyway" true (Xcluster.is_committed c r)
 
 let test_attack_ramp_delay_defeats_fixed_timeout () =
   (* Increasing timing failure (Section II): with a FIXED timeout the

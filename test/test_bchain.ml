@@ -59,7 +59,7 @@ let test_chain_ordering_consistent () =
   let _ = Chain_cluster.submit c "b" in
   let _ = Chain_cluster.submit c "c" in
   Chain_cluster.run c;
-  let log p = List.map (fun r -> r.Chain_msg.op) (Chain_node.executed (Chain_cluster.node c p)) in
+  let log p = List.map (fun r -> r.Chain_msg.op) (Chain_node.executed (Chain_cluster.replica c p)) in
   let reference = log 0 in
   check_int "three ops" 3 (List.length reference);
   List.iter (fun p -> Alcotest.(check (list string)) "same log" reference (log p)) [ 1; 2; 3; 4 ]
@@ -69,7 +69,7 @@ let test_dedup_on_resubmission () =
   let r = Chain_cluster.submit c ~resubmit_every:(ms 30) "only-once" in
   Chain_cluster.run ~until:(ms 500) c;
   check_bool "committed" true (Chain_cluster.is_committed c r);
-  let log = Chain_node.executed (Chain_cluster.node c 1) in
+  let log = Chain_node.executed (Chain_cluster.replica c 1) in
   check_int "executed exactly once despite resubmissions" 1 (List.length log)
 
 (* ------------------------------------------------------------------ *)
@@ -86,7 +86,7 @@ let test_midchain_omission_separates_the_pair () =
   let r = Chain_cluster.submit c ~resubmit_every:(ms 100) "blame" in
   Chain_cluster.run ~until:(ms 5000) c;
   check_bool "eventually committed on a re-formed chain" true (Chain_cluster.is_committed c r);
-  let final_chain = Chain_node.chain (Chain_cluster.node c 1) in
+  let final_chain = Chain_node.chain (Chain_cluster.replica c 1) in
   check_bool "suspected pair separated" false
     (List.mem 2 final_chain && List.mem 3 final_chain);
   (* Position-scaled timeouts keep the blame local: the upstream nodes never
@@ -96,7 +96,7 @@ let test_midchain_omission_separates_the_pair () =
       check_int
         (Printf.sprintf "no suspicion raised at p%d" (p + 1))
         0
-        (Detector.raised_total (Chain_node.detector (Chain_cluster.node c p))))
+        (Detector.raised_total (Chain_node.detector (Chain_cluster.replica c p))))
     [ 0; 1 ]
 
 let test_mute_head_replaced () =
@@ -105,7 +105,7 @@ let test_mute_head_replaced () =
   let r = Chain_cluster.submit c ~resubmit_every:(ms 100) "new-head" in
   Chain_cluster.run ~until:(ms 5000) c;
   check_bool "committed under a new head" true (Chain_cluster.is_committed c r);
-  let node1 = Chain_cluster.node c 1 in
+  let node1 = Chain_cluster.replica c 1 in
   check_bool "head changed" true (Chain_node.head node1 <> 0);
   check_bool "chain epoch advanced" true (Chain_node.chain_epoch node1 >= 1)
 
@@ -116,7 +116,7 @@ let test_mute_tail_replaced () =
   let r = Chain_cluster.submit c ~resubmit_every:(ms 100) "new-tail" in
   Chain_cluster.run ~until:(ms 5000) c;
   check_bool "committed without the mute tail" true (Chain_cluster.is_committed c r);
-  check_bool "tail excluded" false (List.mem 4 (Chain_node.chain (Chain_cluster.node c 1)))
+  check_bool "tail excluded" false (List.mem 4 (Chain_node.chain (Chain_cluster.replica c 1)))
 
 let test_equivocating_head_detected () =
   (* Two different requests bound to the same slot in the same epoch is a
@@ -136,7 +136,7 @@ let test_equivocating_head_detected () =
     }
   in
   (* Deliver as if from p1 (the predecessor of p2 on the chain). *)
-  let node1 = Chain_cluster.node c 1 in
+  let node1 = Chain_cluster.replica c 1 in
   Chain_node.receive node1 ~src:0 (Chain_msg.seal auth ~sender:0 (Chain_msg.Forward fwd));
   Chain_cluster.run ~until:(ms 20) c;
   check_bool "double binding detected" true
@@ -167,7 +167,7 @@ let prop_single_fault_recovery =
       let r = Chain_cluster.submit c ~resubmit_every:(ms 100) "survive" in
       Chain_cluster.run ~until:(ms 8000) c;
       Chain_cluster.is_committed c r
-      && not (List.mem faulty (Chain_node.chain (Chain_cluster.node c ((faulty + 1) mod 7)))))
+      && not (List.mem faulty (Chain_node.chain (Chain_cluster.replica c ((faulty + 1) mod 7)))))
 
 let prop_no_duplicate_execution =
   QCheck.Test.make ~name:"exactly-once execution per node" ~count:20
@@ -182,7 +182,7 @@ let prop_no_duplicate_execution =
         (fun p ->
           let ops =
             List.map (fun r -> (r.Chain_msg.client, r.Chain_msg.rid))
-              (Chain_node.executed (Chain_cluster.node c p))
+              (Chain_node.executed (Chain_cluster.replica c p))
           in
           List.length ops = List.length (List.sort_uniq compare ops))
         [ 0; 1; 2; 3; 4; 5; 6 ])

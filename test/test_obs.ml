@@ -295,7 +295,7 @@ let test_xpaxos_snapshot_and_journal () =
   Qs_xpaxos.Xcluster.run ~until:(ms 5000) c;
   Journal.set_enabled false;
   check_bool "requests committed" true
-    (List.for_all (Qs_xpaxos.Xcluster.is_globally_committed c) rs);
+    (List.for_all (Qs_xpaxos.Xcluster.is_committed c) rs);
   let total name =
     List.fold_left
       (fun acc p ->

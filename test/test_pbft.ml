@@ -42,7 +42,7 @@ let test_full_happy_path () =
   let c = Pcluster.create (config ~f:1 ()) in
   let r = Pcluster.submit c "op" in
   Pcluster.run c;
-  check_bool "committed" true (Pcluster.is_globally_committed c r);
+  check_bool "committed" true (Pcluster.is_committed c r);
   Alcotest.(check (list int)) "all four executed" [ 0; 1; 2; 3 ] (Pcluster.executed_by c r);
   check_int "no view change" 0 (Pcluster.max_view c)
 
@@ -63,7 +63,7 @@ let test_full_masks_one_mute_replica () =
   Pcluster.set_fault c 3 Preplica.Mute;
   let r = Pcluster.submit c "masked" in
   Pcluster.run c;
-  check_bool "committed without p4" true (Pcluster.is_globally_committed c r);
+  check_bool "committed without p4" true (Pcluster.is_committed c r);
   check_int "zero view changes (masked, not reacted)" 0 (Pcluster.max_view c)
 
 let test_full_mute_primary_rotation () =
@@ -71,7 +71,7 @@ let test_full_mute_primary_rotation () =
   Pcluster.set_fault c 0 Preplica.Mute;
   let r = Pcluster.submit c ~resubmit_every:(ms 100) "rotate" in
   Pcluster.run ~until:(ms 4000) c;
-  check_bool "committed under new primary" true (Pcluster.is_globally_committed c r);
+  check_bool "committed under new primary" true (Pcluster.is_committed c r);
   check_bool "view rotated" true (Pcluster.max_view c >= 1);
   check_int "new primary is view mod n" (Pcluster.max_view c mod 4)
     (Preplica.primary (Pcluster.replica c 1))
@@ -92,7 +92,7 @@ let test_selected_happy_path () =
   let c = Pcluster.create (config ~participation:Preplica.Selected ~f:1 ()) in
   let r = Pcluster.submit c "op" in
   Pcluster.run c;
-  check_bool "committed" true (Pcluster.is_globally_committed c r);
+  check_bool "committed" true (Pcluster.is_committed c r);
   Alcotest.(check (list int)) "active quorum executed" [ 0; 1; 2 ] (Pcluster.executed_by c r)
 
 let test_selected_message_count () =
@@ -125,7 +125,7 @@ let test_selected_reacts_to_mute_member () =
   Pcluster.set_fault c 1 Preplica.Mute;
   let r = Pcluster.submit c ~resubmit_every:(ms 100) "react" in
   Pcluster.run ~until:(ms 4000) c;
-  check_bool "committed on new active set" true (Pcluster.is_globally_committed c r);
+  check_bool "committed on new active set" true (Pcluster.is_committed c r);
   check_bool "reconfigured" true (Pcluster.max_view c >= 1);
   check_bool "mute member excluded" false
     (List.mem 1 (Preplica.participants (Pcluster.replica c 0)))
@@ -135,7 +135,7 @@ let test_selected_mute_primary_replaced () =
   Pcluster.set_fault c 0 Preplica.Mute;
   let r = Pcluster.submit c ~resubmit_every:(ms 100) "primary" in
   Pcluster.run ~until:(ms 4000) c;
-  check_bool "committed" true (Pcluster.is_globally_committed c r);
+  check_bool "committed" true (Pcluster.is_committed c r);
   check_bool "primary changed" true (Preplica.primary (Pcluster.replica c 1) <> 0);
   (match Preplica.quorum_selector (Pcluster.replica c 1) with
    | Some qs ->
@@ -149,11 +149,11 @@ let test_selected_passive_catch_up () =
   let c = Pcluster.create (config ~participation:Preplica.Selected ~f:1 ~timeout:(ms 20) ()) in
   let r1 = Pcluster.submit c "before" in
   Pcluster.run ~until:(ms 50) c;
-  check_bool "first committed on {p1,p2,p3}" true (Pcluster.is_globally_committed c r1);
+  check_bool "first committed on {p1,p2,p3}" true (Pcluster.is_committed c r1);
   Pcluster.set_fault c 2 Preplica.Mute;
   let r2 = Pcluster.submit c ~resubmit_every:(ms 100) "after" in
   Pcluster.run ~until:(ms 4000) c;
-  check_bool "second committed" true (Pcluster.is_globally_committed c r2);
+  check_bool "second committed" true (Pcluster.is_committed c r2);
   (* p4 (id 3) joined the active set and must hold the full history. *)
   let history = List.map (fun r -> r.Pmsg.op) (Preplica.executed (Pcluster.replica c 3)) in
   check_bool "newcomer replayed the committed prefix" true (List.mem "before" history);
@@ -197,7 +197,7 @@ let test_full_masks_two_mutes_f2 () =
   Pcluster.set_fault c 6 Preplica.Mute;
   let r = Pcluster.submit c "masked-two" in
   Pcluster.run c;
-  check_bool "committed" true (Pcluster.is_globally_committed c r);
+  check_bool "committed" true (Pcluster.is_committed c r);
   check_int "no view change" 0 (Pcluster.max_view c)
 
 let test_selected_link_omission_reacts () =
@@ -208,7 +208,7 @@ let test_selected_link_omission_reacts () =
   Pcluster.set_fault c 2 (Preplica.Omit_to [ 1 ]);
   let r = Pcluster.submit c ~resubmit_every:(ms 100) "bad-link" in
   Pcluster.run ~until:(ms 5000) c;
-  check_bool "committed" true (Pcluster.is_globally_committed c r);
+  check_bool "committed" true (Pcluster.is_committed c r);
   let active = Preplica.participants (Pcluster.replica c 0) in
   check_bool "pair separated" false (List.mem 1 active && List.mem 2 active)
 

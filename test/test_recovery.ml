@@ -362,7 +362,7 @@ let test_xpaxos_amnesia_restores_durable_log () =
   Xcluster.attach_durability c;
   let r1 = Xcluster.submit c "a" in
   Xcluster.run ~until:(ms 400) c;
-  check_bool "request committed before the crash" true (Xcluster.is_globally_committed c r1);
+  check_bool "request committed before the crash" true (Xcluster.is_committed c r1);
   (* Only the synchronous group executes in XPaxos — crash one of its
      members, where there is actually durable state to restore. *)
   let victim = List.hd (List.rev (Xcluster.executed_by c r1)) in
@@ -383,7 +383,7 @@ let test_xpaxos_amnesia_restores_durable_log () =
     ~epoch:peer.Rejoin.epoch ~extra:peer.Rejoin.extra;
   let r2 = Xcluster.submit c "b" in
   Xcluster.run ~until:(ms 1200) c;
-  check_bool "post-recovery request commits" true (Xcluster.is_globally_committed c r2);
+  check_bool "post-recovery request commits" true (Xcluster.is_committed c r2);
   check_bool "histories prefix-consistent across the recovery" true
     (Xcluster.consistent c ~correct:[ 0; 1; 2 ])
 
@@ -391,7 +391,7 @@ let test_xpaxos_amnesia_without_durability_is_total () =
   let c = Xcluster.create xpaxos_cfg in
   let r1 = Xcluster.submit c "a" in
   Xcluster.run ~until:(ms 400) c;
-  check_bool "committed" true (Xcluster.is_globally_committed c r1);
+  check_bool "committed" true (Xcluster.is_committed c r1);
   let victim = List.hd (Xcluster.executed_by c r1) in
   let payload = Xcluster.amnesia c victim in
   check_int "no store: everything volatile is gone" 0

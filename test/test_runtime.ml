@@ -348,13 +348,7 @@ let sim_committed_prefix ~n ~f ~requests =
       (fun acc h -> if List.length h > List.length acc then h else acc)
       [] histories
   in
-  let rec is_prefix a b =
-    match (a, b) with
-    | [], _ -> true
-    | x :: a', y :: b' -> x = y && is_prefix a' b'
-    | _, [] -> false
-  in
-  assert (List.for_all (fun h -> is_prefix h longest) histories);
+  assert (List.for_all (Qs_sim.Smr_cluster.prefix_compatible longest) histories);
   longest
 
 let test_parity_sim_vs_tcp () =

@@ -517,6 +517,77 @@ let prop_fifo_preserves_order =
       Sim.run sim;
       List.rev !got = List.init k (fun i -> i + 1))
 
+(* Smr_cluster: the shared cluster body, over a toy replica that executes a
+   request the moment it is handed one (unless muted). *)
+
+module Toy = struct
+  type t = {
+    mutable muted : bool;
+    mutable log : (int * int * string) list;
+    on_execute : int * int * string -> unit;
+  }
+
+  type msg = unit
+
+  type request = int * int * string
+
+  type config = { n : int; k : int }
+
+  type fault = bool
+
+  let n c = c.n
+
+  let setup _ ~me:_ ~sim:_ ~net_send:_ ~on_execute = { muted = false; log = []; on_execute }
+
+  let stamp_threshold c = c.k
+
+  let commit_rule c = Smr_cluster.At_least c.k
+
+  let receive _ ~src:_ () = ()
+
+  let submit t r =
+    if (not t.muted) && not (List.mem r t.log) then begin
+      t.log <- t.log @ [ r ];
+      t.on_execute r
+    end
+
+  let executed t = t.log
+
+  let set_fault t muted = t.muted <- muted
+
+  let request ~client ~rid op = (client, rid, op)
+
+  let key (client, rid, _) = (client, rid)
+end
+
+module Toy_cluster = Smr_cluster.Make (Toy)
+
+let test_smr_prefix () =
+  check_bool "prefix" true (Smr_cluster.prefix_compatible [ 1; 2 ] [ 1; 2; 3 ]);
+  check_bool "either way" true (Smr_cluster.prefix_compatible [ 1; 2; 3 ] [ 1 ]);
+  check_bool "diverged" false (Smr_cluster.prefix_compatible [ 1; 3 ] [ 1; 2 ]);
+  check_bool "consistent" true
+    (Smr_cluster.prefix_consistent [ [ 1; 2; 3 ]; [ 1; 2 ]; []; [ 1; 2; 3; 4 ] ]);
+  check_bool "one divergent pair" false
+    (Smr_cluster.prefix_consistent [ [ 1; 2 ]; [ 1 ]; [ 1; 3 ] ])
+
+let test_smr_commit_and_resubmit () =
+  let c = Toy_cluster.create { Toy.n = 3; k = 2 } in
+  Toy_cluster.set_fault c 0 true;
+  Toy_cluster.set_fault c 1 true;
+  let r = Toy_cluster.submit c ~resubmit_every:10 "op" in
+  Sim.schedule_at (Toy_cluster.sim c) ~at:25 (fun () -> Toy_cluster.set_fault c 1 false);
+  Toy_cluster.run ~until:20 c;
+  Alcotest.(check (list int)) "one execution" [ 2 ] (Toy_cluster.executed_by c r);
+  check_bool "not committed" false (Toy_cluster.is_committed c r);
+  Toy_cluster.run c;
+  Alcotest.(check (list int)) "executed by" [ 1; 2 ] (Toy_cluster.executed_by c r);
+  check_bool "committed" true (Toy_cluster.is_committed c r);
+  Alcotest.(check (option int)) "stamped at the resubmit" (Some 30)
+    (Toy_cluster.commit_latency c r);
+  Alcotest.(check (list (pair int int))) "history" [ (0, 0) ] (Toy_cluster.history c 1);
+  check_bool "consistent" true (Toy_cluster.consistent c ~correct:[ 0; 1; 2 ])
+
 let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_network_deterministic; prop_fifo_preserves_order ]
 
 let () =
@@ -571,6 +642,12 @@ let () =
         [
           Alcotest.test_case "records flow" `Quick test_trace_records_flow;
           Alcotest.test_case "clear" `Quick test_trace_clear;
+        ] );
+      ( "smr_cluster",
+        [
+          Alcotest.test_case "prefix consistency" `Quick test_smr_prefix;
+          Alcotest.test_case "commit stamp and resubmission" `Quick
+            test_smr_commit_and_resubmit;
         ] );
       ("properties", qsuite);
     ]

@@ -58,7 +58,7 @@ let test_star_ordering () =
   let _ = Star_cluster.submit c "b" in
   Star_cluster.run c;
   let log p =
-    List.map (fun r -> r.Star_msg.op) (Star_node.executed (Star_cluster.node c p))
+    List.map (fun r -> r.Star_msg.op) (Star_node.executed (Star_cluster.replica c p))
   in
   List.iter
     (fun p -> Alcotest.(check (list string)) "same order" (log 0) (log p))
@@ -74,7 +74,7 @@ let test_no_false_suspicions_happy () =
     check_ilist
       (Printf.sprintf "p%d suspects nobody" (p + 1))
       []
-      (Detector.suspected (Star_node.detector (Star_cluster.node c p)))
+      (Detector.suspected (Star_node.detector (Star_cluster.replica c p)))
   done;
   check_int "no reconfiguration" 0 (Star_cluster.max_quorum_epoch c)
 
@@ -91,7 +91,7 @@ let test_crashed_leader_replaced_live () =
   let r = Star_cluster.submit c ~resubmit_every:(ms 100) "survive" in
   Star_cluster.run ~until:(ms 6000) c;
   check_bool "committed under a new leader" true (Star_cluster.is_committed c r);
-  let node1 = Star_cluster.node c 1 in
+  let node1 = Star_cluster.replica c 1 in
   check_bool "leader moved" true (Star_node.leader node1 <> 0);
   check_bool "O(f)-ish reconfigurations" true (Star_cluster.max_quorum_epoch c <= 6 * 2 + 2)
 
@@ -102,7 +102,7 @@ let test_crashed_follower_excluded_live () =
   Star_cluster.run ~until:(ms 6000) c;
   check_bool "committed" true (Star_cluster.is_committed c r);
   check_bool "mute follower out of the quorum" false
-    (List.mem 3 (Star_node.quorum (Star_cluster.node c 1)))
+    (List.mem 3 (Star_node.quorum (Star_cluster.replica c 1)))
 
 let test_leader_follower_link_separates_pair () =
   (* The leader omits messages to one follower only. *)
@@ -111,7 +111,7 @@ let test_leader_follower_link_separates_pair () =
   let r = Star_cluster.submit c ~resubmit_every:(ms 100) "one-link" in
   Star_cluster.run ~until:(ms 6000) c;
   check_bool "committed" true (Star_cluster.is_committed c r);
-  let node1 = Star_cluster.node c 1 in
+  let node1 = Star_cluster.replica c 1 in
   let l = Star_node.leader node1 and q = Star_node.quorum node1 in
   check_bool "leader-victim pair separated" false (l = 0 && List.mem 2 q)
 
@@ -122,7 +122,7 @@ let test_follower_selection_state_is_live () =
   let r = Star_cluster.submit c ~resubmit_every:(ms 100) "peek" in
   Star_cluster.run ~until:(ms 6000) c;
   check_bool "committed" true (Star_cluster.is_committed c r);
-  let node2 = Star_cluster.node c 2 in
+  let node2 = Star_cluster.replica c 2 in
   let sel = Star_node.selector node2 in
   check_int "selector leader = node leader" (Star_node.leader node2) (Fsel.leader sel);
   check_ilist "selector quorum = node quorum" (Star_node.quorum node2) (Fsel.last_quorum sel)
@@ -139,7 +139,7 @@ let test_exactly_once_execution () =
       let ids =
         List.map
           (fun r -> (r.Star_msg.client, r.Star_msg.rid))
-          (Star_node.executed (Star_cluster.node c p))
+          (Star_node.executed (Star_cluster.replica c p))
       in
       check_int
         (Printf.sprintf "p%d no duplicates" (p + 1))

@@ -116,7 +116,7 @@ let test_normal_case_commits () =
   let c = Xcluster.create (base_config ()) in
   let r = Xcluster.submit c "write:a" in
   Xcluster.run c;
-  check_bool "globally committed" true (Xcluster.is_globally_committed c r);
+  check_bool "globally committed" true (Xcluster.is_committed c r);
   check_ilist "executed by the group" [ 0; 1; 2 ] (Xcluster.executed_by c r);
   check_bool "consistent" true (Xcluster.consistent c ~correct:[ 0; 1; 2; 3; 4 ]);
   check_int "no view changes" 0 (Xcluster.max_view c)
@@ -128,7 +128,7 @@ let test_normal_case_ordering () =
   let r3 = Xcluster.submit c "c" in
   Xcluster.run c;
   List.iter
-    (fun r -> check_bool "committed" true (Xcluster.is_globally_committed c r))
+    (fun r -> check_bool "committed" true (Xcluster.is_committed c r))
     [ r1; r2; r3 ];
   let history = Replica.executed (Xcluster.replica c 1) in
   Alcotest.(check (list string)) "in submission order" [ "a"; "b"; "c" ]
@@ -162,7 +162,7 @@ let test_fig3_commit_before_prepare () =
   Xcluster.delay_link c ~src:0 ~dst:2 ~by:(ms 20);
   let r = Xcluster.submit c "delayed" in
   Xcluster.run c;
-  check_bool "committed despite delay" true (Xcluster.is_globally_committed c r);
+  check_bool "committed despite delay" true (Xcluster.is_committed c r);
   check_bool "p3 executed" true (List.mem 2 (Xcluster.executed_by c r));
   (* Nobody was detected: the delay is within the (long) timeout. *)
   check_ilist "no detections" [] (Replica.detections (Xcluster.replica c 2))
@@ -185,14 +185,14 @@ let test_leader_omission_on_one_link_suspected () =
   (* After the timeout: p3 suspected the leader, views moved on, and the
      request is committed by a full quorum. *)
   check_bool "view advanced" true (Xcluster.max_view c > 0);
-  check_bool "eventually globally committed" true (Xcluster.is_globally_committed c r)
+  check_bool "eventually globally committed" true (Xcluster.is_committed c r)
 
 let test_mute_leader_replaced_enumeration () =
   let c = Xcluster.create (base_config ~timeout:(ms 20) ()) in
   Xcluster.set_fault c 0 Replica.Mute;
   let r = Xcluster.submit c ~resubmit_every:(ms 100) "survive" in
   Xcluster.run ~until:(ms 3000) c;
-  check_bool "committed despite mute leader" true (Xcluster.is_globally_committed c r);
+  check_bool "committed despite mute leader" true (Xcluster.is_committed c r);
   check_bool "view advanced past leader 0" true (Xcluster.max_view c > 0);
   check_bool "consistency" true (Xcluster.consistent c ~correct:[ 1; 2; 3; 4 ])
 
@@ -201,7 +201,7 @@ let test_mute_leader_replaced_quorum_selection () =
   Xcluster.set_fault c 0 Replica.Mute;
   let r = Xcluster.submit c ~resubmit_every:(ms 100) "survive-qs" in
   Xcluster.run ~until:(ms 3000) c;
-  check_bool "committed despite mute leader" true (Xcluster.is_globally_committed c r);
+  check_bool "committed despite mute leader" true (Xcluster.is_committed c r);
   check_bool "consistency" true (Xcluster.consistent c ~correct:[ 1; 2; 3; 4 ]);
   (* The quorum selector at a correct replica excludes the mute leader. *)
   (match Replica.quorum_selector (Xcluster.replica c 1) with
@@ -222,18 +222,18 @@ let test_equivocating_leader_detected () =
   check_bool "equivocation detected" true detected_by_someone;
   check_bool "view advanced" true (Xcluster.max_view c > 0);
   check_bool "safety held" true (Xcluster.consistent c ~correct:[ 1; 2; 3; 4 ]);
-  check_bool "request still committed" true (Xcluster.is_globally_committed c r)
+  check_bool "request still committed" true (Xcluster.is_committed c r)
 
 let test_committed_state_survives_view_change () =
   let c = Xcluster.create (base_config ~timeout:(ms 20) ()) in
   let r1 = Xcluster.submit c "before" in
   Xcluster.run c;
-  check_bool "first committed" true (Xcluster.is_globally_committed c r1);
+  check_bool "first committed" true (Xcluster.is_committed c r1);
   (* Now the leader goes mute; a later request must land after r1. *)
   Xcluster.set_fault c 0 Replica.Mute;
   let r2 = Xcluster.submit c ~resubmit_every:(ms 100) "after" in
   Xcluster.run ~until:(ms 3000) c;
-  check_bool "second committed" true (Xcluster.is_globally_committed c r2);
+  check_bool "second committed" true (Xcluster.is_committed c r2);
   check_bool "consistent" true (Xcluster.consistent c ~correct:[ 1; 2; 3; 4 ]);
   (* Every correct replica that executed r2 executed r1 first. *)
   List.iter
@@ -248,7 +248,7 @@ let test_xft_minimal_n3 () =
   let c = Xcluster.create (base_config ~n:3 ~f:1 ~timeout:(ms 20) ()) in
   let r = Xcluster.submit c "xft" in
   Xcluster.run c;
-  check_bool "commits with 2f+1 replicas" true (Xcluster.is_globally_committed c r);
+  check_bool "commits with 2f+1 replicas" true (Xcluster.is_committed c r);
   check_ilist "group of f+1 executed" [ 0; 1 ] (Xcluster.executed_by c r)
 
 let test_mute_follower_view_changes () =
@@ -258,7 +258,7 @@ let test_mute_follower_view_changes () =
   Xcluster.set_fault c 1 Replica.Mute;
   let r = Xcluster.submit c ~resubmit_every:(ms 100) "follower-mute" in
   Xcluster.run ~until:(ms 3000) c;
-  check_bool "committed" true (Xcluster.is_globally_committed c r);
+  check_bool "committed" true (Xcluster.is_committed c r);
   check_bool "moved to a group without p2" false
     (List.mem 1 (Replica.group (Xcluster.replica c 0)))
 
@@ -295,7 +295,7 @@ let test_qs_mode_link_omission_recovers () =
   Xcluster.omit_link c ~src:1 ~dst:0;
   let r = Xcluster.submit c ~resubmit_every:(ms 100) "bad-link" in
   Xcluster.run ~until:(ms 4000) c;
-  check_bool "committed" true (Xcluster.is_globally_committed c r);
+  check_bool "committed" true (Xcluster.is_committed c r);
   (match Replica.quorum_selector (Xcluster.replica c 2) with
    | Some qs ->
      let quorum = Qs_core.Quorum_select.last_quorum qs in
@@ -312,7 +312,7 @@ let test_view_change_expectations_drive_progress () =
   (* f=2 mute replicas: several candidate groups contain one of them. *)
   let r = Xcluster.submit c ~resubmit_every:(ms 100) "push-through" in
   Xcluster.run ~until:(ms 8000) c;
-  check_bool "committed despite two mutes" true (Xcluster.is_globally_committed c r);
+  check_bool "committed despite two mutes" true (Xcluster.is_committed c r);
   let grp = Replica.group (Xcluster.replica c 0) in
   check_bool "final group avoids both mutes" true
     ((not (List.mem 1 grp)) && not (List.mem 3 grp))
