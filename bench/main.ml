@@ -527,13 +527,45 @@ let scaling_json points =
            ])
        points)
 
+let commission_json counters =
+  let module Json = Qs_obs.Json in
+  Json.List
+    (List.map
+       (fun (stack, proofs, forgeries, violations) ->
+         Json.Obj
+           [
+             ("stack", Json.String stack);
+             ("proofs", Json.Int proofs);
+             ("forgeries", Json.Int forgeries);
+             ("violations", Json.Int violations);
+           ])
+       counters)
+
+(* The sections Qs_obs.Bench_gate gates, in summary order. They run before
+   the metrics reset that precedes the tables: the commission smoke's
+   Chaos.execute resets the default registry itself, so running it later
+   would clobber the counters the experiments record for the snapshot. *)
+let gated_sections ~quick () =
+  let commission = commission_json (commission_counters ~quick ()) in
+  let scaling = scaling_json (scaling_points ~quick ()) in
+  let churn = churn_json (churn_points ~quick ()) in
+  let explore = explore_json (explore_sweep ~quick ()) in
+  let policy = policy_json (policy_sweep ()) in
+  let runtime = runtime_section ~quick () in
+  [
+    ("commission", commission);
+    ("scaling", scaling);
+    ("churn", churn);
+    ("explore", explore);
+    ("policy", policy);
+    ("runtime", runtime);
+  ]
+
 (* A BENCH_*.json summary: per-benchmark ns/run, the experiment verdict
-   tally, the commission-fault conviction counters, the E15 scaling sweep,
-   and the metrics the protocol layers recorded while the tables were
-   regenerated. One file per run; diff it across commits to track the perf
-   trajectory. *)
-let write_json_summary ~path ~quick ~experiments_ok ~commission ~scaling
-    ~churn ~explore ~policy ~runtime ~bench_rows =
+   tally, the gated sections, and the metrics the protocol layers recorded
+   while the tables were regenerated. One file per run; diff it across
+   commits to track the perf trajectory. *)
+let write_json_summary ~path ~quick ~experiments_ok ~sections ~bench_rows =
   let module Json = Qs_obs.Json in
   let result_json group (name, ns) =
     Json.Obj
@@ -548,34 +580,19 @@ let write_json_summary ~path ~quick ~experiments_ok ~commission ~scaling
       (fun (group, rows) -> List.map (result_json group) rows)
       bench_rows
   in
-  let commission_json =
-    List.map
-      (fun (stack, proofs, forgeries, violations) ->
-        Json.Obj
-          [
-            ("stack", Json.String stack);
-            ("proofs", Json.Int proofs);
-            ("forgeries", Json.Int forgeries);
-            ("violations", Json.Int violations);
-          ])
-      commission
-  in
   let doc =
     Json.Obj
-      [
-        ("schema", Json.String "qsel-bench/1");
-        ("quick", Json.Bool quick);
-        ( "experiments_ok",
-          match experiments_ok with None -> Json.Null | Some ok -> Json.Bool ok );
-        ("commission", Json.List commission_json);
-        ("scaling", scaling_json scaling);
-        ("churn", churn_json churn);
-        ("explore", explore_json explore);
-        ("policy", policy_json policy);
-        ("runtime", runtime);
-        ("results", Json.List results);
-        ("metrics", Qs_obs.Metrics.to_json (Qs_obs.Metrics.snapshot ()));
-      ]
+      ([
+         ("schema", Json.String "qsel-bench/1");
+         ("quick", Json.Bool quick);
+         ( "experiments_ok",
+           match experiments_ok with None -> Json.Null | Some ok -> Json.Bool ok );
+       ]
+      @ sections
+      @ [
+          ("results", Json.List results);
+          ("metrics", Qs_obs.Metrics.to_json (Qs_obs.Metrics.snapshot ()));
+        ])
   in
   let oc = open_out path in
   output_string oc (Json.render_pretty doc);
@@ -598,49 +615,14 @@ let () =
         else None)
       args
   in
-  (* The commission smoke runs before the reset: Chaos.execute resets the
-     default metrics registry itself, so running it later would clobber the
-     counters the experiments record for the JSON snapshot. *)
-  let commission =
-    match json_path with None -> [] | Some _ -> commission_counters ~quick ()
-  in
-  let scaling =
-    match json_path with None -> [] | Some _ -> scaling_points ~quick ()
-  in
-  let churn =
-    match json_path with None -> [] | Some _ -> churn_points ~quick ()
-  in
-  let explore =
-    match json_path with
-    | None ->
-      ( [],
-        {
-          Qs_harness.E_explore.seq_visited = 0;
-          par_visited = 0;
-          sets_agree = true;
-          sym_visited = 0;
-          sym_collapses = true;
-        } )
-    | Some _ -> explore_sweep ~quick ()
-  in
-  let policy =
-    match json_path with
-    | None -> ([], [], Qs_core.Quorum_intersection.check ~n:1 ~f:0 [])
-    | Some _ -> policy_sweep ()
-  in
-  let runtime =
-    match json_path with
-    | None -> Qs_obs.Json.Null
-    | Some _ -> runtime_section ~quick ()
-  in
+  let summary = Option.map (fun path -> (path, gated_sections ~quick ())) json_path in
   Qs_obs.Metrics.reset ();
   let experiments_ok =
     if micro_only then None else Some (Experiments.run_and_print_all ~quick ())
   in
   let bench_rows = if tables_only then [] else run_benchmarks ~quick () in
-  (match json_path with
-   | None -> ()
-   | Some path ->
-     write_json_summary ~path ~quick ~experiments_ok ~commission ~scaling
-       ~churn ~explore ~policy ~runtime ~bench_rows);
+  Option.iter
+    (fun (path, sections) ->
+      write_json_summary ~path ~quick ~experiments_ok ~sections ~bench_rows)
+    summary;
   if experiments_ok = Some false then exit 1

@@ -1,13 +1,18 @@
 (* Bench-regression gate: diff a fresh BENCH_qsel.json against a committed
    baseline.
 
-   The gate keys on metrics that are properties of the *code*, not the
-   runner: bytes shipped by gossip, per-packet allocation, agreement
-   booleans, seeded commission-fault conviction counters, and the
-   cross-size select-throughput ratio (a 2× slowdown at n=1024 doubles the
-   ratio even though both absolute numbers move with the machine).
-   Absolute wall-clock ns/run results are compared too, but report-only:
-   they fail nothing, they just show the drift.
+   [table] below is the one list of what is gated. Each entry is a
+   section of the bench summary: where it sits, the fields that match a
+   current row to a baseline row, and its checks. A check is a
+   (label, field, rule) triple; one interpreter turns the table into
+   verdicts, and [derive_baseline] is the table's projection onto keys and
+   pinned fields.
+
+   Hard checks key on properties of the *code*, not the runner: byte and
+   message counts, seeded counters, agreement booleans, and the cross-size
+   select-throughput ratio (a 2× slowdown at n=1024 doubles the ratio even
+   though both absolute numbers move with the machine). Wall-clock numbers
+   are report-only: they fail nothing, they just show the drift.
 
    Improvements pass silently — the gate only stops regressions; ratchet
    the baseline forward with [derive_baseline] (--update-baseline). *)
@@ -50,326 +55,349 @@ let field name j =
   | Some v -> v
   | None -> malformed "missing field %S" name
 
-let list_exn name j =
-  match field name j with
+let at path j = List.fold_left (fun j k -> field k j) j path
+
+let list_at path j =
+  match at path j with
   | Json.List l -> l
-  | _ -> malformed "field %S is not a list" name
+  | _ -> malformed "field %S is not a list" (String.concat "." path)
 
 let int_f name j = Json.to_int_exn (field name j)
 
 let float_f name j = Json.to_float_exn (field name j)
-
-let string_f name j = Json.to_string_exn (field name j)
 
 let bool_f name j =
   match field name j with
   | Json.Bool v -> v
   | _ -> malformed "field %S is not a bool" name
 
+(* Floats show to two places; everything else as JSON. *)
+let show = function Json.Float x -> Printf.sprintf "%.2f" x | v -> Json.render v
+
 (* ------------------------------------------------------------------ *)
-(* Tolerances, stored in the baseline so a deliberate loosening is a
-   reviewed diff. *)
+(* Rules. Tolerances are named and stored in the baseline, so a deliberate
+   loosening is a reviewed diff. *)
 
-type tolerances = { bytes : float; select_ratio : float; alloc_abs : float }
+type rule =
+  (* Pinned: read the baseline. *)
+  | Pinned  (** equal to the baseline's value *)
+  | Within of string  (** an int at most the baseline's × the tolerance *)
+  | Spread_within of string
+      (** across the section's rows: the field at the smallest key over the
+          field at the largest, at most the baseline's quotient × the
+          tolerance. Machine speed cancels out of the quotient. *)
+  (* Hold on the current run alone. *)
+  | Is of Json.t  (** equal to this constant *)
+  | Is_true_if_run  (** true, or null when the run skipped it *)
+  | At_most of string  (** a float at most the tolerance itself *)
+  | Positive  (** a count above zero *)
+  | Same_as of string  (** an int equal to the named field of the row *)
+  | True_over of string  (** true, over a positive count of pairs *)
+  (* Report-only: warn, never fail. *)
+  | Speedup_from of int * float
+      (** at least this factor once the row's key reaches the int *)
+  | Drift of float  (** pinned; warn past the baseline × this factor *)
 
-let default_tolerances = { bytes = 1.25; select_ratio = 1.75; alloc_abs = 128.0 }
+let pins = function
+  | Pinned | Within _ | Spread_within _ | Drift _ -> true
+  | _ -> false
 
-let tolerances_of_json j =
-  match Json.member "tolerances" j with
-  | None -> default_tolerances
-  | Some t ->
-    {
-      bytes = float_f "bytes" t;
-      select_ratio = float_f "select_ratio" t;
-      alloc_abs = float_f "alloc_abs" t;
-    }
+let report_only = function Speedup_from _ | Drift _ -> true | _ -> false
 
-let tolerances_json t =
-  Json.Obj
+let cross_row = function Spread_within _ -> true | _ -> false
+
+let default_tolerances =
+  [ ("bytes", 1.25); ("select_ratio", 1.75); ("alloc_abs", 128.0) ]
+
+type section = {
+  title : string;  (** verdict-name prefix *)
+  at : string list;  (** path in the bench summary *)
+  base_at : string list;  (** path in the baseline *)
+  key : string list;  (** fields matching rows of a list; [] for one object *)
+  checks : (string * string * rule) list;  (** label, field, rule *)
+}
+
+(* An empty label is filled in from the field and rule. *)
+let label_of (label, f, rule) =
+  if label <> "" then label
+  else
+    match rule with
+    | Is (Json.Bool true) -> f
+    | Is v -> f ^ " = " ^ Json.render v
+    | At_most _ -> f ^ " within cap"
+    | Drift _ -> "" (* the row's name alone *)
+    | _ -> f
+
+let verdict_name prefix label =
+  match (prefix, label) with
+  | "", l -> l
+  | p, "" -> p
+  | p, l -> p ^ ": " ^ l
+
+(* One check on one row. [base] is forced only by rules that pin. *)
+let eval ~tolerance ~prefix ~key ~base ~cur ((_, f, rule) as check) =
+  let name = verdict_name prefix (label_of check) in
+  let c = field f cur in
+  let b () = field f (Lazy.force base) in
+  match rule with
+  | Pinned ->
+    let b = b () in
     [
-      ("bytes", Json.Float t.bytes);
-      ("select_ratio", Json.Float t.select_ratio);
-      ("alloc_abs", Json.Float t.alloc_abs);
+      hard name (c = b)
+        (match c with
+        | Json.Bool _ -> Printf.sprintf "current %s, baseline %s" (show c) (show b)
+        | _ -> Printf.sprintf "%s vs baseline %s" (show c) (show b));
     ]
-
-(* The cross-size degradation factor: select throughput at the smallest n
-   over the largest. Machine speed cancels out of the quotient. *)
-let select_ratio scaling =
-  match scaling with
-  | [] | [ _ ] -> None
-  | points ->
-    let by_n = List.map (fun p -> (int_f "n" p, p)) points in
-    let smallest = List.fold_left min max_int (List.map fst by_n) in
-    let largest = List.fold_left max 0 (List.map fst by_n) in
-    let ops n = float_f "select_ops_per_sec" (List.assoc n by_n) in
-    let lo = ops largest in
-    if lo <= 0.0 then None else Some (ops smallest /. lo)
-
-(* ------------------------------------------------------------------ *)
-
-let check_scaling_point ~tol ~current_points base =
-  let n = int_f "n" base in
-  let tag s = Printf.sprintf "scaling n=%d: %s" n s in
-  match
-    List.find_opt (fun p -> int_f "n" p = n) current_points
-  with
-  | None -> [ hard (tag "present in current run") false "point missing" ]
-  | Some cur ->
-    let bytes name =
-      let b = int_f name base and c = int_f name cur in
-      let cap = float_of_int b *. tol.bytes in
-      hard (tag name)
+  | Within t ->
+    let c = Json.to_int_exn c and b = Json.to_int_exn (b ()) in
+    let cap = float_of_int b *. tolerance t in
+    [
+      hard name
         (float_of_int c <= cap)
-        (Printf.sprintf "%d vs baseline %d (cap %.0f)" c b cap)
-    in
-    let agrees name =
-      hard (tag name) (bool_f name cur) (if bool_f name cur then "true" else "false")
-    in
-    let idle = int_f "delta_idle_bytes" cur in
-    let alloc = float_f "idle_alloc_per_packet" cur in
-    [
-      bytes "full_push_bytes";
-      bytes "delta_sync_bytes";
-      hard (tag "delta_idle_bytes = 0") (idle = 0) (string_of_int idle);
-      hard
-        (tag "idle_alloc_per_packet within cap")
-        (alloc <= tol.alloc_abs)
-        (Printf.sprintf "%.0f B (cap %.0f)" alloc tol.alloc_abs);
-      agrees "lex_agrees";
-      agrees "mis_agrees";
-      agrees "peer_converged";
+        (Printf.sprintf "%d vs baseline %d (cap %.0f)" c b cap);
     ]
+  | Is v -> [ hard name (c = v) (show c) ]
+  | Is_true_if_run -> (
+    match c with
+    | Json.Null -> [ soft name true "not run (micro-only)" ]
+    | Json.Bool ok -> [ hard name ok (string_of_bool ok) ]
+    | _ -> malformed "field %S is neither null nor bool" f)
+  | At_most t ->
+    let x = Json.to_float_exn c and cap = tolerance t in
+    [ hard name (x <= cap) (Printf.sprintf "%.0f B (cap %.0f)" x cap) ]
+  | Positive ->
+    let n = Json.to_int_exn c in
+    [ hard name (n > 0) (Printf.sprintf "%d %s" n f) ]
+  | Same_as other ->
+    let a = Json.to_int_exn c and b = int_f other cur in
+    [ hard name (a = b) (Printf.sprintf "%d of %d" a b) ]
+  | True_over count ->
+    let ok = bool_f f cur and n = int_f count cur in
+    [ hard name (ok && n > 0) (Printf.sprintf "ok=%b over %d pairs" ok n) ]
+  | Speedup_from (from, min) -> (
+    match key with
+    | [ Json.Int k ] when k >= from ->
+      let x = Json.to_float_exn c in
+      [
+        soft name (x >= min)
+          (Printf.sprintf "%.2fx (report-only: honest 1.0x on 1 core)" x);
+      ]
+    | _ -> [])
+  | Drift factor -> (
+    match (c, b ()) with
+    | Json.Null, _ | _, Json.Null -> []
+    | c, b ->
+      let c = Json.to_float_exn c and b = Json.to_float_exn b in
+      if b > 0.0 && c > b *. factor then
+        [
+          soft name false
+            (Printf.sprintf "%.0f ns vs baseline %.0f ns (%.1fx)" c b (c /. b));
+        ]
+      else [])
+  | Spread_within _ -> []
 
-(* The E16 churn sweep is deterministic apart from the reconfig
-   throughput, so everything else is pinned exactly: the join/leave/eject
-   script counters, quorum-stability count, full availability, and the
-   remap-consistency booleans. *)
-let check_churn_point ~current_points base =
-  let n = int_f "n" base in
-  let tag s = Printf.sprintf "churn n=%d: %s" n s in
-  match List.find_opt (fun p -> int_f "n" p = n) current_points with
-  | None -> [ hard (tag "present in current run") false "point missing" ]
-  | Some cur ->
-    let eq name =
-      let b = int_f name base and c = int_f name cur in
-      hard (tag name) (c = b) (Printf.sprintf "%d vs baseline %d" c b)
+let spread ~key ~tolerance ~cur_rows ~base_rows (label, f, rule) =
+  match rule with
+  | Spread_within t -> (
+    let quotient rows =
+      let points = List.map (fun r -> (int_f key r, float_f f r)) rows in
+      match List.sort compare points with
+      | [] | [ _ ] -> None
+      | (_, smallest) :: _ as l ->
+        let largest = snd (List.nth l (List.length l - 1)) in
+        if largest <= 0.0 then None else Some (smallest /. largest)
     in
-    let agrees name =
-      hard (tag name) (bool_f name cur) (if bool_f name cur then "true" else "false")
-    in
-    let avail = float_f "availability" cur in
-    [
-      eq "joins";
-      eq "leaves";
-      eq "ejects";
-      eq "quorum_changes";
-      hard (tag "availability = 1.0") (avail = 1.0) (Printf.sprintf "%.2f" avail);
-      agrees "remap_consistent";
-      agrees "departed_clean";
-    ]
+    match (quotient base_rows, quotient cur_rows) with
+    | Some b, Some c ->
+      let cap = b *. tolerance t in
+      [
+        hard label (c <= cap)
+          (Printf.sprintf "%.1f vs baseline %.1f (cap %.1f)" c b cap);
+      ]
+    | Some _, None -> [ hard label false "missing in current" ]
+    | None, _ -> [])
+  | _ -> []
 
-(* The E18 policy sweep is fully deterministic — exposure, outage and
-   quorum-change counts, availability, and the repair/agreement/Theorem-3
-   booleans are code properties pinned exactly against the baseline. The
-   intersection verdicts are gated from the current run alone: every
-   cross-policy group must pass, non-vacuously, and so must the sampled
-   n=1024 point. *)
-let check_policy_point ~current_points base =
-  let name = string_f "policy" base in
-  let tag s = Printf.sprintf "policy %s: %s" name s in
-  match List.find_opt (fun p -> string_f "policy" p = name) current_points with
-  | None -> [ hard (tag "present in current run") false "point missing" ]
-  | Some cur ->
-    let eq fname =
-      let b = int_f fname base and c = int_f fname cur in
-      hard (tag fname) (c = b) (Printf.sprintf "%d vs baseline %d" c b)
-    in
-    let agrees fname =
-      hard (tag fname) (bool_f fname cur)
-        (if bool_f fname cur then "true" else "false")
-    in
-    let avail = float_f "availability" cur
-    and bavail = float_f "availability" base in
-    [
-      eq "max_exposure";
-      eq "outages";
-      eq "quorum_changes";
-      hard (tag "availability matches")
-        (avail = bavail)
-        (Printf.sprintf "%.2f vs baseline %.2f" avail bavail);
-      agrees "repairs_clean";
-      agrees "agreement";
-      agrees "t3_ok";
-    ]
+(* A row's key values; a baseline section that pins nothing stores bare
+   keys. *)
+let key_of sec row =
+  match row with Json.Obj _ -> List.map (fun k -> field k row) sec.key | v -> [ v ]
 
-let check_policy ~current base =
-  let cur_points = list_exn "points" current in
-  let isect = field "intersection" current in
-  let point_checks =
+let render_key sec vals =
+  String.concat "/"
+    (List.map2
+       (fun k v -> match v with Json.String s -> s | v -> k ^ "=" ^ Json.render v)
+       sec.key vals)
+
+let check_section ~tolerance ~current ~baseline sec =
+  match sec.key with
+  | [] ->
+    let base = lazy (at sec.base_at baseline) in
     List.concat_map
-      (check_policy_point ~current_points:cur_points)
-      (list_exn "points" base)
-  in
-  let pairs = int_f "pairs" isect and sampled_pairs = int_f "sampled_pairs" isect in
-  point_checks
-  @ [
-      hard "policy intersection: every cross-policy group ok"
-        (bool_f "ok" isect)
-        (if bool_f "ok" isect then "true" else "false");
-      hard "policy intersection: groups non-vacuous" (pairs > 0)
-        (Printf.sprintf "%d pairs" pairs);
-      hard "policy intersection: sampled n=1024 ok"
-        (bool_f "sampled_ok" isect && sampled_pairs > 0)
-        (Printf.sprintf "ok=%b over %d pairs" (bool_f "sampled_ok" isect)
-           sampled_pairs);
-    ]
-
-(* The E17 multicore-exploration sweep. Determinism is a code property and
-   gated hard: every worker count must produce a byte-identical fuzz report
-   and visited-state set, the sharded IDDFS must visit exactly the
-   sequential explorer's states, and the visited/symmetry state counts are
-   pinned to the baseline. Throughput and speedup belong to the runner —
-   a single-core CI box legitimately reports 1.0x — so the fuzz-scaling
-   expectation is a warn-only check. *)
-let check_explore ~current base =
-  let cur_points = list_exn "points" current in
-  let cur_ex = field "exhaustive" current in
-  let per_jobs =
-    List.concat_map
-      (fun j ->
-        let tag s = Printf.sprintf "explore jobs=%d: %s" j s in
-        match List.find_opt (fun p -> int_f "jobs" p = j) cur_points with
-        | None -> [ hard (tag "present in current run") false "point missing" ]
-        | Some p ->
-          let speedup = float_f "speedup" p in
-          [
-            hard (tag "report identical to jobs=1") (bool_f "identical_report" p)
-              (if bool_f "identical_report" p then "true" else "false");
-            hard (tag "same visited-state set") (bool_f "same_states" p)
-              (if bool_f "same_states" p then "true" else "false");
-          ]
-          @
-          if j >= 4 then
-            [
-              soft (tag "fuzz speedup >= 2.5x")
-                (speedup >= 2.5)
-                (Printf.sprintf "%.2fx (report-only: honest 1.0x on 1 core)"
-                   speedup);
-            ]
-          else [])
-      (match Json.member "jobs" base with
-      | Some (Json.List js) -> List.map Json.to_int_exn js
-      | _ -> malformed "baseline explore has no jobs list")
-  in
-  let eq name =
-    let b = int_f name base and c = int_f name cur_ex in
-    hard
-      (Printf.sprintf "explore exhaustive: %s" name)
-      (c = b)
-      (Printf.sprintf "%d vs baseline %d" c b)
-  in
-  per_jobs
-  @ [
-      hard "explore exhaustive: sharded set matches sequential"
-        (bool_f "sets_agree" cur_ex)
-        (if bool_f "sets_agree" cur_ex then "true" else "false");
-      hard "explore exhaustive: symmetry collapses states"
-        (bool_f "sym_collapses" cur_ex)
-        (if bool_f "sym_collapses" cur_ex then "true" else "false");
-      eq "seq_visited";
-      eq "sym_visited";
-    ]
-
-let check_commission ~current base =
-  let stack = string_f "stack" base in
-  let tag s = Printf.sprintf "commission %s: %s" stack s in
-  match
-    List.find_opt (fun c -> string_f "stack" c = stack) current
-  with
-  | None -> [ hard (tag "present in current run") false "stack missing" ]
-  | Some cur ->
-    let eq name =
-      let b = int_f name base and c = int_f name cur in
-      hard (tag name) (c = b) (Printf.sprintf "%d vs baseline %d" c b)
+      (eval ~tolerance ~prefix:sec.title ~key:[] ~base ~cur:(at sec.at current))
+      sec.checks
+  | key ->
+    let cur_rows = list_at sec.at current in
+    let base_rows = list_at sec.base_at baseline in
+    let rows =
+      List.concat_map
+        (fun base ->
+          let k = key_of sec base in
+          let prefix = sec.title ^ " " ^ render_key sec k in
+          match List.find_opt (fun c -> key_of sec c = k) cur_rows with
+          | Some cur ->
+            List.concat_map
+              (eval ~tolerance ~prefix ~key:k ~base:(Lazy.from_val base) ~cur)
+              sec.checks
+          | None when List.for_all (fun (_, _, r) -> report_only r) sec.checks -> []
+          | None -> [ hard (prefix ^ ": present in current run") false "point missing" ])
+        base_rows
     in
-    let violations = int_f "violations" cur in
+    rows
+    @ List.concat_map
+        (spread ~key:(List.hd key) ~tolerance ~cur_rows ~base_rows)
+        sec.checks
+
+(* What the baseline keeps of one current row: its key and row-pinned
+   fields in the summary's order, then the fields a cross-row rule pins. A
+   section that pins nothing keeps its bare key. *)
+let project sec row =
+  let pinned = List.filter (fun (_, _, r) -> pins r) sec.checks in
+  let cross, own = List.partition (fun (_, _, r) -> cross_row r) pinned in
+  let own = List.map (fun (_, f, _) -> f) own in
+  match (sec.key, pinned, row) with
+  | [ k ], [], _ -> field k row
+  | _, _, Json.Obj fields ->
+    List.iter (fun f -> ignore (field f row)) (sec.key @ own);
+    Json.Obj
+      (List.filter (fun (f, _) -> List.mem f sec.key || List.mem f own) fields
+      @ List.map (fun (_, f, _) -> (f, field f row)) cross)
+  | _ -> malformed "section %S is not an object" sec.title
+
+(* Set [v] at [path], merging objects and appending new members. *)
+let rec put path v doc =
+  match (path, doc, v) with
+  | [], Json.Obj a, Json.Obj b -> Json.Obj (a @ b)
+  | [], _, _ -> v
+  | k :: rest, Json.Obj fields, _ ->
+    if List.mem_assoc k fields then
+      Json.Obj
+        (List.map (fun (k', x) -> (k', if k' = k then put rest v x else x)) fields)
+    else Json.Obj (fields @ [ (k, put rest v (Json.Obj [])) ])
+  | _ -> malformed "cannot set %S" (String.concat "." path)
+
+(* ------------------------------------------------------------------ *)
+(* The table: every gated section, in verdict order. *)
+
+let chk ?(label = "") f rule = (label, f, rule)
+
+let section ?base_at ?(key = []) title at checks =
+  { title; at; base_at = Option.value base_at ~default:at; key; checks }
+
+let holds = Is (Json.Bool true)
+
+let zero = Is (Json.Int 0)
+
+let root =
+  section "" []
     [
-      eq "proofs";
-      eq "forgeries";
-      hard (tag "violations = 0") (violations = 0) (string_of_int violations);
+      chk "quick" Pinned ~label:"quick flag matches baseline";
+      chk "experiments_ok" Is_true_if_run;
     ]
 
-(* The real-runtime section. The component counters come from a fixed
-   scripted sequence (mailbox pushes, crafted frames against a live TCP
-   endpoint) and are pinned exactly against the baseline. The cluster
-   verdicts — zero monitor violations, committed-prefix agreement, full
-   workload committed, no silently-unsupported nemesis phases — are safety
-   bits gated hard from the current run alone. Commit latency is the
-   runner's wall clock: report-only. *)
-let check_runtime ~current base =
-  let cur_comp = field "component" current in
-  let base_comp = field "component" base in
-  let cur_cluster = field "cluster" current in
-  let eq name =
-    let b = int_f name base_comp and c = int_f name cur_comp in
-    hard
-      (Printf.sprintf "runtime component: %s" name)
-      (c = b)
-      (Printf.sprintf "%d vs baseline %d" c b)
-  in
-  let committed = int_f "committed" cur_cluster in
-  let requests = int_f "requests" cur_cluster in
-  let violations = int_f "violations" cur_cluster in
-  let unsupported = int_f "nemesis_unsupported" cur_cluster in
+let sections =
   [
-    eq "mailbox_shed";
-    eq "dedup_dropped";
-    eq "corrupt_rejected";
-    hard "runtime component: reconnected"
-      (bool_f "reconnected" cur_comp)
-      (if bool_f "reconnected" cur_comp then "true" else "false");
-    hard "runtime cluster: full workload committed" (committed = requests)
-      (Printf.sprintf "%d of %d" committed requests);
-    hard "runtime cluster: prefix agreement"
-      (bool_f "prefix_agreement" cur_cluster)
-      (if bool_f "prefix_agreement" cur_cluster then "true" else "false");
-    hard "runtime cluster: monitor violations = 0" (violations = 0)
-      (string_of_int violations);
-    hard "runtime cluster: no unsupported nemesis phases" (unsupported = 0)
-      (string_of_int unsupported);
+    (* E15 scaling sweep: gossip bytes, the zero-byte idle tick, per-packet
+       idle allocation and the incremental-vs-scratch agreement bits. *)
+    section "scaling" [ "scaling" ] ~key:[ "n" ]
+      [
+        chk "full_push_bytes" (Within "bytes");
+        chk "delta_sync_bytes" (Within "bytes");
+        chk "delta_idle_bytes" zero;
+        chk "idle_alloc_per_packet" (At_most "alloc_abs");
+        chk "lex_agrees" holds;
+        chk "mis_agrees" holds;
+        chk "peer_converged" holds;
+        chk "select_ops_per_sec" (Spread_within "select_ratio")
+          ~label:"select throughput ratio (smallest n / largest n)";
+      ];
+    (* Seeded commission-fault conviction counters, one row per stack. *)
+    section "commission" [ "commission" ] ~key:[ "stack" ]
+      [ chk "proofs" Pinned; chk "forgeries" Pinned; chk "violations" zero ];
+    (* E16 churn sweep: deterministic apart from the reconfig throughput. *)
+    section "churn" [ "churn" ] ~key:[ "n" ]
+      [
+        chk "joins" Pinned;
+        chk "leaves" Pinned;
+        chk "ejects" Pinned;
+        chk "quorum_changes" Pinned;
+        chk "availability" (Is (Json.Float 1.0));
+        chk "remap_consistent" holds;
+        chk "departed_clean" holds;
+      ];
+    (* E17 multicore exploration: every worker count must reproduce the
+       jobs=1 report and state set; throughput belongs to the runner — a
+       single-core box honestly reports 1.0x — so speedup is report-only. *)
+    section "explore" [ "explore"; "points" ] ~base_at:[ "explore"; "jobs" ]
+      ~key:[ "jobs" ]
+      [
+        chk "identical_report" holds ~label:"report identical to jobs=1";
+        chk "same_states" holds ~label:"same visited-state set";
+        chk "speedup" (Speedup_from (4, 2.5)) ~label:"fuzz speedup >= 2.5x";
+      ];
+    section "explore exhaustive" [ "explore"; "exhaustive" ] ~base_at:[ "explore" ]
+      [
+        chk "sets_agree" holds ~label:"sharded set matches sequential";
+        chk "sym_collapses" holds ~label:"symmetry collapses states";
+        chk "seq_visited" Pinned;
+        chk "sym_visited" Pinned;
+      ];
+    (* E18 policy sweep: fully deterministic, so every point is pinned; the
+       intersection verdicts hold from the current run alone. *)
+    section "policy" [ "policy"; "points" ] ~key:[ "policy" ]
+      [
+        chk "max_exposure" Pinned;
+        chk "outages" Pinned;
+        chk "quorum_changes" Pinned;
+        chk "availability" Pinned ~label:"availability matches";
+        chk "repairs_clean" holds;
+        chk "agreement" holds;
+        chk "t3_ok" holds;
+      ];
+    section "policy intersection" [ "policy"; "intersection" ]
+      [
+        chk "ok" holds ~label:"every cross-policy group ok";
+        chk "pairs" Positive ~label:"groups non-vacuous";
+        chk "sampled_ok" (True_over "sampled_pairs") ~label:"sampled n=1024 ok";
+      ];
+    (* Real runtime: scripted component counters are pinned; the loopback
+       cluster's safety bits hold from the current run; its commit latency
+       is the runner's wall clock and is not gated. *)
+    section "runtime component" [ "runtime"; "component" ]
+      [
+        chk "mailbox_shed" Pinned;
+        chk "dedup_dropped" Pinned;
+        chk "corrupt_rejected" Pinned;
+        chk "reconnected" holds;
+      ];
+    section "runtime cluster" [ "runtime"; "cluster" ]
+      [
+        chk "committed" (Same_as "requests") ~label:"full workload committed";
+        chk "prefix_agreement" holds ~label:"prefix agreement";
+        chk "violations" zero ~label:"monitor violations = 0";
+        chk "nemesis_unsupported" zero ~label:"no unsupported nemesis phases";
+      ];
+    (* Absolute ns/run: the runner's, not the code's. *)
+    section "ns" [ "results" ] ~key:[ "group"; "name" ] [ chk "ns_per_run" (Drift 1.5) ];
   ]
 
-(* Wall-clock drift, report-only: flag anything 1.5× slower than baseline
-   but fail nothing — absolute ns are the runner's, not the code's. *)
-let check_results ~current base =
-  let key j = (string_f "group" j, string_f "name" j) in
-  List.filter_map
-    (fun b ->
-      match field "ns_per_run" b with
-      | Json.Null -> None
-      | bns -> (
-        let bns = Json.to_float_exn bns in
-        match List.find_opt (fun c -> key c = key b) current with
-        | None -> None
-        | Some c -> (
-          match field "ns_per_run" c with
-          | Json.Null -> None
-          | cns ->
-            let cns = Json.to_float_exn cns in
-            let g, n = key b in
-            if bns > 0.0 && cns > bns *. 1.5 then
-              Some
-                (soft
-                   (Printf.sprintf "ns %s/%s" g n)
-                   false
-                   (Printf.sprintf "%.0f ns vs baseline %.0f ns (%.1fx)" cns
-                      bns (cns /. bns)))
-            else None)))
-    base
+let table = root :: sections
+
+(* ------------------------------------------------------------------ *)
 
 let check ~current ~baseline =
-  let cs = string_f "schema" current in
-  let bs = string_f "schema" baseline in
+  let cs = Json.to_string_exn (field "schema" current) in
+  let bs = Json.to_string_exn (field "schema" baseline) in
   let schema_ok =
     [
       hard "current schema" (cs = bench_schema) cs;
@@ -377,214 +405,27 @@ let check ~current ~baseline =
     ]
   in
   if not (passed schema_ok) then schema_ok
-  else begin
-    let tol = tolerances_of_json baseline in
-    let quick_ok =
-      let bq = bool_f "quick" baseline and cq = bool_f "quick" current in
-      hard "quick flag matches baseline" (bq = cq)
-        (Printf.sprintf "current %b, baseline %b" cq bq)
+  else
+    let tolerance name =
+      match Json.member "tolerances" baseline with
+      | Some t -> float_f name t
+      | None -> List.assoc name default_tolerances
     in
-    let experiments_ok =
-      match field "experiments_ok" current with
-      | Json.Null -> soft "experiments_ok" true "not run (micro-only)"
-      | Json.Bool b -> hard "experiments_ok" b (string_of_bool b)
-      | _ -> malformed "experiments_ok is neither null nor bool"
-    in
-    let cur_scaling = list_exn "scaling" current in
-    let scaling_checks =
-      List.concat_map
-        (check_scaling_point ~tol ~current_points:cur_scaling)
-        (list_exn "scaling" baseline)
-    in
-    let ratio_check =
-      match
-        (select_ratio (list_exn "scaling" baseline), select_ratio cur_scaling)
-      with
-      | Some b, Some c ->
-        let cap = b *. tol.select_ratio in
-        [
-          hard "select throughput ratio (smallest n / largest n)"
-            (c <= cap)
-            (Printf.sprintf "%.1f vs baseline %.1f (cap %.1f)" c b cap);
-        ]
-      | Some _, None ->
-        [ hard "select throughput ratio computable" false "missing in current" ]
-      | None, _ -> []
-    in
-    let commission_checks =
-      List.concat_map
-        (check_commission ~current:(list_exn "commission" current))
-        (list_exn "commission" baseline)
-    in
-    let churn_checks =
-      (* Absent from pre-churn baselines; derive_baseline always emits it,
-         so one --update-baseline turns the section on. *)
-      match Json.member "churn" baseline with
-      | None | Some (Json.List []) -> []
-      | Some (Json.List base_points) ->
-        let current_points = list_exn "churn" current in
-        List.concat_map (check_churn_point ~current_points) base_points
-      | Some _ -> malformed "field \"churn\" is not a list"
-    in
-    let explore_checks =
-      (* Absent from pre-multicore baselines, same opt-in as churn. *)
-      match Json.member "explore" baseline with
-      | None -> []
-      | Some base -> check_explore ~current:(field "explore" current) base
-    in
-    let policy_checks =
-      (* Absent from pre-policy baselines, same opt-in as churn/explore. *)
-      match Json.member "policy" baseline with
-      | None -> []
-      | Some base -> check_policy ~current:(field "policy" current) base
-    in
-    let runtime_checks =
-      (* Absent from pre-runtime baselines, same opt-in as churn/explore. *)
-      match Json.member "runtime" baseline with
-      | None -> []
-      | Some base -> check_runtime ~current:(field "runtime" current) base
-    in
-    let ns_checks =
-      match (Json.member "results" baseline, Json.member "results" current) with
-      | Some (Json.List b), Some (Json.List c) -> check_results ~current:c b
-      | _ -> []
-    in
-    (quick_ok :: experiments_ok :: scaling_checks)
-    @ ratio_check @ commission_checks @ churn_checks @ explore_checks
-    @ policy_checks @ runtime_checks @ ns_checks
-  end
-
-(* ------------------------------------------------------------------ *)
+    List.concat_map (check_section ~tolerance ~current ~baseline) table
 
 let derive_baseline bench =
-  if string_f "schema" bench <> bench_schema then
+  if Json.to_string_exn (field "schema" bench) <> bench_schema then
     malformed "derive_baseline: not a %s file" bench_schema;
-  let scaling =
-    List.map
-      (fun p ->
-        Json.Obj
-          [
-            ("n", Json.Int (int_f "n" p));
-            ("full_push_bytes", Json.Int (int_f "full_push_bytes" p));
-            ("delta_sync_bytes", Json.Int (int_f "delta_sync_bytes" p));
-            ("select_ops_per_sec", Json.Float (float_f "select_ops_per_sec" p));
-          ])
-      (list_exn "scaling" bench)
+  let add doc sec =
+    match sec.key with
+    | [] when not (List.exists (fun (_, _, r) -> pins r) sec.checks) -> doc
+    | [] -> put sec.base_at (project sec (at sec.at bench)) doc
+    | _ -> put sec.base_at (Json.List (List.map (project sec) (list_at sec.at bench))) doc
   in
-  let commission =
-    List.map
-      (fun c ->
-        Json.Obj
-          [
-            ("stack", Json.String (string_f "stack" c));
-            ("proofs", Json.Int (int_f "proofs" c));
-            ("forgeries", Json.Int (int_f "forgeries" c));
-          ])
-      (list_exn "commission" bench)
+  let tolerances =
+    Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) default_tolerances)
   in
-  let churn =
-    match Json.member "churn" bench with
-    | Some (Json.List ps) ->
-      List.map
-        (fun p ->
-          Json.Obj
-            [
-              ("n", Json.Int (int_f "n" p));
-              ("joins", Json.Int (int_f "joins" p));
-              ("leaves", Json.Int (int_f "leaves" p));
-              ("ejects", Json.Int (int_f "ejects" p));
-              ("quorum_changes", Json.Int (int_f "quorum_changes" p));
-            ])
-        ps
-    | _ -> []
-  in
-  let explore =
-    match Json.member "explore" bench with
-    | Some e ->
-      let ex = field "exhaustive" e in
-      [
-        ( "explore",
-          Json.Obj
-            [
-              ( "jobs",
-                Json.List
-                  (List.map
-                     (fun p -> Json.Int (int_f "jobs" p))
-                     (list_exn "points" e)) );
-              ("seq_visited", Json.Int (int_f "seq_visited" ex));
-              ("sym_visited", Json.Int (int_f "sym_visited" ex));
-            ] );
-      ]
-    | None -> []
-  in
-  let policy =
-    match Json.member "policy" bench with
-    | Some p ->
-      [
-        ( "policy",
-          Json.Obj
-            [
-              ( "points",
-                Json.List
-                  (List.map
-                     (fun pt ->
-                       Json.Obj
-                         [
-                           ("policy", Json.String (string_f "policy" pt));
-                           ("max_exposure", Json.Int (int_f "max_exposure" pt));
-                           ("outages", Json.Int (int_f "outages" pt));
-                           ( "availability",
-                             Json.Float (float_f "availability" pt) );
-                           ( "quorum_changes",
-                             Json.Int (int_f "quorum_changes" pt) );
-                         ])
-                     (list_exn "points" p)) );
-            ] );
-      ]
-    | None -> []
-  in
-  let runtime =
-    match Json.member "runtime" bench with
-    | Some (Json.Obj _ as r) ->
-      let comp = field "component" r in
-      [
-        ( "runtime",
-          Json.Obj
-            [
-              ( "component",
-                Json.Obj
-                  [
-                    ("mailbox_shed", Json.Int (int_f "mailbox_shed" comp));
-                    ("dedup_dropped", Json.Int (int_f "dedup_dropped" comp));
-                    ( "corrupt_rejected",
-                      Json.Int (int_f "corrupt_rejected" comp) );
-                  ] );
-            ] );
-      ]
-    | _ -> []
-  in
-  let results =
-    match Json.member "results" bench with
-    | Some (Json.List rs) ->
-      List.map
-        (fun r ->
-          Json.Obj
-            [
-              ("group", Json.String (string_f "group" r));
-              ("name", Json.String (string_f "name" r));
-              ("ns_per_run", field "ns_per_run" r);
-            ])
-        rs
-    | _ -> []
-  in
-  Json.Obj
-    ([
-       ("schema", Json.String baseline_schema);
-       ("quick", Json.Bool (bool_f "quick" bench));
-       ("tolerances", tolerances_json default_tolerances);
-       ("scaling", Json.List scaling);
-       ("commission", Json.List commission);
-       ("churn", Json.List churn);
-     ]
-    @ explore @ policy @ runtime
-    @ [ ("results", Json.List results) ])
+  List.fold_left add
+    (add (Json.Obj [ ("schema", Json.String baseline_schema) ]) root
+    |> put [ "tolerances" ] tolerances)
+    sections

@@ -1,23 +1,21 @@
 (** Bench-regression gate: diff a fresh [BENCH_qsel.json] against the
     committed [bench/baseline.json].
 
-    Hard checks — any failure fails the gate — cover only metrics that are
-    properties of the code, not the runner: gossip bytes (full push and
-    delta sync, within the baseline's [bytes] tolerance), the zero-byte
-    steady-state delta tick, per-packet idle allocation (absolute cap),
-    the incremental-vs-scratch agreement booleans, the seeded
-    commission-fault conviction counters (exact — the simulation is
-    deterministic), the E16 churn sweep (exact join/leave/eject and
-    quorum-stability counters, full availability and the
-    remap-consistency booleans; absent from a baseline, the section is
-    skipped until the next [--update-baseline]), and the cross-size
-    select-throughput ratio (machine
-    speed cancels out of the quotient; a 2× slowdown at the largest n
-    doubles it). Absolute wall-clock ns/run rows are compared report-only:
-    a >1.5× drift prints a warning, never a failure.
+    What is gated is listed once, in the [table] in [bench_gate.ml]: one
+    entry per section of the bench summary, each with the fields that
+    match its rows and its [(label, field, rule)] checks. Rules either pin
+    a field to the baseline (exactly, or within a tolerance the baseline
+    file stores), hold on the current run alone, or are report-only.
+    Every section in the table is required in both files. Hard checks
+    cover only properties of the code, not the runner; wall-clock numbers
+    only warn.
 
     Improvements pass silently; ratchet the baseline forward with
-    [derive_baseline] (the CLI's [--update-baseline]). *)
+    [derive_baseline] (the CLI's [--update-baseline]). To gate a new
+    section:
+    + add one entry to the table;
+    + regenerate the baseline with [--update-baseline];
+    + commit the table entry and the baseline diff together. *)
 
 exception Malformed of string
 (** A field the gate needs is missing or mis-typed in either file — never
@@ -33,9 +31,5 @@ val passed : verdict list -> bool
 val render : verdict list -> string
 
 val derive_baseline : Json.t -> Json.t
-(** Extract the gated metrics (plus default tolerances) from a bench file
-    into a fresh baseline document. *)
-
-type tolerances = { bytes : float; select_ratio : float; alloc_abs : float }
-
-val default_tolerances : tolerances
+(** Project a bench file onto the table's keys and pinned fields (plus
+    default tolerances): a fresh baseline document. *)

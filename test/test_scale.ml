@@ -305,28 +305,84 @@ let policy_section ?points ?(ok = true) ?(pairs = 8) ?(sampled_ok = true)
           ] );
     ]
 
-let bench ?(scaling = []) ?(churn = [ churn_point () ]) ?policy () =
+(* Mirrors the E17 shape: every worker count reproduces the jobs=1 report;
+   speedup is the runner's. *)
+let explore_section ?(jobs = [ 1; 2; 4; 8 ]) ?(identical = true) ?(sym_visited = 272)
+    () =
   Json.Obj
-    ([
-       ("schema", Json.String "qsel-bench/1");
-       ("quick", Json.Bool true);
-       ("experiments_ok", Json.Bool true);
-       ( "commission",
-         Json.List
-           [
-             Json.Obj
-               [
-                 ("stack", Json.String "pbft");
-                 ("proofs", Json.Int 7);
-                 ("forgeries", Json.Int 174);
-                 ("violations", Json.Int 0);
-               ];
-           ] );
-       ("scaling", Json.List scaling);
-       ("churn", Json.List churn);
-     ]
-    @ (match policy with None -> [] | Some p -> [ ("policy", p) ])
-    @ [ ("results", Json.List []) ])
+    [
+      ( "points",
+        Json.List
+          (List.map
+             (fun j ->
+               Json.Obj
+                 [
+                   ("jobs", Json.Int j);
+                   ("speedup", Json.Float 1.0);
+                   ("identical_report", Json.Bool identical);
+                   ("same_states", Json.Bool true);
+                 ])
+             jobs) );
+      ( "exhaustive",
+        Json.Obj
+          [
+            ("seq_visited", Json.Int 509);
+            ("par_visited", Json.Int 509);
+            ("sets_agree", Json.Bool true);
+            ("sym_visited", Json.Int sym_visited);
+            ("sym_collapses", Json.Bool true);
+          ] );
+    ]
+
+let runtime_section ?(corrupt_rejected = 1) ?(committed = 3) ?(violations = 0) () =
+  Json.Obj
+    [
+      ( "component",
+        Json.Obj
+          [
+            ("mailbox_shed", Json.Int 5);
+            ("dedup_dropped", Json.Int 2);
+            ("corrupt_rejected", Json.Int corrupt_rejected);
+            ("reconnected", Json.Bool true);
+          ] );
+      ( "cluster",
+        Json.Obj
+          [
+            ("requests", Json.Int 3);
+            ("committed", Json.Int committed);
+            ("prefix_agreement", Json.Bool true);
+            ("violations", Json.Int violations);
+            ("nemesis_unsupported", Json.Int 0);
+            ("commit_latency_ns_p50", Json.Int 2_000_000);
+          ] );
+    ]
+
+let bench ?(scaling = []) ?(churn = [ churn_point () ])
+    ?(explore = explore_section ()) ?(policy = policy_section ())
+    ?(runtime = runtime_section ()) () =
+  Json.Obj
+    [
+      ("schema", Json.String "qsel-bench/1");
+      ("quick", Json.Bool true);
+      ("experiments_ok", Json.Bool true);
+      ( "commission",
+        Json.List
+          [
+            Json.Obj
+              [
+                ("stack", Json.String "pbft");
+                ("proofs", Json.Int 7);
+                ("forgeries", Json.Int 174);
+                ("violations", Json.Int 0);
+              ];
+          ] );
+      ("scaling", Json.List scaling);
+      ("churn", Json.List churn);
+      ("explore", explore);
+      ("policy", policy);
+      ("runtime", runtime);
+      ("results", Json.List []);
+    ]
 
 let scaling_healthy () =
   [ point ~n:64 ~select:400_000.0 (); point ~n:1024 ~select:10_000.0 () ]
@@ -426,21 +482,13 @@ let test_gate_fails_churn_regression () =
   check_bool "remap/rebuild divergence fails" false (gate inconsistent b)
 
 let test_gate_policy_opt_in () =
-  (* A pre-policy baseline gates nothing about the section; a baseline
-     derived from a run carrying one round-trips and passes. *)
-  let with_policy =
-    bench ~scaling:(scaling_healthy ()) ~policy:(policy_section ()) ()
-  in
-  check_bool "pre-policy baseline still passes" true
-    (gate with_policy (Gate.derive_baseline (healthy ())));
+  (* A baseline derived from a run carrying the policy section round-trips
+     and passes. *)
   check_bool "derived policy baseline passes" true
-    (gate with_policy (Gate.derive_baseline with_policy))
+    (gate (healthy ()) (Gate.derive_baseline (healthy ())))
 
 let test_gate_fails_policy_drift () =
-  let with_policy =
-    bench ~scaling:(scaling_healthy ()) ~policy:(policy_section ()) ()
-  in
-  let b = Gate.derive_baseline with_policy in
+  let b = Gate.derive_baseline (healthy ()) in
   let degraded =
     bench ~scaling:(scaling_healthy ())
       ~policy:
@@ -471,10 +519,7 @@ let test_gate_fails_policy_drift () =
   check_bool "missing policy point fails" false (gate missing b)
 
 let test_gate_fails_policy_intersection () =
-  let with_policy =
-    bench ~scaling:(scaling_healthy ()) ~policy:(policy_section ()) ()
-  in
-  let b = Gate.derive_baseline with_policy in
+  let b = Gate.derive_baseline (healthy ()) in
   (* The intersection verdicts gate from the current run alone: a failed
      group, a vacuous sweep, or a broken sampled point all reject even
      though none of them is pinned in the baseline. *)
@@ -492,6 +537,55 @@ let test_gate_fails_policy_intersection () =
       ()
   in
   check_bool "sampled n=1024 failure fails" false (gate sampled b)
+
+let test_gate_fails_explore_regression () =
+  let b = Gate.derive_baseline (healthy ()) in
+  let diverged =
+    bench ~scaling:(scaling_healthy ()) ~explore:(explore_section ~identical:false ()) ()
+  in
+  check_bool "report differing from jobs=1 fails" false (gate diverged b);
+  let drifted =
+    bench ~scaling:(scaling_healthy ()) ~explore:(explore_section ~sym_visited:335 ()) ()
+  in
+  check_bool "symmetry-reduced state count drift fails" false (gate drifted b);
+  let missing =
+    bench ~scaling:(scaling_healthy ()) ~explore:(explore_section ~jobs:[ 1; 2; 4 ] ()) ()
+  in
+  check_bool "missing jobs point fails" false (gate missing b)
+
+let test_gate_fails_runtime_regression () =
+  let b = Gate.derive_baseline (healthy ()) in
+  let lossy =
+    bench ~scaling:(scaling_healthy ()) ~runtime:(runtime_section ~committed:2 ()) ()
+  in
+  check_bool "uncommitted request fails" false (gate lossy b);
+  let drifted =
+    bench ~scaling:(scaling_healthy ())
+      ~runtime:(runtime_section ~corrupt_rejected:0 ())
+      ()
+  in
+  check_bool "corrupt_rejected drift fails" false (gate drifted b);
+  let violating =
+    bench ~scaling:(scaling_healthy ()) ~runtime:(runtime_section ~violations:1 ()) ()
+  in
+  check_bool "monitor violation fails" false (gate violating b)
+
+let test_gate_missing_field_malformed () =
+  (* A gated field absent from the current run is an error, never a pass. *)
+  let b = Gate.derive_baseline (healthy ()) in
+  let without_reconnected =
+    match runtime_section () with
+    | Json.Obj [ ("component", Json.Obj comp); cluster ] ->
+      Json.Obj [ ("component", Json.Obj (List.remove_assoc "reconnected" comp)); cluster ]
+    | _ -> assert false
+  in
+  match
+    Gate.check
+      ~current:(bench ~scaling:(scaling_healthy ()) ~runtime:without_reconnected ())
+      ~baseline:b
+  with
+  | _ -> Alcotest.fail "missing field passed"
+  | exception Gate.Malformed _ -> ()
 
 let test_gate_update_baseline_ratchet () =
   (* The escape hatch: deriving a fresh baseline from the regressed run
@@ -565,6 +659,12 @@ let () =
             test_gate_fails_policy_drift;
           Alcotest.test_case "policy intersection fails" `Quick
             test_gate_fails_policy_intersection;
+          Alcotest.test_case "explore regression fails" `Quick
+            test_gate_fails_explore_regression;
+          Alcotest.test_case "runtime regression fails" `Quick
+            test_gate_fails_runtime_regression;
+          Alcotest.test_case "missing gated field is malformed" `Quick
+            test_gate_missing_field_malformed;
           Alcotest.test_case "update-baseline ratchet" `Quick
             test_gate_update_baseline_ratchet;
           Alcotest.test_case "committed baseline well-formed" `Quick
