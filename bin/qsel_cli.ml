@@ -836,43 +836,28 @@ let mc_cmd =
       (fun acc s ->
         match acc with
         | Error _ -> acc
-        | Ok (inj, amn, eqv, chn, rgn) -> (
-          match String.index_opt s ':' with
-          | None ->
-            Error
-              (Printf.sprintf
-                 "bad --inject %S (want P:S1,S2, amnesia:P, equivocate:P, churn:P or \
-                  region:M1,M2)"
-                 s)
-          | Some i -> (
-            let p = String.sub s 0 i
-            and rest = String.sub s (i + 1) (String.length s - i - 1) in
-            match String.lowercase_ascii p with
-            | "amnesia" -> (
-              match int_of_string_opt rest with
-              | Some p -> Ok (inj, p :: amn, eqv, chn, rgn)
-              | None -> Error (Printf.sprintf "bad --inject %S (want amnesia:P)" s))
-            | "equivocate" -> (
-              match int_of_string_opt rest with
-              | Some p -> Ok (inj, amn, p :: eqv, chn, rgn)
-              | None -> Error (Printf.sprintf "bad --inject %S (want equivocate:P)" s))
-            | "churn" -> (
-              match int_of_string_opt rest with
-              | Some p -> Ok (inj, amn, eqv, p :: chn, rgn)
-              | None -> Error (Printf.sprintf "bad --inject %S (want churn:P)" s))
-            | "region" -> (
-              match List.map int_of_string_opt (String.split_on_char ',' rest) with
-              | members when members <> [] && List.for_all Option.is_some members ->
-                Ok (inj, amn, eqv, chn, List.map Option.get members :: rgn)
-              | _ -> Error (Printf.sprintf "bad --inject %S (want region:M1,M2)" s))
-            | _ -> (
+        | Ok (inj, faults) -> (
+          match MC.fault_of_string s with
+          | exception Invalid_argument msg -> Error (Printf.sprintf "--inject: %s" msg)
+          | Some fault -> Ok (inj, fault :: faults)
+          | None -> (
+            match String.index_opt s ':' with
+            | None ->
+              Error
+                (Printf.sprintf
+                   "bad --inject %S (want P:S1,S2, amnesia:P, equivocate:P, churn:P or \
+                    region:M1,M2)"
+                   s)
+            | Some i -> (
               match
-                (int_of_string_opt p, List.map int_of_string_opt (String.split_on_char ',' rest))
+                ( int_of_string_opt (String.sub s 0 i),
+                  List.map int_of_string_opt
+                    (String.split_on_char ',' (String.sub s (i + 1) (String.length s - i - 1))) )
               with
-              | Some p, suspects when suspects <> [] && List.for_all Option.is_some suspects ->
-                Ok ((p, List.map Option.get suspects) :: inj, amn, eqv, chn, rgn)
+              | Some p, suspects when List.for_all Option.is_some suspects ->
+                Ok ((p, List.map Option.get suspects) :: inj, faults)
               | _ -> Error (Printf.sprintf "bad --inject %S (want P:S1,S2)" s)))))
-      (Ok ([], [], [], [], [])) specs
+      (Ok ([], [])) specs
   in
   let run protocol n f depth inject crash requests seeded_bug random seed iters no_por json
       jobs sym metrics =
@@ -882,7 +867,7 @@ let mc_cmd =
     | Some proto -> (
       match parse_injections inject with
       | Error msg -> `Error (true, msg)
-      | Ok (injections, amnesia, equivocate, churn, regions) -> (
+      | Ok (injections, faults) -> (
         let d = MC.default_spec proto in
         let spec =
           {
@@ -890,16 +875,10 @@ let mc_cmd =
             MC.n;
             f;
             injections =
-              (if
-                 injections = [] && amnesia = [] && equivocate = [] && churn = []
-                 && regions = [] && crash = []
-               then d.MC.injections
+              (if injections = [] && faults = [] && crash = [] then d.MC.injections
                else List.rev injections);
             crashes = crash;
-            amnesia = List.rev amnesia;
-            equivocate = List.rev equivocate;
-            churn = List.rev churn;
-            regions = List.rev regions;
+            faults = List.rev faults;
             requests = (if requests < 0 then d.MC.requests else requests);
             seeded_bug;
           }
@@ -908,9 +887,9 @@ let mc_cmd =
           try Ok (MC.make spec) with Invalid_argument msg -> Error msg
         with
         | Error msg -> `Error (true, msg)
-        | Ok system when (match jobs with Some j -> j < 1 | None -> false) ->
-          ignore system;
+        | Ok _ when (match jobs with Some j -> j < 1 | None -> false) ->
           `Error (true, "--jobs must be >= 1")
+        | Ok _ when (not random) && depth < 1 -> `Error (true, "--depth must be >= 1")
         | Ok system ->
           let mk () = MC.make spec in
           let report, shards =

@@ -34,16 +34,48 @@ let protocol_of_name s =
 
 let all = [ Quorum; Follower; Xpaxos; Xpaxos_enum ]
 
+type fault = Amnesia of int | Equivocate of int | Churn of int | Region of int list
+
+let fault_kind = function
+  | Amnesia _ -> "amnesia"
+  | Equivocate _ -> "equivocate"
+  | Churn _ -> "churn"
+  | Region _ -> "region"
+
+(* The pids a fault makes faulty: what it must not share with a crash, and
+   what it draws from the f-budget. *)
+let fault_targets = function
+  | Amnesia p | Equivocate p | Churn p -> [ p ]
+  | Region members -> members
+
+let fault_to_string fault =
+  fault_kind fault ^ ":" ^ String.concat "," (List.map string_of_int (fault_targets fault))
+
+let fault_of_string s =
+  match String.index_opt s ':' with
+  | None -> None
+  | Some i -> (
+    let kind = String.lowercase_ascii (String.sub s 0 i) in
+    let args = String.split_on_char ',' (String.sub s (i + 1) (String.length s - i - 1)) in
+    let pids = List.map int_of_string_opt args in
+    let pids = if List.for_all Option.is_some pids then List.map Option.get pids else [] in
+    let bad want = invalid_arg (Printf.sprintf "bad fault %S (want %s)" s want) in
+    match (kind, pids) with
+    | "amnesia", [ p ] -> Some (Amnesia p)
+    | "equivocate", [ p ] -> Some (Equivocate p)
+    | "churn", [ p ] -> Some (Churn p)
+    | "region", _ :: _ -> Some (Region pids)
+    | ("amnesia" | "equivocate" | "churn"), _ -> bad (kind ^ ":P")
+    | "region", [] -> bad "region:M1,M2"
+    | _ -> None)
+
 type spec = {
   protocol : protocol;
   n : int;
   f : int;
   injections : (int * int list) list;
   crashes : int list;
-  amnesia : int list;
-  equivocate : int list;
-  churn : int list;
-  regions : int list list;
+  faults : fault list;
   requests : int;
   seeded_bug : bool;
 }
@@ -56,10 +88,7 @@ let default_spec protocol =
       f = 1;
       injections = [];
       crashes = [];
-      amnesia = [];
-      equivocate = [];
-      churn = [];
-      regions = [];
+      faults = [];
       requests = 0;
       seeded_bug = false;
     }
@@ -76,82 +105,34 @@ let validate spec =
       invalid_arg (Printf.sprintf "Modelcheck: %s pid %d out of range [0,%d)" ctx p spec.n)
   in
   List.iter (pid "crash") spec.crashes;
-  if List.length (List.sort_uniq compare spec.crashes) > spec.f then
-    invalid_arg "Modelcheck: more than f crashes is out of model";
-  List.iter (pid "amnesia") spec.amnesia;
-  if spec.amnesia <> [] && spec.protocol <> Quorum then
-    invalid_arg "Modelcheck: amnesia exploration is only wired for the quorum instance";
-  if List.length spec.amnesia <> List.length (List.sort_uniq compare spec.amnesia) then
-    invalid_arg "Modelcheck: duplicate amnesia pid";
-  List.iter
-    (fun p ->
-      if List.mem p spec.crashes then
-        invalid_arg (Printf.sprintf "Modelcheck: p%d is crashed; it cannot also recover" p))
-    spec.amnesia;
-  (* An amnesia crash is a crash: both kinds draw on the same f-budget. *)
-  if List.length (List.sort_uniq compare (spec.crashes @ spec.amnesia)) > spec.f then
-    invalid_arg "Modelcheck: more than f crashes (mute + amnesia) is out of model";
-  List.iter (pid "equivocate") spec.equivocate;
-  if spec.equivocate <> [] && spec.protocol <> Quorum then
-    invalid_arg "Modelcheck: equivocation exploration is only wired for the quorum instance";
-  if List.length spec.equivocate <> List.length (List.sort_uniq compare spec.equivocate) then
-    invalid_arg "Modelcheck: duplicate equivocate pid";
-  List.iter
-    (fun p ->
-      if List.mem p spec.crashes then
-        invalid_arg (Printf.sprintf "Modelcheck: p%d is crashed; it cannot also equivocate" p))
-    spec.equivocate;
-  (* An equivocator is Byzantine-faulty: it shares the f-budget with the
-     crashed (mute and amnesia) processes. *)
-  if
-    List.length (List.sort_uniq compare (spec.crashes @ spec.amnesia @ spec.equivocate))
-    > spec.f
-  then invalid_arg "Modelcheck: more than f faulty processes (crashes + equivocators) is out of model";
-  List.iter (pid "churn") spec.churn;
-  if spec.churn <> [] && spec.protocol <> Quorum then
-    invalid_arg "Modelcheck: churn exploration is only wired for the quorum instance";
-  if List.length spec.churn <> List.length (List.sort_uniq compare spec.churn) then
-    invalid_arg "Modelcheck: duplicate churn pid";
-  List.iter
-    (fun p ->
-      if List.mem p spec.crashes then
-        invalid_arg (Printf.sprintf "Modelcheck: p%d is crashed; it cannot leave and rejoin" p))
-    spec.churn;
-  (* A churned process is briefly stale mid-rejoin, like an amnesia crash:
-     it draws on the same f-budget. *)
-  if
-    List.length
-      (List.sort_uniq compare (spec.crashes @ spec.amnesia @ spec.equivocate @ spec.churn))
-    > spec.f
-  then
-    invalid_arg
-      "Modelcheck: more than f faulty processes (crashes + equivocators + churn) is out of model";
   List.iteri
-    (fun i members ->
-      if members = [] then
-        invalid_arg (Printf.sprintf "Modelcheck: region %d has no members" i);
-      List.iter (pid "region") members;
-      if List.length members <> List.length (List.sort_uniq compare members) then
-        invalid_arg (Printf.sprintf "Modelcheck: region %d has a duplicate member" i);
+    (fun i fault ->
+      let name = fault_to_string fault and targets = fault_targets fault in
+      if spec.protocol <> Quorum then
+        invalid_arg
+          (Printf.sprintf
+             "Modelcheck: %s: fault exploration is only wired for the quorum instance" name);
+      if List.mem fault (List.filteri (fun j _ -> j < i) spec.faults) then
+        invalid_arg (Printf.sprintf "Modelcheck: duplicate fault %s" name);
+      if targets = [] then invalid_arg "Modelcheck: a region has no members";
+      if List.length targets <> List.length (List.sort_uniq compare targets) then
+        invalid_arg (Printf.sprintf "Modelcheck: %s has a duplicate member" name);
       List.iter
         (fun p ->
+          pid (fault_kind fault) p;
           if List.mem p spec.crashes then
             invalid_arg
-              (Printf.sprintf "Modelcheck: p%d is crashed; it cannot also be lost with region %d" p i))
-        members)
-    spec.regions;
-  if spec.regions <> [] && spec.protocol <> Quorum then
-    invalid_arg "Modelcheck: region-loss exploration is only wired for the quorum instance";
-  (* A region loss mutes every member at once: the whole domain draws on
-     the same f-budget as individual crashes. *)
-  if
-    List.length
-      (List.sort_uniq compare
-         (spec.crashes @ spec.amnesia @ spec.equivocate @ spec.churn @ List.concat spec.regions))
-    > spec.f
-  then
+              (Printf.sprintf "Modelcheck: p%d is crashed; it cannot also take %s" p name))
+        targets)
+    spec.faults;
+  (* Every fault target is faulty — an amnesia crash is a crash, an
+     equivocator is Byzantine, a churned process is briefly stale mid-rejoin,
+     a lost region mutes all its members — so all of them share one f-budget
+     with the mute crashes. *)
+  let faulty = List.sort_uniq compare (spec.crashes @ List.concat_map fault_targets spec.faults) in
+  if List.length faulty > spec.f then
     invalid_arg
-      "Modelcheck: more than f faulty processes (crashes + equivocators + churn + region members) is out of model";
+      "Modelcheck: more than f faulty processes (crashes + fault targets) is out of model";
   List.iter
     (fun (p, s) ->
       pid "inject" p;
@@ -193,6 +174,29 @@ let drop_crashed_filter crashes = fun ~now:_ ~src ~dst _ ->
    checks are unconditional. *)
 let within_budget ~f blamed = List.length (List.sort_uniq compare blamed) <= f
 
+(* Algorithm 1's per-process checks over one selector, shared by the quorum
+   and XPaxos instances: |Q| = n - f, Theorem 3's per-epoch bound (only
+   while the path is [in_model]) and instantaneous no-suspicion (the quorum
+   is independent in the issuer's suspect graph). *)
+let selector_violations spec ~in_model p qs =
+  let lq = QS.last_quorum qs in
+  let qsize = QS.q { QS.n = spec.n; f = spec.f } in
+  let issued = QS.max_issued_per_epoch qs and bound = Monitor.theorem3 ~f:spec.f in
+  (if List.length lq <> qsize then
+     [ ( "quorum-size",
+         Printf.sprintf "p%d holds |Q| = %d, want n - f = %d" p (List.length lq) qsize ) ]
+   else [])
+  @ (if in_model && issued > bound then
+       [ ( "quorum-bound",
+           Printf.sprintf "p%d issued %d quorums in one epoch > f(f+1) = %d" p issued bound ) ]
+     else [])
+  @
+  if Indep.is_independent (QS.suspect_graph qs) lq then []
+  else
+    [ ( "no-suspicion",
+        Printf.sprintf "p%d's quorum {%s} is not independent in its suspect graph" p
+          (String.concat "," (List.map string_of_int lq)) ) ]
+
 (* ---------------------------------------------------------------- quorum *)
 
 (* The quorum instance's controlled network carries both planes: Algorithm-1
@@ -200,10 +204,13 @@ let within_budget ~f blamed = List.length (List.sort_uniq compare blamed) <= f
    the checker explores every interleaving of recovery against selection. *)
 type qwire = Q_update of Qs_core.Msg.t | Q_rejoin of Rejoin.msg
 
+(* One row of the quorum instance's fault table: the choice that fires the
+   fault, the pids it blames (for the in-model gate and the symmetry group),
+   and its effect on the current state ([false]: nothing to fire). *)
+type fault_row = { info : Engine.choice_info; blamed : int list; fire : unit -> bool }
+
 let make_quorum spec =
   let cfg = { QS.n = spec.n; f = spec.f } in
-  let qsize = QS.q cfg in
-  let bound = Monitor.theorem3 ~f:spec.f in
   let correct = correct_pids spec in
   (* The two peers an [Equivocate p] choice sends its conflicting row
      variants to — fixed, so the choice is deterministic and replayable. *)
@@ -212,21 +219,6 @@ let make_quorum spec =
     | a :: b :: _ -> Some (a, b)
     | _ -> None
   in
-  (* Static: the only suspicions Algorithm 1 ever sees here are the injected
-     ones (plus an equivocator's fake claims about its two victim peers), so
-     the in-model gate is decided by the spec. Amnesia targets are crashed
-     processes (briefly), so they count against the budget too. *)
-  let enforce_bound =
-    within_budget ~f:spec.f
-      (spec.crashes @ spec.amnesia @ spec.churn @ List.concat spec.regions
-      @ List.concat_map snd spec.injections
-      @ List.concat_map
-          (fun p ->
-            match equivocation_peers p with
-            | Some (a, b) -> [ p; a; b ]
-            | None -> [ p ])
-          spec.equivocate)
-  in
   let encode = function
     | Q_update (m : Qs_core.Msg.t) -> "u" ^ Qs_core.Msg.encode m.update
     | Q_rejoin m -> "r" ^ Rejoin.encode_msg m
@@ -234,17 +226,113 @@ let make_quorum spec =
   (* Deterministic in n (fixed default master secret), so one directory
      serves every reset — and lets the Equivocate choice re-sign variants. *)
   let auth = Qs_crypto.Auth.create spec.n in
-  let amnesia_done = Array.make spec.n false in
-  let equivocate_done = Array.make spec.n false in
-  let churn_done = Array.make spec.n false in
-  let region_done = Array.make (List.length spec.regions) false in
   (* Members of already-lost regions: mute both directions from the loss
      point on (the filter below reads this live). *)
   let muted = Array.make spec.n false in
+  let has_regions = List.exists (function Region _ -> true | _ -> false) spec.faults in
   let state = ref None in
   let nodes () = let n, _, _ = Option.get !state in n in
   let rejoins () = let _, r, _ = Option.get !state in r in
   let net () = let _, _, n = Option.get !state in n in
+  (* ---- fault table ------------------------------------------------
+     Each declared fault is one row, enabled once at every state until
+     fired. Rows run kind-major (amnesia, equivocate, churn, region), in
+     declaration order within a kind. That is the order their choices are
+     enabled in, so the exploration and its counts do not depend on how
+     faults of different kinds are interleaved in the declaration. *)
+  let row choice blamed fire =
+    { info = { Engine.choice; canon = Schedule.choice_to_string choice; receiver = None };
+      blamed;
+      fire }
+  in
+  (* [i]: the fault's position among the declared faults of its kind. *)
+  let of_fault i = function
+    | Amnesia p ->
+      (* Lose the volatile selection state, kill the crashed incarnation's
+         in-flight messages, and open a rejoin round: the State_req
+         broadcast parks on the controlled network, so every interleaving
+         of recovery traffic against UPDATE gossip is explored. *)
+      row (Schedule.Amnesia p) [ p ] (fun () ->
+          QS.amnesia (nodes ()).(p);
+          ignore (Network.drop_pending_to (net ()) p : int);
+          Rejoin.start (rejoins ()).(p);
+          true)
+    | Equivocate p -> (
+      (* One commission fault: two validly-signed variants of p's own row,
+         each inflating a fake suspicion of its recipient, leave for two
+         different peers. The variants are pointwise incomparable, the
+         forward-on-change gossip spreads both, and the max-merge must
+         still drive every correct process to the same union matrix. *)
+      match equivocation_peers p with
+      | None -> row (Schedule.Equivocate p) [ p ] (fun () -> false)
+      | Some (a, b) ->
+        row (Schedule.Equivocate p) [ p; a; b ] (fun () ->
+            let base = Qs_core.Suspicion_matrix.row (QS.matrix (nodes ()).(p)) p in
+            let variant victim =
+              let row = Array.copy base in
+              row.(victim) <- row.(victim) + 1;
+              Q_update (Qs_core.Msg.seal auth { Qs_core.Msg.owner = p; row })
+            in
+            Network.send (net ()) ~src:p ~dst:a (variant a);
+            Network.send (net ()) ~src:p ~dst:b (variant b);
+            true))
+    | Churn p ->
+      (* One atomic membership change: p leaves and instantly rejoins
+         under a fresh slot. Every process reconfigures to the same
+         width with p's row and column wiped (of_new p = -1) and the
+         config epoch bumped; the crashed-incarnation's in-flight
+         messages die with it, and p bootstraps its wiped state back
+         through a rejoin round — so the checker explores every
+         interleaving of stale pre-churn gossip, the reconfiguration
+         point, and the recovery traffic. *)
+      row (Schedule.Churn p) [ p ] (fun () ->
+          let cepoch = QS.cepoch (nodes ()).(0) + 1 in
+          let of_new i = if i = p then -1 else i in
+          Array.iteri (fun me node -> QS.reconfigure node cfg ~me ~cepoch ~of_new) (nodes ());
+          ignore (Network.drop_pending_to (net ()) p : int);
+          Rejoin.start (rejoins ()).(p);
+          true)
+    | Region members ->
+      (* One correlated whole-domain loss: every member goes mute at once.
+         Messages already addressed to a member die with it; a member's
+         own pre-loss gossip stays in flight (parked sends survive), so
+         exploration covers stale late-arriving traffic from the lost
+         domain. *)
+      row (Schedule.Region i) members (fun () ->
+          List.iter
+            (fun p ->
+              muted.(p) <- true;
+              ignore (Network.drop_pending_to (net ()) p : int))
+            members;
+          true)
+  in
+  let rows =
+    List.concat_map
+      (fun kind ->
+        List.mapi of_fault (List.filter (fun fault -> fault_kind fault = kind) spec.faults))
+      [ "amnesia"; "equivocate"; "churn"; "region" ]
+    |> Array.of_list
+  in
+  let fired = Array.make (Array.length rows) false in
+  let fired_part () =
+    String.init (Array.length fired) (fun i -> if fired.(i) then '1' else '0')
+  in
+  let rec fire i choice =
+    if i = Array.length rows then false
+    else if fired.(i) || rows.(i).info.Engine.choice <> choice then fire (i + 1) choice
+    else begin
+      fired.(i) <- rows.(i).fire ();
+      fired.(i)
+    end
+  in
+  let blamed = List.concat_map (fun r -> r.blamed) (Array.to_list rows) in
+  (* Static: the only suspicions Algorithm 1 ever sees here are the injected
+     ones (plus an equivocator's fake claims about its two victim peers), so
+     the in-model gate is decided by the spec. Every fault's blamed pids
+     are faulty (at least briefly), so they count against the budget too. *)
+  let enforce_bound =
+    within_budget ~f:spec.f (spec.crashes @ blamed @ List.concat_map snd spec.injections)
+  in
   let reset () =
     Metrics.reset ();
     (* Rejoin journals Recovery_* events when the journal is live; the
@@ -252,17 +340,14 @@ let make_quorum spec =
        far too many states to accumulate an event log. *)
     Journal.clear ();
     Journal.set_enabled false;
-    Array.fill amnesia_done 0 spec.n false;
-    Array.fill equivocate_done 0 spec.n false;
-    Array.fill churn_done 0 spec.n false;
-    Array.fill region_done 0 (Array.length region_done) false;
+    Array.fill fired 0 (Array.length fired) false;
     Array.fill muted 0 spec.n false;
     QS.test_buggy_quorum_size := spec.seeded_bug;
     let sim = Sim.create () in
     let network = Network.create ~sim ~n:spec.n ~delay:(Network.Fixed (Stime.of_ms 1)) () in
     Network.set_controlled network true;
     if spec.crashes <> [] then ignore (Network.add_filter network (drop_crashed_filter spec.crashes));
-    if spec.regions <> [] then
+    if has_regions then
       ignore
         (Network.add_filter network (fun ~now:_ ~src ~dst _ ->
              if muted.(src) || muted.(dst) then Network.Drop else Network.Deliver));
@@ -301,46 +386,6 @@ let make_quorum spec =
     List.iter
       (fun (p, s) -> if not (List.mem p spec.crashes) then QS.handle_suspected ns.(p) s)
       spec.injections
-  in
-  let amnesia_choices () =
-    List.filter_map
-      (fun p ->
-        if amnesia_done.(p) then None
-        else
-          Some
-            { Engine.choice = Schedule.Amnesia p;
-              canon = "a" ^ string_of_int p;
-              receiver = None })
-      spec.amnesia
-  in
-  let equivocate_choices () =
-    List.filter_map
-      (fun p ->
-        if equivocate_done.(p) then None
-        else
-          Some
-            { Engine.choice = Schedule.Equivocate p;
-              canon = "e" ^ string_of_int p;
-              receiver = None })
-      spec.equivocate
-  in
-  let churn_choices () =
-    List.filter_map
-      (fun p ->
-        if churn_done.(p) then None
-        else
-          Some
-            { Engine.choice = Schedule.Churn p;
-              canon = "c" ^ string_of_int p;
-              receiver = None })
-      spec.churn
-  in
-  let region_choices () =
-    List.filteri (fun i _ -> not region_done.(i)) (List.mapi (fun i _ -> i) spec.regions)
-    |> List.map (fun i ->
-           { Engine.choice = Schedule.Region i;
-             canon = "r" ^ string_of_int i;
-             receiver = None })
   in
   (* Members of a lost region are faulty from that point on: stale by
      construction, so every correctness check ranges over the survivors. *)
@@ -385,28 +430,7 @@ let make_quorum spec =
   in
   let violations () =
     List.concat_map
-      (fun p ->
-        let node = (nodes ()).(p) in
-        let lq = QS.last_quorum node in
-        let out = ref [] in
-        if List.length lq <> qsize then
-          out :=
-            ( "quorum-size",
-              Printf.sprintf "p%d holds |Q| = %d, want n - f = %d" p (List.length lq) qsize )
-            :: !out;
-        if enforce_bound && QS.max_issued_per_epoch node > bound then
-          out :=
-            ( "quorum-bound",
-              Printf.sprintf "p%d issued %d quorums in one epoch > f(f+1) = %d" p
-                (QS.max_issued_per_epoch node) bound )
-            :: !out;
-        if not (Indep.is_independent (QS.suspect_graph node) lq) then
-          out :=
-            ( "no-suspicion",
-              Printf.sprintf "p%d's quorum {%s} is not independent in its suspect graph" p
-                (String.concat "," (List.map string_of_int lq)) )
-            :: !out;
-        List.rev !out)
+      (fun p -> selector_violations spec ~in_model:enforce_bound p (nodes ()).(p))
       (live_correct ())
     @ intersection_violations ()
   in
@@ -445,7 +469,7 @@ let make_quorum spec =
               first ) ]
   in
   (* ---- symmetry ----------------------------------------------------
-     Free pids are those no fault plane or injection distinguishes. The
+     Free pids are those no fault row or injection distinguishes. The
      instance's dynamics never put a free pid at either end of a suspicion
      edge — suspicions come only from injections and equivocation fakes,
      whose endpoints are all distinguished below — so relabeling free pids
@@ -457,14 +481,7 @@ let make_quorum spec =
      played a role collapse into one orbit representative. *)
   let distinguished =
     List.sort_uniq compare
-      (spec.crashes @ spec.amnesia @ spec.churn @ List.concat spec.regions
-      @ List.concat_map
-          (fun p ->
-            match equivocation_peers p with
-            | Some (a, b) -> [ p; a; b ]
-            | None -> [ p ])
-          spec.equivocate
-      @ List.concat_map (fun (p, s) -> p :: s) spec.injections)
+      (spec.crashes @ blamed @ List.concat_map (fun (p, s) -> p :: s) spec.injections)
   in
   let free =
     List.filter (fun p -> not (List.mem p distinguished)) (List.init spec.n Fun.id)
@@ -533,22 +550,9 @@ let make_quorum spec =
            ~matrix:pmatrix);
       Buffer.add_char buf '\n'
     done;
-    Buffer.add_string buf "A";
-    for i = 0 to spec.n - 1 do
-      Buffer.add_char buf (if amnesia_done.(inv.(i)) then '1' else '0')
-    done;
-    Buffer.add_string buf "E";
-    for i = 0 to spec.n - 1 do
-      Buffer.add_char buf (if equivocate_done.(inv.(i)) then '1' else '0')
-    done;
-    Buffer.add_string buf "C";
-    for i = 0 to spec.n - 1 do
-      Buffer.add_char buf (if churn_done.(inv.(i)) then '1' else '0')
-    done;
-    (* Region ids are not pids: the permutation is the identity on every
-       member (all distinguished), so the bits copy over unpermuted. *)
-    Buffer.add_string buf "R";
-    Array.iter (fun b -> Buffer.add_char buf (if b then '1' else '0')) region_done;
+    (* Fault targets are all distinguished, so every permutation fixes
+       them and the fired bits copy over unpermuted. *)
+    Buffer.add_string buf ("F" ^ fired_part ());
     let pend =
       Network.pending (net ())
       |> List.map (fun (_, src, dst, payload) ->
@@ -575,72 +579,10 @@ let make_quorum spec =
     Engine.reset;
     enabled =
       (fun () ->
-        deliver_choices (net ()) encode @ amnesia_choices () @ equivocate_choices ()
-        @ churn_choices () @ region_choices ());
+        deliver_choices (net ()) encode
+        @ List.filteri (fun i _ -> not fired.(i)) (Array.to_list (Array.map (fun r -> r.info) rows)));
     apply =
-      (function
-      | Schedule.Deliver id -> Network.deliver_now (net ()) id
-      | Schedule.Amnesia p when p >= 0 && p < spec.n && not amnesia_done.(p) ->
-        (* Lose the volatile selection state, kill the crashed incarnation's
-           in-flight messages, and open a rejoin round: the State_req
-           broadcast parks on the controlled network, so every interleaving
-           of recovery traffic against UPDATE gossip is explored. *)
-        amnesia_done.(p) <- true;
-        QS.amnesia (nodes ()).(p);
-        ignore (Network.drop_pending_to (net ()) p : int);
-        Rejoin.start (rejoins ()).(p);
-        true
-      | Schedule.Equivocate p when p >= 0 && p < spec.n && not equivocate_done.(p) -> (
-        (* One commission fault: two validly-signed variants of p's own row,
-           each inflating a fake suspicion of its recipient, leave for two
-           different peers. The variants are pointwise incomparable, the
-           forward-on-change gossip spreads both, and the max-merge must
-           still drive every correct process to the same union matrix. *)
-        match equivocation_peers p with
-        | None -> false
-        | Some (a, b) ->
-          equivocate_done.(p) <- true;
-          let base = Qs_core.Suspicion_matrix.row (QS.matrix (nodes ()).(p)) p in
-          let variant victim =
-            let row = Array.copy base in
-            row.(victim) <- row.(victim) + 1;
-            Q_update (Qs_core.Msg.seal auth { Qs_core.Msg.owner = p; row })
-          in
-          Network.send (net ()) ~src:p ~dst:a (variant a);
-          Network.send (net ()) ~src:p ~dst:b (variant b);
-          true)
-      | Schedule.Churn p when p >= 0 && p < spec.n && not churn_done.(p) ->
-        (* One atomic membership change: p leaves and instantly rejoins
-           under a fresh slot. Every process reconfigures to the same
-           width with p's row and column wiped (of_new p = -1) and the
-           config epoch bumped; the crashed-incarnation's in-flight
-           messages die with it, and p bootstraps its wiped state back
-           through a rejoin round — so the checker explores every
-           interleaving of stale pre-churn gossip, the reconfiguration
-           point, and the recovery traffic. *)
-        churn_done.(p) <- true;
-        let cepoch = QS.cepoch (nodes ()).(0) + 1 in
-        let of_new i = if i = p then -1 else i in
-        Array.iteri (fun me node -> QS.reconfigure node cfg ~me ~cepoch ~of_new) (nodes ());
-        ignore (Network.drop_pending_to (net ()) p : int);
-        Rejoin.start (rejoins ()).(p);
-        true
-      | Schedule.Region i when i >= 0 && i < Array.length region_done && not region_done.(i) ->
-        (* One correlated whole-domain loss: every member of region i goes
-           mute at once. Messages already addressed to a member die with it;
-           a member's own pre-loss gossip stays in flight (parked sends
-           survive), so exploration covers stale late-arriving traffic from
-           the lost domain. *)
-        region_done.(i) <- true;
-        List.iter
-          (fun p ->
-            muted.(p) <- true;
-            ignore (Network.drop_pending_to (net ()) p : int))
-          (List.nth spec.regions i);
-        true
-      | Schedule.Amnesia _ | Schedule.Equivocate _ | Schedule.Churn _ | Schedule.Region _
-      | Schedule.Step | Schedule.Fire _ ->
-        false);
+      (function Schedule.Deliver id -> Network.deliver_now (net ()) id | choice -> fire 0 choice);
     fingerprint =
       (fun () ->
         let buf = Buffer.create 256 in
@@ -654,14 +596,7 @@ let make_quorum spec =
             Buffer.add_string buf (Rejoin.fingerprint rj);
             Buffer.add_char buf '\n')
           (rejoins ());
-        Buffer.add_string buf "A";
-        Array.iter (fun b -> Buffer.add_char buf (if b then '1' else '0')) amnesia_done;
-        Buffer.add_string buf "E";
-        Array.iter (fun b -> Buffer.add_char buf (if b then '1' else '0')) equivocate_done;
-        Buffer.add_string buf "C";
-        Array.iter (fun b -> Buffer.add_char buf (if b then '1' else '0')) churn_done;
-        Buffer.add_string buf "R";
-        Array.iter (fun b -> Buffer.add_char buf (if b then '1' else '0')) region_done;
+        Buffer.add_string buf ("F" ^ fired_part ());
         Buffer.add_string buf ("[" ^ pending_part (net ()) encode ^ "]");
         Buffer.contents buf);
     violations;
@@ -671,19 +606,13 @@ let make_quorum spec =
         (fun () ->
           let ns = Array.map QS.snapshot (nodes ()) in
           let rs = Array.map Rejoin.snapshot (rejoins ()) in
-          let am = Array.copy amnesia_done in
-          let eq = Array.copy equivocate_done in
-          let ch = Array.copy churn_done in
-          let rg = Array.copy region_done in
+          let fd = Array.copy fired in
           let mu = Array.copy muted in
           let net_snap = Network.snapshot (net ()) in
           fun () ->
             Array.iteri (fun i s -> QS.restore (nodes ()).(i) s) ns;
             Array.iteri (fun i s -> Rejoin.restore (rejoins ()).(i) s) rs;
-            Array.blit am 0 amnesia_done 0 spec.n;
-            Array.blit eq 0 equivocate_done 0 spec.n;
-            Array.blit ch 0 churn_done 0 spec.n;
-            Array.blit rg 0 region_done 0 (Array.length region_done);
+            Array.blit fd 0 fired 0 (Array.length fired);
             Array.blit mu 0 muted 0 spec.n;
             Network.restore (net ()) net_snap);
     symmetry;
@@ -762,7 +691,9 @@ let make_follower spec =
         match (fds ()).(p).expectation with
         | Some _ ->
           Some
-            { Engine.choice = Schedule.Fire p; canon = "f" ^ string_of_int p; receiver = None }
+            { Engine.choice = Schedule.Fire p;
+              canon = Schedule.choice_to_string (Schedule.Fire p);
+              receiver = None }
         | None -> None)
       correct
   in
@@ -903,7 +834,6 @@ let make_xpaxos mode spec =
       timeout_strategy = Stack.timeout_strategy;
     }
   in
-  let qsize = Replica.quorum_size rcfg in
   let bound = Monitor.theorem3 ~f:spec.f in
   let correct = correct_pids spec in
   let monitor =
@@ -1002,28 +932,7 @@ let make_xpaxos mode spec =
       (fun p ->
         match Replica.quorum_selector (Xcluster.replica (cluster ()) p) with
         | None -> []
-        | Some qsel ->
-          let lq = QS.last_quorum qsel in
-          let out = ref [] in
-          if List.length lq <> qsize then
-            out :=
-              ( "quorum-size",
-                Printf.sprintf "p%d's selector holds |Q| = %d, want n - f = %d" p
-                  (List.length lq) qsize )
-              :: !out;
-          if within_budget ~f:spec.f !blamed && QS.max_issued_per_epoch qsel > bound then
-            out :=
-              ( "quorum-bound",
-                Printf.sprintf "p%d issued %d quorums in one epoch > f(f+1) = %d" p
-                  (QS.max_issued_per_epoch qsel) bound )
-              :: !out;
-          if not (Indep.is_independent (QS.suspect_graph qsel) lq) then
-            out :=
-              ( "no-suspicion",
-                Printf.sprintf "p%d's quorum {%s} is not independent in its suspect graph" p
-                  (String.concat "," (List.map string_of_int lq)) )
-              :: !out;
-          List.rev !out)
+        | Some qsel -> selector_violations spec ~in_model:(within_budget ~f:spec.f !blamed) p qsel)
       correct
   in
   {
@@ -1033,7 +942,9 @@ let make_xpaxos mode spec =
         deliver_choices (Xcluster.net (cluster ())) encode
         @
         if Sim.pending_events (Xcluster.sim (cluster ())) > 0 then
-          [ { Engine.choice = Schedule.Step; canon = "t"; receiver = None } ]
+          [ { Engine.choice = Schedule.Step;
+              canon = Schedule.choice_to_string Schedule.Step;
+              receiver = None } ]
         else []);
     apply =
       (function
@@ -1080,13 +991,54 @@ let make_xpaxos mode spec =
     symmetry = None;
   }
 
+(* An exception escaping a choice (e.g. a replica rejecting a malformed
+   quorum) is a finding, not a checker crash: the path ends in a terminal
+   state that reports it as an "exception" violation next to whatever the
+   checks still say, so the engine shrinks and prints a replayable schedule
+   for it like for any other violation. All such states share one
+   fingerprint per exception. *)
+let trap_exceptions (system : Engine.system) =
+  let raised = ref None in
+  let on_raised alive dead () = match !raised with None -> alive () | Some e -> dead e in
+  {
+    Engine.reset =
+      (fun () ->
+        raised := None;
+        system.reset ());
+    enabled = on_raised system.enabled (fun _ -> []);
+    apply =
+      (fun choice ->
+        !raised = None
+        &&
+        try system.apply choice with
+        | (Sys.Break | Out_of_memory) as e -> raise e
+        | e ->
+          raised := Some (Printexc.to_string e);
+          true);
+    fingerprint = on_raised system.fingerprint (fun e -> "!" ^ e);
+    violations =
+      on_raised system.violations (fun e ->
+          (try system.violations () with _ -> []) @ [ ("exception", e ^ " escaped a choice") ]);
+    quiescent_violations = on_raised system.quiescent_violations (fun _ -> []);
+    snapshot =
+      Option.map
+        (fun snap () ->
+          let saved = !raised and restore = snap () in
+          fun () ->
+            raised := saved;
+            restore ())
+        system.snapshot;
+    symmetry = Option.map (fun canon -> on_raised canon (fun e -> "!" ^ e)) system.symmetry;
+  }
+
 let make spec =
   validate spec;
-  match spec.protocol with
-  | Quorum -> make_quorum spec
-  | Follower -> make_follower spec
-  | Xpaxos -> make_xpaxos Replica.Quorum_selection spec
-  | Xpaxos_enum -> make_xpaxos Replica.Enumeration spec
+  trap_exceptions
+    (match spec.protocol with
+     | Quorum -> make_quorum spec
+     | Follower -> make_follower spec
+     | Xpaxos -> make_xpaxos Replica.Quorum_selection spec
+     | Xpaxos_enum -> make_xpaxos Replica.Enumeration spec)
 
 (* ----------------------------------------------------------- regressions *)
 
@@ -1132,17 +1084,28 @@ let check_expect expectation (violated : (string * string) list) =
            | [] -> "was clean"
            | (check, _) :: _ -> "only violated " ^ check))
 
+(* Typed field readers shared by both corpus kinds. *)
+let int_field kvs k default =
+  match List.assoc_opt k kvs with
+  | None -> Ok default
+  | Some v -> (
+    match int_of_string_opt v with
+    | Some i -> Ok i
+    | None -> Error (Printf.sprintf "bad %s=%S" k v))
+
+let int_fields kvs k =
+  List.fold_right
+    (fun (k', v) acc ->
+      Result.bind acc (fun acc ->
+          if k' <> k then Ok acc
+          else
+            match int_of_string_opt v with
+            | Some i -> Ok (i :: acc)
+            | None -> Error (Printf.sprintf "bad %s=%S" k v)))
+    kvs (Ok [])
+
 let run_mc_regression kvs =
   let find k = List.assoc_opt k kvs in
-  let find_all k = List.filter_map (fun (k', v) -> if k' = k then Some v else None) kvs in
-  let int_of k default =
-    match find k with
-    | None -> Ok default
-    | Some v -> (
-      match int_of_string_opt v with
-      | Some i -> Ok i
-      | None -> Error (Printf.sprintf "bad %s=%S" k v))
-  in
   let ( let* ) = Result.bind in
   let* protocol =
     match find "protocol" with
@@ -1152,54 +1115,18 @@ let run_mc_regression kvs =
       | Some p -> Ok p
       | None -> Error (Printf.sprintf "unknown protocol %S" v))
   in
-  let* n = int_of "n" 4 in
-  let* f = int_of "f" 1 in
-  let* requests = int_of "requests" (match protocol with Xpaxos | Xpaxos_enum -> 1 | _ -> 0) in
-  let* crashes =
-    List.fold_left
-      (fun acc v ->
-        let* acc = acc in
-        match int_of_string_opt v with
-        | Some p -> Ok (p :: acc)
-        | None -> Error (Printf.sprintf "bad crash=%S" v))
-      (Ok []) (find_all "crash")
+  let* n = int_field kvs "n" 4 in
+  let* f = int_field kvs "f" 1 in
+  let* requests =
+    int_field kvs "requests" (match protocol with Xpaxos | Xpaxos_enum -> 1 | _ -> 0)
   in
-  let* amnesia =
-    List.fold_left
-      (fun acc v ->
-        let* acc = acc in
-        match int_of_string_opt v with
-        | Some p -> Ok (p :: acc)
-        | None -> Error (Printf.sprintf "bad amnesia=%S" v))
-      (Ok []) (find_all "amnesia")
-  in
-  let* equivocate =
-    List.fold_left
-      (fun acc v ->
-        let* acc = acc in
-        match int_of_string_opt v with
-        | Some p -> Ok (p :: acc)
-        | None -> Error (Printf.sprintf "bad equivocate=%S" v))
-      (Ok []) (find_all "equivocate")
-  in
-  let* churn =
-    List.fold_left
-      (fun acc v ->
-        let* acc = acc in
-        match int_of_string_opt v with
-        | Some p -> Ok (p :: acc)
-        | None -> Error (Printf.sprintf "bad churn=%S" v))
-      (Ok []) (find_all "churn")
-  in
-  let* regions =
-    List.fold_left
-      (fun acc v ->
-        let* acc = acc in
-        match List.map int_of_string_opt (String.split_on_char ',' v) with
-        | members when members <> [] && List.for_all Option.is_some members ->
-          Ok (List.map Option.get members :: acc)
-        | _ -> Error (Printf.sprintf "bad region=%S (want m1,m2)" v))
-      (Ok []) (find_all "region")
+  let* crashes = int_fields kvs "crash" in
+  (* Each amnesia=, equivocate=, churn= or region= line declares one fault:
+     its [--inject] text with the [=] read as [:]. *)
+  let* faults =
+    try
+      Ok (List.filter_map (fun (k, v) -> fault_of_string (k ^ ":" ^ v)) kvs)
+    with Invalid_argument m -> Error m
   in
   let* injections =
     List.fold_left
@@ -1216,7 +1143,8 @@ let run_mc_regression kvs =
           | Some p, suspects when List.for_all Option.is_some suspects ->
             Ok ((p, List.map Option.get suspects) :: acc)
           | _ -> Error (Printf.sprintf "bad inject=%S (want p:s1,s2)" v)))
-      (Ok []) (find_all "inject")
+      (Ok [])
+      (List.filter_map (fun (k, v) -> if k = "inject" then Some v else None) kvs)
   in
   let* seeded_bug =
     match find "seeded-bug" with
@@ -1233,19 +1161,7 @@ let run_mc_regression kvs =
     match find "expect" with None -> Error "missing expect=" | Some v -> parse_expect v
   in
   let spec =
-    {
-      protocol;
-      n;
-      f;
-      injections = List.rev injections;
-      crashes = List.rev crashes;
-      amnesia = List.rev amnesia;
-      equivocate = List.rev equivocate;
-      churn = List.rev churn;
-      regions = List.rev regions;
-      requests;
-      seeded_bug;
-    }
+    { protocol; n; f; injections = List.rev injections; crashes; faults; requests; seeded_bug }
   in
   let* system = try Ok (make spec) with Invalid_argument m -> Error m in
   check_expect expectation (Engine.replay system schedule)
@@ -1262,29 +1178,13 @@ let run_chaos_regression kvs =
       | None -> Error (Printf.sprintf "unknown stack %S" v))
   in
   let defaults = Chaos.default_params stack in
-  let int_of k default =
-    match find k with
-    | None -> Ok default
-    | Some v -> (
-      match int_of_string_opt v with
-      | Some i -> Ok i
-      | None -> Error (Printf.sprintf "bad %s=%S" k v))
-  in
+  let int_of = int_field kvs in
   let* seed = int_of "seed" 0 in
   let* n = int_of "n" defaults.Chaos.n in
   let* f = int_of "f" defaults.Chaos.f in
   let* horizon_ms = int_of "horizon-ms" (int_of_float (Stime.to_ms defaults.Chaos.horizon)) in
   let* requests = int_of "requests" defaults.Chaos.requests in
-  let* spares =
-    List.fold_left
-      (fun acc v ->
-        let* acc = acc in
-        match int_of_string_opt v with
-        | Some p -> Ok (acc @ [ p ])
-        | None -> Error (Printf.sprintf "bad spare=%S" v))
-      (Ok [])
-      (List.filter_map (fun (k, v) -> if k = "spare" then Some v else None) kvs)
-  in
+  let* spares = int_fields kvs "spare" in
   let* schedule =
     match find "faults" with
     | None -> Ok []

@@ -6,37 +6,20 @@
     - [quorum] — bare Algorithm-1 instances over an unordered controlled
       network. Suspicions are injected as initial ⟨SUSPECTED⟩ events; every
       delivery interleaving of the resulting UPDATE gossip is explored.
-      Each process in [amnesia] additionally contributes an [Amnesia p]
-      choice, enabled once at every state until taken: the crash wipes the
-      process's volatile selection state ({!Qs_core.Quorum_select.amnesia}),
-      drops its in-flight messages, and opens a {!Qs_recovery.Rejoin} round
-      whose State_req/State_resp traffic parks on the same controlled
-      network — so recovery interleaves freely with the UPDATE gossip.
-      Each process in [equivocate] likewise contributes an [Equivocate p]
-      choice, enabled once at every state: two validly-signed conflicting
-      row variants leave for two different peers, and exploration covers
-      every interleaving of the contradictory gossip.
-      Each process in [churn] contributes a [Churn p] choice, enabled once
-      at every state: one atomic membership change — [p] leaves and
-      instantly rejoins under a fresh identity slot, every process
-      reconfigures width-preserving with [p]'s row wiped and the config
-      epoch bumped, [p]'s in-flight messages die, and a rejoin round
-      bootstraps its state back — so stale pre-churn gossip interleaves
-      freely with the reconfiguration point and the recovery traffic.
-      Each declared fault domain in [regions] contributes a [Region i]
-      choice, enabled once at every state: every member goes mute at once
-      (messages addressed to members die, their own pre-loss gossip stays
-      in flight), modeling a correlated whole-region loss; from then on
-      every check ranges over the survivors.
+      Each declared {!fault} adds one choice, enabled at every state until
+      taken (see {!fault} for the four kinds). Faults are one table in
+      the implementation — a kind is a constructor plus one row (its
+      choice, blamed pids and effect) — so validation, fingerprints,
+      symmetry and snapshots treat every kind alike.
       Checks: |Q| = n − f on every issued quorum, Theorem 3's per-epoch
       bound, instantaneous no-suspicion (the current quorum is independent
       in the issuer's suspect graph), pairwise quorum intersection — two
       live correct processes at the same (config epoch, detector epoch)
       must hold standing quorums overlapping in at least [n − 2f]
       ({!Qs_core.Quorum_intersection.threshold}) — and, at quiescent
-      states, agreement and matrix convergence. A pending amnesia choice
+      states, agreement and matrix convergence. A pending fault choice
       keeps a state non-quiescent, so every terminal state has all declared
-      crashes behind it and the rejoins completed (controlled delivery is
+      faults behind it and the rejoins completed (controlled delivery is
       reliable and [needed = 1]). Provides the snapshot fast path.
     - [follower] — Algorithm-2 instances over a FIFO controlled network
       with the emulated failure detector of {!Fcluster}: open FOLLOWERS
@@ -70,6 +53,41 @@ val protocol_of_name : string -> protocol option
 
 val all : protocol list
 
+(** A one-shot fault of the [quorum] instance. Each backs one choice that
+    may fire at any explored point, once; its targets are faulty and draw
+    on the same [f] budget as [crashes]. *)
+type fault =
+  | Amnesia of int
+      (** [Amnesia p] crash: [p] loses its volatile selection state
+          ({!Qs_core.Quorum_select.amnesia}), its in-flight messages die,
+          and a {!Qs_recovery.Rejoin} round parks its State_req/State_resp
+          traffic on the controlled network, so recovery interleaves freely
+          with the UPDATE gossip. [p] stays subject to every check. *)
+  | Equivocate of int
+      (** [Equivocate p] sends two validly-signed, pointwise-incomparable
+          variants of [p]'s own suspicion row to its first two peers.
+          Forward-on-change gossip spreads both, so quiescent convergence
+          and agreement are checked against the max-merge union. *)
+  | Churn of int
+      (** [Churn p] atomically removes [p] and readmits it under a fresh
+          slot: every process runs {!Qs_core.Quorum_select.reconfigure} at
+          the same width with [of_new p = -1] and a bumped config epoch,
+          [p]'s in-flight messages die, and [p] rejoins through the recovery
+          protocol. *)
+  | Region of int list
+      (** [Region members] mutes every member at once and drops their
+          inbound in-flight messages (their own pre-loss gossip stays in
+          flight): a correlated whole-region loss. Lost members are excluded
+          from checks from the loss on. The [i]-th region in a spec fires
+          as the {!Qs_mc.Schedule.Region}[ i] choice. *)
+
+val fault_of_string : string -> fault option
+(** ["amnesia:P"], ["equivocate:P"], ["churn:P"] or ["region:M1,M2"] (kind
+    case-insensitive) — the [mc --inject] syntax, and a corpus line such as
+    [amnesia=1] with its [=] read as [:]. [None] when the text names no
+    fault kind;
+    [Invalid_argument] when it names one with a malformed argument. *)
+
 type spec = {
   protocol : protocol;
   n : int;
@@ -81,35 +99,9 @@ type spec = {
   crashes : int list;
       (** Processes crashed from the start: sends and deliveries dropped,
           excluded from every correctness check. At most [f]. *)
-  amnesia : int list;
-      (** Processes that may suffer one amnesia crash each, at any explored
-          point ([quorum] protocol only). They recover via the rejoin
-          protocol and stay subject to every check; mute and amnesia
-          crashes together must stay within [f]. *)
-  equivocate : int list;
-      (** Processes that may commit one equivocation each, at any explored
-          point ([quorum] protocol only): an [Equivocate p] choice sends two
-          validly-signed, pointwise-incomparable variants of [p]'s own
-          suspicion row to its first two peers. Forward-on-change gossip
-          spreads both, so quiescent matrix convergence and agreement are
-          checked against the max-merge union. Equivocators are
-          Byzantine-faulty and share the [f] budget with crashes. *)
-  churn : int list;
-      (** Processes that may churn once each, at any explored point
-          ([quorum] protocol only): a [Churn p] choice atomically removes
-          [p] and readmits it under a fresh slot — every process runs
-          {!Qs_core.Quorum_select.reconfigure} at the same width with
-          [of_new p = -1] and a bumped config epoch, and [p] rejoins
-          through the recovery protocol. A mid-rejoin churned process is
-          briefly stale, so churn shares the [f] budget with crashes and
-          equivocators. *)
-  regions : int list list;
-      (** Correlated fault domains ([quorum] protocol only): domain [i]'s
-          member list backs a [Region i] choice, enabled once at every
-          explored point, that mutes every member at once and drops their
-          inbound in-flight messages. Lost members are faulty — excluded
-          from checks from the loss on — and every member draws on the
-          same [f] budget as a crash. *)
+  faults : fault list;
+      (** One-shot faults ([quorum] protocol only), explored at every point
+          of every schedule. *)
   requests : int;  (** Client requests submitted up front (XPaxos only). *)
   seeded_bug : bool;
       (** Arm {!Qs_core.Quorum_select.test_buggy_quorum_size} inside
@@ -124,17 +116,19 @@ val default_spec : protocol -> spec
 
 val validate : spec -> unit
 (** Raises [Invalid_argument] on out-of-range pids, more than [f] faulty
-    processes (mute, amnesia, equivocators, churn and region members
-    combined), amnesia / equivocation / churn / regions outside the
-    [quorum] protocol or overlapping [crashes], an empty or duplicate-member
-    region, or a [seeded_bug] on a protocol that has no embedded
-    Algorithm 1. *)
+    processes (crashes and fault targets combined), a fault outside the
+    [quorum] protocol, targeting a crashed process or declared twice, an
+    empty or duplicate-member region, or a [seeded_bug] on a protocol that
+    has no embedded Algorithm 1. *)
 
 val make : spec -> Qs_mc.Engine.system
 (** The system is self-contained: [reset] rebuilds the cluster, re-arms
     crashes, re-injects suspicions and resubmits requests, and clears the
     process-wide metrics registry and journal (and the test bug flag) so
-    replays are deterministic. *)
+    replays are deterministic. An exception raised while applying a
+    choice does not escape: it ends the path in a terminal state that
+    reports an ["exception"] violation, so the engine shrinks and prints
+    a replayable schedule for it like for any other check. *)
 
 (** {2 Regression corpus}
 

@@ -9,32 +9,39 @@ type choice =
 
 type t = choice list
 
+(* The one letter table: printing reads it directly, parsing inverts it
+   through [with_arg]. *)
+let letter = function
+  | Deliver _ -> 'd'
+  | Step -> 't'
+  | Fire _ -> 'f'
+  | Amnesia _ -> 'a'
+  | Equivocate _ -> 'e'
+  | Churn _ -> 'c'
+  | Region _ -> 'r'
+
+let with_arg =
+  [ (fun i -> Deliver i); (fun p -> Fire p); (fun p -> Amnesia p); (fun p -> Equivocate p);
+    (fun p -> Churn p); (fun i -> Region i) ]
+
 let choice_to_string = function
-  | Deliver id -> "d" ^ string_of_int id
-  | Step -> "t"
-  | Fire p -> "f" ^ string_of_int p
-  | Amnesia p -> "a" ^ string_of_int p
-  | Equivocate p -> "e" ^ string_of_int p
-  | Churn p -> "c" ^ string_of_int p
-  | Region i -> "r" ^ string_of_int i
+  | Step -> String.make 1 (letter Step)
+  | (Deliver i | Fire i | Amnesia i | Equivocate i | Churn i | Region i) as c ->
+    String.make 1 (letter c) ^ string_of_int i
 
 let to_string t = String.concat ";" (List.map choice_to_string t)
 
 let choice_of_string s =
   let fail () = invalid_arg (Printf.sprintf "Schedule.of_string: bad choice %S" s) in
-  let num () =
-    match int_of_string_opt (String.sub s 1 (String.length s - 1)) with
-    | Some v when v >= 0 -> v
+  if s = choice_to_string Step then Step
+  else if String.length s < 2 then fail ()
+  else
+    match
+      ( List.find_opt (fun mk -> letter (mk 0) = s.[0]) with_arg,
+        int_of_string_opt (String.sub s 1 (String.length s - 1)) )
+    with
+    | Some mk, Some v when v >= 0 -> mk v
     | _ -> fail ()
-  in
-  if s = "t" then Step
-  else if String.length s >= 2 && s.[0] = 'd' then Deliver (num ())
-  else if String.length s >= 2 && s.[0] = 'f' then Fire (num ())
-  else if String.length s >= 2 && s.[0] = 'a' then Amnesia (num ())
-  else if String.length s >= 2 && s.[0] = 'e' then Equivocate (num ())
-  else if String.length s >= 2 && s.[0] = 'c' then Churn (num ())
-  else if String.length s >= 2 && s.[0] = 'r' then Region (num ())
-  else fail ()
 
 let of_string s =
   let s = String.trim s in

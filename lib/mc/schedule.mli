@@ -1,7 +1,7 @@
 (** Replayable schedules: the model checker's choice vocabulary.
 
     A schedule is the sequence of nondeterministic choices that takes a
-    deterministic initial state to the state of interest. Three choice kinds
+    deterministic initial state to the state of interest. The choice kinds
     cover every source of nondeterminism the simulated systems have:
 
     - [Deliver id]: hand the parked network message [id] to its destination
@@ -10,29 +10,19 @@
       expectations — advancing virtual time;
     - [Fire p]: force process [p]'s open failure-detector expectation to
       time out (used by instances whose FD is emulated without timers);
-    - [Amnesia p]: crash process [p] losing its volatile state, drop its
-      in-flight messages, and start the rejoin protocol (instances that
-      declare an amnesia budget explore it at every state, once per
-      process);
-    - [Equivocate p]: process [p] commits one equivocation — two
-      validly-signed, pointwise-incomparable variants of its own suspicion
-      row leave for two different peers (instances that declare an
-      equivocation budget explore it at every state, once per process);
-    - [Churn p]: one atomic membership change — process [p] leaves and
-      instantly rejoins under a fresh identity slot: every process
-      reconfigures to the same width with [p]'s row wiped
-      ([of_new p = -1]) and the config epoch bumped, then [p] bootstraps
-      its state back through the rejoin protocol (instances that declare
-      a churn budget explore it at every state, once per process);
-    - [Region i]: one correlated whole-region loss — every member of the
-      instance's declared fault-domain [i] goes mute at once, their
-      in-flight messages die with them (instances that declare a region
-      explore it at every state, once per region; the members draw on the
-      same [f]-budget as crashes).
+    - [Amnesia p], [Equivocate p], [Churn p], [Region i]: fire one declared
+      one-shot fault — an amnesia crash with rejoin, an equivocation, an
+      atomic leave-and-rejoin, the loss of the [i]-th declared region.
+      Instances offer each declared fault once per path, at every state
+      until taken (see {!Qs_harness.Modelcheck.fault} for the effects);
+      a fault choice the instance did not declare is a no-op.
 
-    The textual form ("d3;t;a1;e0;c2;r0") is what [test/regressions/] pins
-    and what violation reports print, so counterexamples replay from
-    plain text. *)
+    Each choice prints as one letter — [d t f a e c r], one table for both
+    printing and parsing — followed by its pid or id ([t] has none). The
+    textual form ("d3;t;a1;e0;c2;r0") is what [test/regressions/] pins and
+    what violation reports print, so counterexamples replay from plain
+    text; model-checker instances also use a fault choice's text as its
+    canonical key. *)
 
 type choice =
   | Deliver of int
@@ -46,6 +36,7 @@ type choice =
 type t = choice list
 
 val choice_to_string : choice -> string
+(** One choice, e.g. ["d3"], ["t"], ["a1"]. *)
 
 val to_string : t -> string
 (** Semicolon-separated, e.g. ["d3;d0;t"]; the empty schedule is [""]. *)

@@ -184,7 +184,7 @@ let test_xpaxos_bounded_clean () =
    machinery alone — and every terminal state passed the quiescent
    agreement/convergence checks with the recovered process included. *)
 let amnesia_only_spec =
-  { (MC.default_spec MC.Quorum) with MC.n = 3; injections = []; amnesia = [ 1 ] }
+  { (MC.default_spec MC.Quorum) with MC.n = 3; injections = []; faults = [ MC.Amnesia 1 ] }
 
 let test_amnesia_only_exhausts () =
   let r = Engine.explore ~depth:12 (MC.make amnesia_only_spec) in
@@ -199,7 +199,7 @@ let test_amnesia_only_exhausts () =
    here; a bounded sweep plus full-depth random walks (each walk runs to
    quiescence, so rejoins complete) keep it honest. *)
 let amnesia_gossip_spec =
-  { (MC.default_spec MC.Quorum) with MC.n = 3; injections = [ (0, [ 2 ]) ]; amnesia = [ 1 ] }
+  { (MC.default_spec MC.Quorum) with MC.n = 3; injections = [ (0, [ 2 ]) ]; faults = [ MC.Amnesia 1 ] }
 
 let test_amnesia_gossip_bounded_clean () =
   let r = Engine.explore ~depth:6 (MC.make amnesia_gossip_spec) in
@@ -212,41 +212,73 @@ let test_amnesia_gossip_walks_recover () =
   check_int "every walk reaches quiescence" 50 r.Engine.quiescent;
   check_int "no violations" 0 (List.length r.Engine.violations)
 
-let test_amnesia_spec_validation () =
+(* ------------------------------------------------------------------ *)
+(* Fault table: every kind is validated and parsed alike *)
+
+let fault_kinds =
+  [
+    ("amnesia", fun p -> MC.Amnesia p);
+    ("equivocate", fun p -> MC.Equivocate p);
+    ("churn", fun p -> MC.Churn p);
+    ("region", fun p -> MC.Region [ p ]);
+  ]
+
+let test_fault_spec_validation () =
+  let quorum = MC.default_spec MC.Quorum in
   let reject name spec =
     match MC.make spec with
     | exception Invalid_argument _ -> ()
     | _ -> Alcotest.failf "accepted %s" name
   in
-  reject "amnesia outside quorum"
-    { (MC.default_spec MC.Follower) with MC.amnesia = [ 1 ] };
-  reject "amnesia of a crashed process"
-    { (MC.default_spec MC.Quorum) with MC.crashes = [ 2 ]; amnesia = [ 2 ] };
-  reject "crash + amnesia over the f budget"
-    { (MC.default_spec MC.Quorum) with MC.crashes = [ 2 ]; amnesia = [ 1 ] };
-  reject "duplicate amnesia pid"
-    { (MC.default_spec MC.Quorum) with MC.amnesia = [ 1; 1 ] };
-  reject "amnesia pid out of range" { (MC.default_spec MC.Quorum) with MC.amnesia = [ 9 ] }
+  List.iter
+    (fun (kind, mk) ->
+      (* The control: the same kind on a free pid is accepted. *)
+      ignore (MC.make { quorum with MC.faults = [ mk 1 ] });
+      reject (kind ^ " outside quorum") { (MC.default_spec MC.Follower) with MC.faults = [ mk 1 ] };
+      reject (kind ^ " of a crashed process") { quorum with MC.crashes = [ 2 ]; faults = [ mk 2 ] };
+      reject (kind ^ " + crash over the f budget") { quorum with MC.crashes = [ 2 ]; faults = [ mk 1 ] };
+      reject ("duplicate " ^ kind ^ " pid") { quorum with MC.faults = [ mk 1; mk 1 ] };
+      reject (kind ^ " pid out of range") { quorum with MC.faults = [ mk 9 ] })
+    fault_kinds;
+  reject "empty region" { quorum with MC.faults = [ MC.Region [] ] };
+  reject "duplicate region member" { quorum with MC.faults = [ MC.Region [ 1; 1 ] ] }
+
+let test_fault_of_string () =
+  List.iter
+    (fun (kind, mk) ->
+      check_bool (kind ^ " parses") true (MC.fault_of_string (kind ^ ":2") = Some (mk 2));
+      match MC.fault_of_string (kind ^ ":x") with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "accepted %s:x" kind)
+    fault_kinds;
+  check_bool "multi-member region" true (MC.fault_of_string "region:2,3" = Some (MC.Region [ 2; 3 ]));
+  check_bool "kind is case-insensitive" true (MC.fault_of_string "Churn:1" = Some (MC.Churn 1));
+  check_bool "an injection is no fault" true (MC.fault_of_string "0:4" = None);
+  check_bool "no colon, no fault" true (MC.fault_of_string "amnesia" = None)
 
 (* ------------------------------------------------------------------ *)
 (* Seeded bug: find, shrink, replay *)
 
 let seeded_spec = { (MC.default_spec MC.Quorum) with MC.seeded_bug = true }
 
-let test_seeded_bug_found () =
-  let r = Engine.explore ~depth:3 (MC.make seeded_spec) in
+(* Quorum: a single delivery of the suspicion UPDATE already issues the
+   undersized quorum, so the shrunk counterexample is one choice. XPaxos: a
+   timer pop (the detector suspects) and one delivery; the replica there
+   rejects the undersized quorum by raising, which the checker reports as
+   an "exception" violation next to quorum-size instead of crashing. *)
+let test_seeded_bug_found (protocol, depth, shrunk) () =
+  let spec = { (MC.default_spec protocol) with MC.seeded_bug = true } in
+  let r = Engine.explore ~depth (MC.make spec) in
   Qs_core.Quorum_select.test_buggy_quorum_size := false;
   match List.find_opt (fun v -> v.Engine.check = "quorum-size") r.Engine.violations with
   | None -> Alcotest.fail "seeded quorum-size bug not found"
   | Some v ->
-    (* A single delivery of the suspicion UPDATE already issues the
-       undersized quorum, so the shrunk counterexample is one choice. *)
-    check_int "shrunk to one choice" 1 (List.length v.Engine.schedule);
-    let violated = Engine.replay (MC.make seeded_spec) v.Engine.schedule in
+    check_int "shrunk" shrunk (List.length v.Engine.schedule);
+    let violated = Engine.replay (MC.make spec) v.Engine.schedule in
     Qs_core.Quorum_select.test_buggy_quorum_size := false;
     check_bool "replays deterministically" true
       (List.exists (fun (c, _) -> c = "quorum-size") violated);
-    let clean = Engine.replay (MC.make (MC.default_spec MC.Quorum)) v.Engine.schedule in
+    let clean = Engine.replay (MC.make (MC.default_spec protocol)) v.Engine.schedule in
     check_int "same schedule is clean without the bug" 0 (List.length clean)
 
 (* ------------------------------------------------------------------ *)
@@ -378,11 +410,18 @@ let () =
           Alcotest.test_case "amnesia-only exhausts" `Quick test_amnesia_only_exhausts;
           Alcotest.test_case "gossip + crash bounded clean" `Quick test_amnesia_gossip_bounded_clean;
           Alcotest.test_case "walks recover" `Quick test_amnesia_gossip_walks_recover;
-          Alcotest.test_case "spec validation" `Quick test_amnesia_spec_validation;
+        ] );
+      ( "fault-table",
+        [
+          Alcotest.test_case "spec validation" `Quick test_fault_spec_validation;
+          Alcotest.test_case "of_string" `Quick test_fault_of_string;
         ] );
       ( "seeded-bug",
         [
-          Alcotest.test_case "found, shrunk, replayed" `Quick test_seeded_bug_found;
+          Alcotest.test_case "found, shrunk, replayed" `Quick
+            (test_seeded_bug_found (MC.Quorum, 3, 1));
+          Alcotest.test_case "xpaxos found, shrunk, replayed" `Quick
+            (test_seeded_bug_found (MC.Xpaxos, 4, 2));
           Alcotest.test_case "random mode finds it" `Quick test_random_finds_seeded_bug;
         ] );
       ( "random",

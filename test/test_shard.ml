@@ -21,7 +21,7 @@ let quorum_n3_spec =
   { (MC.default_spec MC.Quorum) with MC.n = 3; injections = [ (0, [ 2 ]) ] }
 
 let amnesia_gossip_spec =
-  { (MC.default_spec MC.Quorum) with MC.n = 3; injections = [ (0, [ 2 ]) ]; amnesia = [ 1 ] }
+  { (MC.default_spec MC.Quorum) with MC.n = 3; injections = [ (0, [ 2 ]) ]; faults = [ MC.Amnesia 1 ] }
 
 (* ------------------------------------------------------------------ *)
 (* Random mode: byte-identical reports across jobs *)
