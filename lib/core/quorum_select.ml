@@ -1,11 +1,11 @@
 module Graph = Qs_graph.Graph
 module Indep = Qs_graph.Indep
 module Metrics = Qs_obs.Metrics
-module Journal = Qs_obs.Journal
+module S = Selector_state
 
-type config = { n : int; f : int }
+type config = S.config = { n : int; f : int }
 
-let q c = c.n - c.f
+let q = S.q
 
 (* Test-only mutation hook: when set, updateQuorum looks for an independent
    set one vertex short of q, issuing undersized quorums. The model checker's
@@ -14,47 +14,22 @@ let q c = c.n - c.f
    outside tests. *)
 let test_buggy_quorum_size = ref false
 
-let validate_config c =
-  if c.f < 0 then invalid_arg "Quorum_select: f must be non-negative";
-  if c.n - c.f <= c.f then invalid_arg "Quorum_select: need n - f > f (correct majority)"
+let validate_config = S.validate_config
 
 type t = {
-  mutable config : config;
-  mutable me : Pid.t;
-  auth : Qs_crypto.Auth.t;
+  s : Pid.t list S.t;
   send : Msg.t -> unit;
   on_quorum : Pid.t list -> unit;
   on_epoch : int -> unit;
-  mutable matrix : Suspicion_matrix.t;
-  mutable view : Suspect_view.t;
-  mutable cepoch : int;
-  mutable epoch : int;
-  mutable suspecting : Pid.t list;
   mutable last_quorum : Pid.t list;
-  mutable history : Pid.t list list; (* reversed *)
-  mutable epochs_entered : int;
-  mutable rejected : int;
-  mutable issued_in_epoch : int;
-  mutable max_issued_in_epoch : int;
-  mutable dormant : bool;
-  mutable excluded : Pid.t list; (* proven-guilty, conviction order *)
-  mutable policy : Selection_policy.t;
-  m_updates_sent : Metrics.counter;
-  m_updates_merged : Metrics.counter;
-  m_rejected : Metrics.counter;
   m_policy_fallbacks : Metrics.counter;
-  m_quorums : Metrics.counter;
-  m_epochs : Metrics.counter;
   g_epoch : Metrics.gauge;
-  g_this_epoch : Metrics.gauge;
-  g_epoch_max : Metrics.gauge;
 }
 
+let default_quorum config = List.init (q config) (fun i -> i)
+
 let create config ~me ~auth ~send ~on_quorum ?(on_epoch = fun _ -> ()) () =
-  validate_config config;
-  if me < 0 || me >= config.n then invalid_arg "Quorum_select.create: me out of range";
-  if Qs_crypto.Auth.universe auth < config.n then
-    invalid_arg "Quorum_select.create: auth universe too small";
+  let s = S.create ~who:"Quorum_select" ~prefix:"qs" config ~me ~auth in
   let labels = [ ("p", string_of_int me) ] in
   (* The Theorem-3 proven bound and the conjectured maximum (Section VI-B),
      published so a snapshot carries the limits next to the live counts. *)
@@ -63,66 +38,56 @@ let create config ~me ~auth ~send ~on_quorum ?(on_epoch = fun _ -> ()) () =
     (float_of_int (config.f * (config.f + 1)));
   Metrics.set_g ~labels:flabel "qs_bound_conjecture"
     (float_of_int ((config.f + 2) * (config.f + 1) / 2));
-  let matrix = Suspicion_matrix.create config.n in
   {
-    config;
-    me;
-    auth;
+    s;
     send;
     on_quorum;
     on_epoch;
-    matrix;
-    view = Suspect_view.create matrix ~epoch:1;
-    cepoch = 0;
-    epoch = 1;
-    suspecting = [];
-    last_quorum = List.init (q config) (fun i -> i);
-    history = [];
-    epochs_entered = 0;
-    rejected = 0;
-    issued_in_epoch = 0;
-    max_issued_in_epoch = 0;
-    dormant = false;
-    excluded = [];
-    policy = Selection_policy.default;
-    m_updates_sent = Metrics.counter ~labels "qs_updates_sent_total";
-    m_updates_merged = Metrics.counter ~labels "qs_updates_merged_total";
-    m_rejected = Metrics.counter ~labels "qs_rejected_total";
+    last_quorum = default_quorum config;
     m_policy_fallbacks = Metrics.counter ~labels "qs_policy_fallback_total";
-    m_quorums = Metrics.counter ~labels "qs_quorums_issued_total";
-    m_epochs = Metrics.counter ~labels "qs_epochs_entered_total";
     g_epoch = Metrics.gauge ~labels "qs_epoch";
-    g_this_epoch = Metrics.gauge ~labels "qs_quorums_this_epoch";
-    g_epoch_max = Metrics.gauge ~labels "qs_quorums_per_epoch_max";
   }
 
-let me t = t.me
+let me t = t.s.me
 
 (* updateSuspicions (Algorithm 1, lines 11-15): stamp current suspicions with
-   the current epoch in our own row and broadcast it, including to self. The
-   local matrix is only updated by the self-delivered UPDATE, which keeps a
-   single code path for state changes and quorum re-evaluation — this is why
-   line 15 broadcasts "to all including self". Returns whether the broadcast
-   row differs from the locally stored one (i.e. whether a self-update will
-   eventually arrive and re-trigger updateQuorum). *)
-let update_suspicions t s =
-  t.suspecting <- List.sort_uniq compare (List.filter (fun j -> j <> t.me) s);
-  let row = Suspicion_matrix.row t.matrix t.me in
-  let changed = ref false in
-  List.iter
-    (fun j ->
-      if row.(j) < t.epoch then begin
-        row.(j) <- t.epoch;
-        changed := true
-      end)
-    t.suspecting;
-  Metrics.inc t.m_updates_sent;
-  if Journal.live () then
-    Journal.record (Journal.Update_sent { owner = t.me; epoch = t.epoch });
-  t.send (Msg.seal t.auth { Msg.owner = t.me; row });
-  !changed
+   the current epoch in our own row and broadcast it, including to self.
+   Returns whether the broadcast row differs from the locally stored one
+   (i.e. whether a self-update will eventually arrive and re-trigger
+   updateQuorum). *)
+let update_suspicions t suspects =
+  let row, changed = S.stamp t.s suspects in
+  t.send (Msg.seal t.s.auth { Msg.owner = t.s.me; row });
+  changed
 
 let handle_suspected t s = ignore (update_suspicions t s)
+
+(* Proven-guilty processes leave every future quorum without consuming
+   suspicion aging: rather than poisoning the (epoch-aged, CRDT-merged)
+   matrix, exclusion covers each convicted vertex with a star of edges at
+   selection time, so no independent set of size >= 2 can contain it. *)
+let star_exclusions t g =
+  List.iter
+    (fun e ->
+      for v = 0 to t.s.config.n - 1 do
+        if v <> e then Graph.add_edge g e v
+      done)
+    (S.applied_exclusions t.s);
+  g
+
+let selection_graph t =
+  let g = Suspicion_matrix.suspect_graph t.s.matrix ~epoch:t.s.epoch in
+  match S.applied_exclusions t.s with [] -> g | _ -> star_exclusions t (Graph.copy g)
+
+(* The aging endpoint of [selection_graph]: what epoch advances converge
+   to — every suspicion edge aged out, only the conviction stars left.
+   A policy that cannot select even here will never be unblocked by
+   aging, so the selector must not keep bumping the epoch for it. *)
+let exclusion_graph t = star_exclusions t (Graph.create t.s.config.n)
+
+let epoch_advanced t epoch =
+  Metrics.set t.g_epoch (float_of_int epoch);
+  t.on_epoch epoch
 
 (* updateQuorum (lines 25-34). One deviation from the listing: when the epoch
    bump leaves our own row unchanged (current suspicions were already stamped
@@ -130,77 +95,26 @@ let handle_suspected t s = ignore (update_suspicions t s)
    handler would ever re-evaluate the quorum at the new epoch; we therefore
    continue evaluating locally. Progress is guaranteed because each such
    iteration raises the epoch and strictly shrinks the suspect graph. *)
-(* Permanent exclusion, capped at the model's budget: with at most [f]
-   excluded vertices the non-excluded complement (size >= q) is always an
-   independent set of the star edges, so aging still terminates — whereas
-   letting an out-of-model adversary convict more than [f] processes would
-   make the size-q search unsatisfiable and the epoch-bump loop diverge. *)
-let applied_exclusions t =
-  List.filteri (fun i _ -> i < t.config.f) t.excluded
-
-(* Proven-guilty processes leave every future quorum without consuming
-   suspicion aging: rather than poisoning the (epoch-aged, CRDT-merged)
-   matrix, exclusion covers each convicted vertex with a star of edges at
-   selection time, so no independent set of size >= 2 can contain it. *)
-let selection_graph t =
-  let g = Suspicion_matrix.suspect_graph t.matrix ~epoch:t.epoch in
-  match applied_exclusions t with
-  | [] -> g
-  | ex ->
-    let g = Graph.copy g in
-    List.iter
-      (fun e ->
-        for v = 0 to t.config.n - 1 do
-          if v <> e then Graph.add_edge g e v
-        done)
-      ex;
-    g
-
-(* The aging endpoint of [selection_graph]: what epoch advances converge
-   to — every suspicion edge aged out, only the conviction stars left.
-   A policy that cannot select even here will never be unblocked by
-   aging, so the selector must not keep bumping the epoch for it. *)
-let exclusion_graph t =
-  let g = Graph.create t.config.n in
-  List.iter
-    (fun e ->
-      for v = 0 to t.config.n - 1 do
-        if v <> e then Graph.add_edge g e v
-      done)
-    (applied_exclusions t);
-  g
-
-(* Per-vertex bias for the lottery policy: how many processes ever
-   suspected the vertex (O(nonzero cells), not O(n²)), plus a dominating
-   penalty for a standing conviction — so a seeded lottery drifts away
-   from historically suspected processes and convicts rank last. *)
-let suspicion_weights t =
-  let n = t.config.n in
-  let w = Array.make n 0 in
-  Suspicion_matrix.iter_nonzero t.matrix (fun ~suspector:_ ~suspect ~epoch:_ ->
-      w.(suspect) <- w.(suspect) + 1);
-  List.iter (fun e -> if e >= 0 && e < n then w.(e) <- w.(e) + n) t.excluded;
-  fun v -> w.(v)
-
 let rec update_quorum t =
-  if t.dormant then () else begin
-  Suspect_view.sync t.view ~epoch:t.epoch;
-  let target = q t.config - if !test_buggy_quorum_size then 1 else 0 in
+  let s = t.s in
+  if s.dormant then () else begin
+  Suspect_view.sync s.view ~epoch:s.epoch;
+  let target = q s.config - if !test_buggy_quorum_size then 1 else 0 in
   let result =
-    match t.policy with
+    match s.policy with
     | Selection_policy.Lex_first -> (
       (* The incremental view models the exclusion-free selection graph; the
          star-edge construction for convictions stays on the explicit path
          (convictions are rare — at most f per run). *)
-      match applied_exclusions t with
-      | [] -> Suspect_view.lex_first t.view target
+      match S.applied_exclusions s with
+      | [] -> Suspect_view.lex_first s.view target
       | _ :: _ -> Indep.lex_first_independent_set (selection_graph t) target)
     | policy -> (
       let graph = selection_graph t in
-      let weight = suspicion_weights t in
+      let weight = S.suspicion_weights s in
       match
-        Selection_policy.select policy ~graph ~q:target ~weight ~cepoch:t.cepoch
-          ~epoch:t.epoch
+        Selection_policy.select policy ~graph ~q:target ~weight ~cepoch:s.cepoch
+          ~epoch:s.epoch
       with
       | Some _ as r -> r
       | None
@@ -220,69 +134,28 @@ let rec update_quorum t =
   match result with
   | None ->
     (* Suspicions in the current epoch are inconsistent: age them out. *)
-    t.epoch <- t.epoch + 1;
-    t.epochs_entered <- t.epochs_entered + 1;
-    t.issued_in_epoch <- 0;
-    Metrics.inc t.m_epochs;
-    Metrics.set t.g_epoch (float_of_int t.epoch);
-    Metrics.set t.g_this_epoch 0.0;
-    if Journal.live () then
-      Journal.record (Journal.Epoch_advanced { who = t.me; epoch = t.epoch });
-    t.on_epoch t.epoch;
-    if not (update_suspicions t t.suspecting) then update_quorum t
+    S.enter_epoch s (s.epoch + 1);
+    epoch_advanced t s.epoch;
+    if not (update_suspicions t s.suspecting) then update_quorum t
   | Some quorum ->
     if quorum <> t.last_quorum then begin
       t.last_quorum <- quorum;
-      t.history <- quorum :: t.history;
-      t.issued_in_epoch <- t.issued_in_epoch + 1;
-      if t.issued_in_epoch > t.max_issued_in_epoch then
-        t.max_issued_in_epoch <- t.issued_in_epoch;
-      Metrics.inc t.m_quorums;
-      Metrics.set t.g_this_epoch (float_of_int t.issued_in_epoch);
-      Metrics.set_max t.g_epoch_max (float_of_int t.issued_in_epoch);
-      if Journal.live () then
-        Journal.record
-          (Journal.Quorum_issued { who = t.me; epoch = t.epoch; quorum });
+      S.issue s quorum quorum;
       Logs.debug ~src:Qs_stdx.Debug.quorum (fun m ->
-          m "p%d QUORUM %s (epoch %d)" (t.me + 1) (Pid.set_to_string quorum) t.epoch);
+          m "p%d QUORUM %s (epoch %d)" (s.me + 1) (Pid.set_to_string quorum) s.epoch);
       t.on_quorum quorum
     end
   end
 
 let handle_update t msg =
-  if
-    (not (Msg.verify t.auth msg))
-    (* A row of the wrong width was sealed under a different configuration
-       (in flight across a reconfiguration): its slots name other processes,
-       so merging it would alias suspicions. Dropped like a bad signature. *)
-    || Array.length msg.Msg.update.Msg.row <> t.config.n
-    || msg.Msg.update.Msg.owner >= t.config.n
-  then begin
-    t.rejected <- t.rejected + 1;
-    Metrics.inc t.m_rejected
-  end
-  else begin
-    (* If the view was in sync before the merge and the merge raised no cell
-       at or above the current epoch (generation unchanged), the selection
-       graph is untouched: re-running the selection would re-derive the
-       standing quorum and do nothing. Skipping it is the difference between
-       O(changed cells) and a full independent-set search per stale UPDATE. *)
-    let in_sync = Suspect_view.in_sync t.view ~epoch:t.epoch in
-    let gen = Suspect_view.generation t.view in
-    let changed =
-      Suspicion_matrix.merge_row t.matrix ~owner:msg.Msg.update.Msg.owner
-        msg.Msg.update.Msg.row
-    in
-    if changed then begin
-      Metrics.inc t.m_updates_merged;
-      if Journal.live () then
-        Journal.record
-          (Journal.Update_merged { who = t.me; owner = msg.Msg.update.Msg.owner });
+  let { Msg.owner; row } = msg.Msg.update in
+  if not (Msg.verify t.s.auth msg) then S.reject t.s
+  else
+    match S.merge_row t.s ~forced_by_exclusions:false ~owner row with
+    | S.Dropped -> ()
+    | S.Merged { reselect } ->
       t.send msg; (* forward, so every correct process sees every suspicion *)
-      if not (in_sync && Suspect_view.generation t.view = gen) then
-        update_quorum t
-    end
-  end
+      if reselect then update_quorum t
 
 (* Re-run updateQuorum after out-of-band matrix changes (the delta-gossip
    layer merges cells directly). Dormancy is respected: unlike [absorb], a
@@ -290,260 +163,89 @@ let handle_update t msg =
    a wiped process. *)
 let reevaluate t = update_quorum t
 
-let epoch t = t.epoch
+let epoch t = t.s.epoch
 
 let last_quorum t = t.last_quorum
 
-let quorums_issued t = List.length t.history
+let quorums_issued t = List.length t.s.history
 
-let quorum_history t = List.rev t.history
+let quorum_history t = List.rev t.s.history
 
-let epochs_entered t = t.epochs_entered
+let epochs_entered t = t.s.epochs_entered
 
-let max_issued_per_epoch t = t.max_issued_in_epoch
+let max_issued_per_epoch t = t.s.max_issued_in_epoch
 
-let matrix t = t.matrix
+let matrix t = t.s.matrix
 
-let suspecting t = t.suspecting
+let suspecting t = t.s.suspecting
 
-let rejected_updates t = t.rejected
+let rejected_updates t = t.s.rejected
 
-let suspect_graph t = Suspicion_matrix.suspect_graph t.matrix ~epoch:t.epoch
+let suspect_graph t = Suspicion_matrix.suspect_graph t.s.matrix ~epoch:t.s.epoch
 
-(* ------------------------------------------------------------------ *)
-(* Evidence-driven permanent exclusion *)
+(* Convictions always re-select: the star edges may invalidate the standing
+   quorum right away. *)
+let exclude t p = if S.exclude t.s p then update_quorum t
 
-let exclude t p =
-  if p < 0 || p >= t.config.n then invalid_arg "Quorum_select.exclude: out of range";
-  if not (List.mem p t.excluded) then begin
-    t.excluded <- t.excluded @ [ p ];
-    (* The star edges may invalidate the standing quorum right away. *)
-    update_quorum t
-  end
+let excluded t = List.sort compare t.s.excluded
 
-let excluded t = List.sort compare t.excluded
+let policy t = t.s.policy
 
-(* ------------------------------------------------------------------ *)
-(* Selection policy *)
-
-let policy t = t.policy
-
-(* A policy is static configuration: every correct process must install
-   the same one (Agreement is carried by deterministic selection over
-   converged state). Installing re-validates against the current width
-   and re-runs the selection — the standing quorum may change shape
+(* Installing re-runs the selection: the standing quorum may change shape
    immediately. *)
 let set_policy t p =
-  Selection_policy.validate p ~n:t.config.n ~q:(q t.config);
-  t.policy <- p;
-  if not t.dormant then update_quorum t
+  S.set_policy t.s p;
+  if not t.s.dormant then update_quorum t
 
-(* ------------------------------------------------------------------ *)
-(* Reconfiguration (open membership) *)
+let cepoch t = t.s.cepoch
 
-let cepoch t = t.cepoch
-
-(* Carry the algorithm's state into a new configuration. [of_new] maps each
-   new slot to the old slot it inherits (< 0 for a fresh joiner slot); a
-   compacting remap simply never mentions the removed slots, so their
-   suspicions — and any conviction against them — die with the config. The
-   detector epoch is deliberately preserved (suspicion aging continues
-   across reconfigurations), while per-epoch issue counters restart: the
-   Theorem-3 bound is re-anchored per (config epoch, detector epoch), which
-   is exactly how the monitor accounts for it. The standing quorum resets
-   to the new config's default — a reconfiguration is a quorum change, and
-   all correct processes apply it deterministically. *)
+(* The standing quorum resets to the new config's default — a
+   reconfiguration is a quorum change, and all correct processes apply it
+   deterministically. *)
 let reconfigure t config' ~me ~cepoch ~of_new =
-  validate_config config';
-  if me < 0 || me >= config'.n then
-    invalid_arg "Quorum_select.reconfigure: me out of range";
-  if Qs_crypto.Auth.universe t.auth < config'.n then
-    invalid_arg "Quorum_select.reconfigure: auth universe too small";
-  if cepoch <= t.cepoch then
-    invalid_arg "Quorum_select.reconfigure: config epoch must advance";
-  let old_n = t.config.n in
-  let inv = Array.make old_n (-1) in
-  for i = 0 to config'.n - 1 do
-    let o = of_new i in
-    if o >= old_n then invalid_arg "Quorum_select.reconfigure: of_new out of range";
-    if o >= 0 then inv.(o) <- i
-  done;
-  let remap_pids ps =
-    List.filter_map
-      (fun p -> if p >= 0 && p < old_n && inv.(p) >= 0 then Some inv.(p) else None)
-      ps
-  in
-  let matrix' = Suspicion_matrix.remap t.matrix ~n:config'.n ~of_new in
-  Suspicion_matrix.clear_watcher t.matrix;
-  t.matrix <- matrix';
-  t.view <- Suspect_view.create matrix' ~epoch:t.epoch;
-  t.config <- config';
-  t.me <- me;
-  t.cepoch <- cepoch;
-  t.suspecting <- List.sort_uniq compare (remap_pids t.suspecting);
-  t.excluded <- remap_pids t.excluded; (* conviction order preserved *)
-  t.policy <- Selection_policy.remap t.policy ~n:config'.n ~of_new;
-  t.last_quorum <- List.init (q config') (fun i -> i);
-  t.history <- [];
-  t.issued_in_epoch <- 0;
-  Metrics.set t.g_this_epoch 0.0;
-  if Journal.live () then
-    Journal.record
-      (Journal.Reconfigured { who = t.me; cepoch; n = config'.n });
-  if not t.dormant then update_quorum t
+  S.reconfigure t.s config' ~me ~cepoch ~of_new ~carry:(fun _ ->
+      t.last_quorum <- default_quorum config');
+  if not t.s.dormant then update_quorum t
 
-(* ------------------------------------------------------------------ *)
-(* Crash-recovery (amnesia) hooks *)
+let dormant t = t.s.dormant
 
-let dormant t = t.dormant
-
-(* An amnesia crash loses everything Algorithm 1 keeps in volatile memory.
-   The instance goes dormant: it keeps merging incoming rows (anti-entropy
-   never hurts, merges are monotone) but must not issue a quorum computed
-   from the wiped — hence stale-looking — matrix until [absorb] delivers a
-   peer's state or a durable snapshot. *)
 let amnesia t =
-  Suspicion_matrix.blit ~src:(Suspicion_matrix.create t.config.n) ~dst:t.matrix;
-  t.epoch <- 1;
-  t.suspecting <- [];
-  t.last_quorum <- List.init (q t.config) (fun i -> i);
-  t.history <- [];
-  t.issued_in_epoch <- 0;
-  t.max_issued_in_epoch <- 0;
-  t.dormant <- true;
-  Metrics.set t.g_epoch 1.0;
-  Metrics.set t.g_this_epoch 0.0
+  S.amnesia t.s;
+  t.last_quorum <- default_quorum t.s.config;
+  Metrics.set t.g_epoch 1.0
 
-(* CRDT join with a peer's (or a durable snapshot's) state: max-merge the
-   matrix, fast-forward the epoch, wake from dormancy and re-evaluate. Safe
-   to call repeatedly — merges are idempotent and [update_quorum] only
-   fires [on_quorum] when the quorum actually changes. *)
+(* [update_quorum] only fires [on_quorum] when the quorum actually changes,
+   so repeated absorbs are harmless. *)
 let absorb t ~matrix ~epoch =
-  ignore (Suspicion_matrix.merge t.matrix matrix);
-  if epoch > t.epoch then begin
-    t.epoch <- epoch;
-    t.epochs_entered <- t.epochs_entered + 1;
-    t.issued_in_epoch <- 0;
-    Metrics.inc t.m_epochs;
-    Metrics.set t.g_epoch (float_of_int t.epoch);
-    Metrics.set t.g_this_epoch 0.0;
-    if Journal.live () then
-      Journal.record (Journal.Epoch_advanced { who = t.me; epoch = t.epoch });
-    t.on_epoch t.epoch
-  end;
-  t.dormant <- false;
+  S.absorb t.s ~matrix ~epoch ~on_advance:(fun () -> epoch_advanced t epoch);
   update_quorum t
 
-(* ------------------------------------------------------------------ *)
-(* Model-checker hooks *)
+(* [last_quorum] is rendered VERBATIM under [perm]: it is the lex-first
+   independent set of the suspect graph, and lex-first is not
+   permutation-covariant — its output is a function of the graph, not a
+   label. The model checker only enables symmetry when every suspicion edge
+   endpoint is fixed by the permutation group, so the graph (and hence the
+   lex-first choice) is invariant and the verbatim render is exactly what
+   the relabeled execution would store. [suspecting] is mapped and
+   re-sorted (it is maintained sorted). The policy tag is rendered verbatim
+   too: symmetry reduction is only ever enabled under the default policy. *)
+let render ?perm t =
+  let pids l = String.concat "," (List.map string_of_int l) in
+  let suspecting =
+    match perm with
+    | None -> t.s.suspecting
+    | Some perm -> List.sort compare (List.map perm t.s.suspecting)
+  in
+  S.fingerprint ?perm t.s (pids t.last_quorum ^ "|" ^ pids suspecting)
 
-(* Everything the algorithm's future behavior (and the bound property)
-   depends on. The issued-in-epoch counters are included deliberately: two
-   states identical up to them could still diverge on whether a later quorum
-   overshoots Theorem 3, so merging them would be unsound for that check. *)
-(* The policy tag is appended only when a non-default policy is armed:
-   the model checker's pinned state counts hash default-policy
-   fingerprints, and Lex_first must keep producing the exact bytes it
-   always did. *)
-let policy_tag t =
-  if Selection_policy.is_default t.policy then ""
-  else "|" ^ Selection_policy.to_string t.policy
+let fingerprint t = render t
 
-let fingerprint t =
-  Format.asprintf "%d,%d,%d|%d|%a|%s|%s|%d|%d|%b|%s%s" t.config.n t.config.f
-    t.cepoch t.epoch Suspicion_matrix.pp t.matrix
-    (String.concat "," (List.map string_of_int t.last_quorum))
-    (String.concat "," (List.map string_of_int t.suspecting))
-    t.issued_in_epoch t.max_issued_in_epoch t.dormant
-    (String.concat "," (List.map string_of_int t.excluded))
-    (policy_tag t)
+let fingerprint_perm t ~perm = render ~perm t
 
-(* [fingerprint] of this node's state as it appears after relabeling every
-   process identity through the bijection [perm] (old pid -> new pid): the
-   matrix is conjugated, [suspecting] mapped and re-sorted (it is maintained
-   sorted), [excluded] mapped in conviction order. [last_quorum] is rendered
-   VERBATIM: it is the lex-first independent set of the suspect graph, and
-   lex-first is not permutation-covariant — its output is a function of the
-   graph, not a label. The model checker only enables symmetry when every
-   suspicion edge endpoint is fixed by the permutation group, so the graph
-   (and hence the lex-first choice) is invariant and the verbatim render is
-   exactly what the relabeled execution would store. *)
-let fingerprint_perm t ~perm =
-  let inv = Array.make t.config.n 0 in
-  for p = 0 to t.config.n - 1 do
-    inv.(perm p) <- p
-  done;
-  let pmap l = List.map perm l in
-  (* The policy tag is rendered verbatim: symmetry reduction is only ever
-     enabled under the default policy (the checker's permutation groups
-     are not topology- or seed-aware). *)
-  Format.asprintf "%d,%d,%d|%d|%a|%s|%s|%d|%d|%b|%s%s" t.config.n t.config.f
-    t.cepoch t.epoch Suspicion_matrix.pp
-    (Suspicion_matrix.remap t.matrix ~n:t.config.n ~of_new:(fun i -> inv.(i)))
-    (String.concat "," (List.map string_of_int t.last_quorum))
-    (String.concat "," (List.map string_of_int (List.sort compare (pmap t.suspecting))))
-    t.issued_in_epoch t.max_issued_in_epoch t.dormant
-    (String.concat "," (List.map string_of_int (pmap t.excluded)))
-    (policy_tag t)
+type snapshot = { shared : Pid.t list S.snapshot; s_last_quorum : Pid.t list }
 
-type snapshot = {
-  s_config : config;
-  s_me : Pid.t;
-  s_cepoch : int;
-  s_matrix : Suspicion_matrix.t;
-  s_epoch : int;
-  s_suspecting : Pid.t list;
-  s_last_quorum : Pid.t list;
-  s_history : Pid.t list list;
-  s_epochs_entered : int;
-  s_rejected : int;
-  s_issued_in_epoch : int;
-  s_max_issued_in_epoch : int;
-  s_dormant : bool;
-  s_excluded : Pid.t list;
-  s_policy : Selection_policy.t;
-}
+let snapshot t = { shared = S.snapshot t.s; s_last_quorum = t.last_quorum }
 
-let snapshot t =
-  {
-    s_config = t.config;
-    s_me = t.me;
-    s_cepoch = t.cepoch;
-    s_matrix = Suspicion_matrix.copy t.matrix;
-    s_epoch = t.epoch;
-    s_suspecting = t.suspecting;
-    s_last_quorum = t.last_quorum;
-    s_history = t.history;
-    s_epochs_entered = t.epochs_entered;
-    s_rejected = t.rejected;
-    s_issued_in_epoch = t.issued_in_epoch;
-    s_max_issued_in_epoch = t.max_issued_in_epoch;
-    s_dormant = t.dormant;
-    s_excluded = t.excluded;
-    s_policy = t.policy;
-  }
-
-let restore t s =
-  t.config <- s.s_config;
-  t.me <- s.s_me;
-  t.cepoch <- s.s_cepoch;
-  (* A snapshot taken under a different configuration has a different matrix
-     width: adopt a copy and rebuild the incremental view instead of
-     blitting (blit requires equal sizes). *)
-  if Suspicion_matrix.n t.matrix <> Suspicion_matrix.n s.s_matrix then begin
-    Suspicion_matrix.clear_watcher t.matrix;
-    t.matrix <- Suspicion_matrix.copy s.s_matrix;
-    t.view <- Suspect_view.create t.matrix ~epoch:s.s_epoch
-  end
-  else Suspicion_matrix.blit ~src:s.s_matrix ~dst:t.matrix;
-  t.epoch <- s.s_epoch;
-  t.suspecting <- s.s_suspecting;
-  t.last_quorum <- s.s_last_quorum;
-  t.history <- s.s_history;
-  t.epochs_entered <- s.s_epochs_entered;
-  t.rejected <- s.s_rejected;
-  t.issued_in_epoch <- s.s_issued_in_epoch;
-  t.max_issued_in_epoch <- s.s_max_issued_in_epoch;
-  t.dormant <- s.s_dormant;
-  t.excluded <- s.s_excluded;
-  t.policy <- s.s_policy
+let restore t snap =
+  S.restore t.s snap.shared;
+  t.last_quorum <- snap.s_last_quorum

@@ -17,9 +17,13 @@
     The module never needs consensus: the [suspected] matrix is merged with
     pointwise max, so all correct processes converge on the same state and —
     because the quorum is the deterministic lexicographically-first
-    independent set — on the same quorum (Agreement). *)
+    independent set — on the same quorum (Agreement).
 
-type config = { n : int; f : int }
+    The suspicion machinery and extension planes shared with Follower
+    Selection live in {!Selector_state}; this module adds Algorithm 1's
+    selection rule (lines 25–34). *)
+
+type config = Selector_state.config = { n : int; f : int }
 (** [q = n - f] processes form a quorum; requires [0 ≤ f] and [f < n - f]
     (majority correct, Section IV). *)
 

@@ -1,57 +1,28 @@
 module Graph = Qs_graph.Graph
-module Indep = Qs_graph.Indep
 module Line = Qs_graph.Line_subgraph
 module Pid = Qs_core.Pid
 module Msg = Qs_core.Msg
 module Suspicion_matrix = Qs_core.Suspicion_matrix
+module Suspect_view = Qs_core.Suspect_view
 module Quorum_select = Qs_core.Quorum_select
+module S = Qs_core.Selector_state
 module Metrics = Qs_obs.Metrics
-module Journal = Qs_obs.Journal
 
 type t = {
-  mutable config : Quorum_select.config;
-  mutable me : Pid.t;
-  auth : Qs_crypto.Auth.t;
+  s : (Pid.t * Pid.t list) S.t;
   send : Fmsg.t -> unit;
   on_quorum : leader:Pid.t -> Pid.t list -> unit;
   fd_expect : leader:Pid.t -> epoch:int -> unit;
   fd_cancel : unit -> unit;
   fd_detected : Pid.t -> unit;
-  mutable matrix : Suspicion_matrix.t;
-  mutable view : Qs_core.Suspect_view.t;
-  mutable cepoch : int;
-  mutable epoch : int;
-  mutable suspecting : Pid.t list;
   mutable leader : Pid.t;
   mutable stable : bool;
   mutable qlast : Pid.t list;
-  mutable history : (Pid.t * Pid.t list) list; (* reversed *)
-  mutable epochs_entered : int;
   mutable detections : Pid.t list;
-  mutable rejected : int;
-  mutable issued_in_epoch : int;
-  mutable max_issued_in_epoch : int;
-  mutable dormant : bool;
-  mutable excluded : Pid.t list; (* proven-guilty, conviction order *)
-  mutable policy : Qs_core.Selection_policy.t;
-  m_updates_sent : Metrics.counter;
-  m_updates_merged : Metrics.counter;
-  m_rejected : Metrics.counter;
-  m_quorums : Metrics.counter;
-  m_epochs : Metrics.counter;
   m_detections : Metrics.counter;
-  g_this_epoch : Metrics.gauge;
-  g_epoch_max : Metrics.gauge;
 }
 
-let q_of t = Quorum_select.q t.config
-
-let default_quorum config = List.init (Quorum_select.q config) (fun i -> i)
-
-(* Exclusion cap mirrors Quorum_select: applying more than [f] convictions
-   would leave fewer than q eligible processes and wedge the defaults. *)
-let applied_exclusions t =
-  List.filteri (fun i _ -> i < t.config.Quorum_select.f) t.excluded
+let q_of t = Quorum_select.q t.s.config
 
 (* The deterministic leader rule with exclusions: the minimum degree-0
    vertex of the line subgraph that is not proven guilty. With no
@@ -69,88 +40,59 @@ let leader_with ~n ~excluded l =
 (* The epoch-bump default (line 12's {p1..pq}) skips convicted processes:
    the first q eligible ids. *)
 let default_quorum_of t =
-  let ex = applied_exclusions t in
+  let ex = S.applied_exclusions t.s in
   let rec take k v =
     if k = 0 then []
-    else if v >= t.config.Quorum_select.n then [] (* unreachable: |ex| <= f leaves >= q eligible *)
+    else if v >= t.s.config.n then [] (* unreachable: |ex| <= f leaves >= q eligible *)
     else if List.mem v ex then take k (v + 1)
     else v :: take (k - 1) (v + 1)
   in
   take (q_of t) 0
 
-let default_leader_of t =
-  match default_quorum_of t with v :: _ -> v | [] -> 0
+(* Install the default leader and quorum, cancelling any armed
+   expectation: what an epoch bump, a rejoin or a reconfiguration does. *)
+let to_default t =
+  t.fd_cancel ();
+  t.qlast <- default_quorum_of t;
+  t.leader <- (match t.qlast with v :: _ -> v | [] -> 0);
+  t.stable <- true
+
+let require_3f who (config : Quorum_select.config) =
+  Quorum_select.validate_config config;
+  if config.n <= 3 * config.f then invalid_arg (who ^ ": requires n > 3f")
 
 let create config ~me ~auth ~send ~on_quorum ?(fd_expect = fun ~leader:_ ~epoch:_ -> ())
     ?(fd_cancel = fun () -> ()) ?(fd_detected = fun _ -> ()) () =
-  Quorum_select.validate_config config;
-  if config.Quorum_select.n <= 3 * config.Quorum_select.f then
-    invalid_arg "Follower_select: requires n > 3f";
-  if me < 0 || me >= config.Quorum_select.n then
-    invalid_arg "Follower_select.create: me out of range";
-  let labels = [ ("p", string_of_int me) ] in
+  require_3f "Follower_select" config;
+  let s = S.create ~who:"Follower_select" ~prefix:"fs" config ~me ~auth in
   (* Theorem 9's per-epoch bound for Follower Selection, published next to
      the live counts (mirrors [qs_bound_theorem3] in Quorum_select). *)
   Metrics.set_g
-    ~labels:[ ("f", string_of_int config.Quorum_select.f) ]
+    ~labels:[ ("f", string_of_int config.f) ]
     "fs_bound_theorem9"
-    (float_of_int ((3 * config.Quorum_select.f) + 1));
-  let matrix = Suspicion_matrix.create config.Quorum_select.n in
+    (float_of_int ((3 * config.f) + 1));
   {
-    config;
-    me;
-    auth;
+    s;
     send;
     on_quorum;
     fd_expect;
     fd_cancel;
     fd_detected;
-    matrix;
-    view = Qs_core.Suspect_view.create matrix ~epoch:1;
-    cepoch = 0;
-    epoch = 1;
-    suspecting = [];
     leader = 0;
     stable = true;
-    qlast = default_quorum config;
-    history = [];
-    epochs_entered = 0;
+    qlast = List.init (Quorum_select.q config) (fun i -> i);
     detections = [];
-    rejected = 0;
-    issued_in_epoch = 0;
-    max_issued_in_epoch = 0;
-    dormant = false;
-    excluded = [];
-    policy = Qs_core.Selection_policy.default;
-    m_updates_sent = Metrics.counter ~labels "fs_updates_sent_total";
-    m_updates_merged = Metrics.counter ~labels "fs_updates_merged_total";
-    m_rejected = Metrics.counter ~labels "fs_rejected_total";
-    m_quorums = Metrics.counter ~labels "fs_quorums_issued_total";
-    m_epochs = Metrics.counter ~labels "fs_epochs_entered_total";
-    m_detections = Metrics.counter ~labels "fs_detections_total";
-    g_this_epoch = Metrics.gauge ~labels "fs_quorums_this_epoch";
-    g_epoch_max = Metrics.gauge ~labels "fs_quorums_per_epoch_max";
+    m_detections =
+      Metrics.counter ~labels:[ ("p", string_of_int me) ] "fs_detections_total";
   }
 
-let me t = t.me
+let me t = t.s.me
 
-(* Identical to Algorithm 1's updateSuspicions; see Quorum_select. *)
-let update_suspicions t s =
-  t.suspecting <- List.sort_uniq compare (List.filter (fun j -> j <> t.me) s);
-  let row = Suspicion_matrix.row t.matrix t.me in
-  let changed = ref false in
-  List.iter
-    (fun j ->
-      if row.(j) < t.epoch then begin
-        row.(j) <- t.epoch;
-        changed := true
-      end)
-    t.suspecting;
-  Metrics.inc t.m_updates_sent;
-  if Journal.live () then
-    Journal.record (Journal.Update_sent { owner = t.me; epoch = t.epoch });
-  t.send (Fmsg.seal t.auth (Fmsg.Update { Msg.owner = t.me; row }));
-  !changed
+(* updateSuspicions, as in Algorithm 1 (Selector_state.stamp), then seal. *)
+let update_suspicions t suspects =
+  let row, changed = S.stamp t.s suspects in
+  t.send (Fmsg.seal t.s.auth (Fmsg.Update { Msg.owner = t.s.me; row }));
+  changed
 
 let select_followers ?(excluded = []) ?(reorder = fun c -> c) l ~leader ~q =
   let candidates =
@@ -166,60 +108,36 @@ let select_followers ?(excluded = []) ?(reorder = fun c -> c) l ~leader ~q =
   in
   take (q - 1) candidates
 
-(* The lottery bias — mirrors Quorum_select.suspicion_weights: suspicion
-   history plus a dominating conviction penalty. *)
-let suspicion_weights t =
-  let n = t.config.Quorum_select.n in
-  let w = Array.make n 0 in
-  Suspicion_matrix.iter_nonzero t.matrix (fun ~suspector:_ ~suspect ~epoch:_ ->
-      w.(suspect) <- w.(suspect) + 1);
-  List.iter (fun e -> if e >= 0 && e < n then w.(e) <- w.(e) + n) t.excluded;
-  fun v -> w.(v)
-
 (* Policies reorder the leader's follower candidates; well-formedness
    (check d) admits any subset of possible followers, so receivers need no
    policy agreement to validate — but every correct process still installs
    the same policy so a leader handoff keeps quorum shapes consistent. *)
 let policy_reorder t candidates =
-  Qs_core.Selection_policy.order t.policy ~candidates
-    ~weight:(suspicion_weights t) ~cepoch:t.cepoch ~epoch:t.epoch
+  Qs_core.Selection_policy.order t.s.policy ~candidates
+    ~weight:(S.suspicion_weights t.s) ~cepoch:t.s.cepoch ~epoch:t.s.epoch
 
 let issue t ~leader quorum =
   t.qlast <- quorum;
-  t.history <- (leader, quorum) :: t.history;
-  t.issued_in_epoch <- t.issued_in_epoch + 1;
-  if t.issued_in_epoch > t.max_issued_in_epoch then
-    t.max_issued_in_epoch <- t.issued_in_epoch;
-  Metrics.inc t.m_quorums;
-  Metrics.set t.g_this_epoch (float_of_int t.issued_in_epoch);
-  Metrics.set_max t.g_epoch_max (float_of_int t.issued_in_epoch);
-  if Journal.live () then
-    Journal.record (Journal.Quorum_issued { who = t.me; epoch = t.epoch; quorum });
+  S.issue t.s (leader, quorum) quorum;
   t.on_quorum ~leader quorum
 
 (* updateQuorum (Algorithm 2, lines 7-26). *)
 let rec update_quorum t =
-  if t.dormant then () else begin
-  Qs_core.Suspect_view.sync t.view ~epoch:t.epoch;
-  let g = Qs_core.Suspect_view.graph t.view in
-  if not (Qs_core.Suspect_view.feasible t.view (q_of t)) then begin
+  let s = t.s in
+  if s.dormant then () else begin
+  Suspect_view.sync s.view ~epoch:s.epoch;
+  let g = Suspect_view.graph s.view in
+  if not (Suspect_view.feasible s.view (q_of t)) then begin
     (* Lines 9-16: inconsistent suspicions — new epoch, default quorum. *)
-    t.epoch <- t.epoch + 1;
-    t.epochs_entered <- t.epochs_entered + 1;
-    t.issued_in_epoch <- 0;
-    Metrics.inc t.m_epochs;
-    Metrics.set t.g_this_epoch 0.0;
-    if Journal.live () then
-      Journal.record (Journal.Epoch_advanced { who = t.me; epoch = t.epoch });
-    t.fd_cancel ();
-    t.leader <- default_leader_of t;
-    t.stable <- true;
-    issue t ~leader:t.leader (default_quorum_of t);
-    if not (update_suspicions t t.suspecting) then update_quorum t
+    S.enter_epoch s (s.epoch + 1);
+    to_default t;
+    issue t ~leader:t.leader t.qlast;
+    if not (update_suspicions t s.suspecting) then update_quorum t
   end
   else begin
     let l = Line.maximal g in
-    match leader_with ~n:t.config.Quorum_select.n ~excluded:(applied_exclusions t) l with
+    let excluded = S.applied_exclusions s in
+    match leader_with ~n:s.config.n ~excluded l with
     | None ->
       (* Cannot happen for n > 3f: Lemma 8 b) guarantees an uncovered vertex
          whenever an independent set of size q exists (and at most f
@@ -230,18 +148,18 @@ let rec update_quorum t =
         t.stable <- false;
         t.leader <- new_leader;
         t.fd_cancel ();
-        if new_leader <> t.me then t.fd_expect ~leader:new_leader ~epoch:t.epoch
+        if new_leader <> s.me then t.fd_expect ~leader:new_leader ~epoch:s.epoch
         else begin
           let fw =
-            select_followers ~excluded:(applied_exclusions t)
-              ~reorder:(policy_reorder t) l ~leader:t.me ~q:(q_of t)
+            select_followers ~excluded ~reorder:(policy_reorder t) l ~leader:s.me
+              ~q:(q_of t)
           in
           t.send
-            (Fmsg.seal t.auth
+            (Fmsg.seal s.auth
                (Fmsg.Followers
                   {
-                    Fmsg.leader = t.me;
-                    epoch = t.epoch;
+                    Fmsg.leader = s.me;
+                    epoch = s.epoch;
                     followers = fw;
                     line = Graph.edges l;
                   }))
@@ -283,17 +201,17 @@ let detect t culprit =
   t.fd_detected culprit
 
 let handle_followers t msg f =
+  let s = t.s in
   let j = f.Fmsg.leader in
   (* While dormant the local (leader, epoch, qlast) triple is the wiped
      default, so both the equivocation and the well-formedness checks would
      compare against state the process no longer legitimately holds. *)
-  if (not t.dormant) && j = t.leader && f.Fmsg.epoch = t.epoch then begin
-    let n = t.config.Quorum_select.n in
-    Qs_core.Suspect_view.sync t.view ~epoch:t.epoch;
+  if (not s.dormant) && j = t.leader && f.Fmsg.epoch = s.epoch then begin
+    Suspect_view.sync s.view ~epoch:s.epoch;
     if
       not
-        (well_formed ~excluded:(applied_exclusions t) ~n ~q:(q_of t)
-           ~suspect_graph:(Qs_core.Suspect_view.graph t.view)
+        (well_formed ~excluded:(S.applied_exclusions s) ~n:s.config.n ~q:(q_of t)
+           ~suspect_graph:(Suspect_view.graph s.view)
            f)
     then detect t j
     else begin
@@ -308,45 +226,22 @@ let handle_followers t msg f =
   end
 
 let handle_msg t msg =
-  if not (Fmsg.verify t.auth msg) then begin
-    t.rejected <- t.rejected + 1;
-    Metrics.inc t.m_rejected
-  end
+  if not (Fmsg.verify t.s.auth msg) then S.reject t.s
   else
     match msg.Fmsg.payload with
-    | Fmsg.Update u
-      when Array.length u.Msg.row <> t.config.Quorum_select.n
-           || u.Msg.owner >= t.config.Quorum_select.n ->
-      (* Sealed under a different configuration (in flight across a
-         reconfiguration): its slots name other processes. Drop, like a bad
-         signature. *)
-      t.rejected <- t.rejected + 1;
-      Metrics.inc t.m_rejected
-    | Fmsg.Update u ->
-      (* Skip re-selection when the merge left the current-epoch graph
-         untouched (see Quorum_select.handle_update). Guarded on no
-         exclusions: a conviction changes the leader rule without touching
-         the graph, so the exclusion path re-derives unconditionally. *)
-      let in_sync =
-        t.excluded = [] && Qs_core.Suspect_view.in_sync t.view ~epoch:t.epoch
-      in
-      let gen = Qs_core.Suspect_view.generation t.view in
-      let changed = Suspicion_matrix.merge_row t.matrix ~owner:u.Msg.owner u.Msg.row in
-      if changed then begin
-        Metrics.inc t.m_updates_merged;
-        if Journal.live () then
-          Journal.record (Journal.Update_merged { who = t.me; owner = u.Msg.owner });
+    | Fmsg.Update u -> (
+      (* A conviction changes the leader rule without touching the graph, so
+         with exclusions standing every merge re-derives. *)
+      match S.merge_row t.s ~forced_by_exclusions:true ~owner:u.Msg.owner u.Msg.row with
+      | S.Dropped -> ()
+      | S.Merged { reselect } ->
         t.send msg;
-        if not (in_sync && Qs_core.Suspect_view.generation t.view = gen) then
-          update_quorum t
-      end
+        if reselect then update_quorum t)
     | Fmsg.Followers f -> handle_followers t msg f
 
-(* Mirrors Quorum_select.reevaluate: dormancy-respecting re-derivation for
-   out-of-band (delta-gossip) matrix merges. *)
 let reevaluate t = update_quorum t
 
-let epoch t = t.epoch
+let epoch t = t.s.epoch
 
 let leader t = t.leader
 
@@ -354,241 +249,95 @@ let stable t = t.stable
 
 let last_quorum t = t.qlast
 
-let quorums_issued t = List.length t.history
+let quorums_issued t = List.length t.s.history
 
-let quorum_history t = List.rev t.history
+let quorum_history t = List.rev t.s.history
 
-let epochs_entered t = t.epochs_entered
+let epochs_entered t = t.s.epochs_entered
 
-let max_issued_per_epoch t = t.max_issued_in_epoch
+let max_issued_per_epoch t = t.s.max_issued_in_epoch
 
 let detections t = t.detections
 
-let matrix t = t.matrix
+let matrix t = t.s.matrix
 
-let suspect_graph t = Suspicion_matrix.suspect_graph t.matrix ~epoch:t.epoch
+let suspect_graph t = Suspicion_matrix.suspect_graph t.s.matrix ~epoch:t.s.epoch
 
-let rejected_msgs t = t.rejected
+let rejected_msgs t = t.s.rejected
 
-(* ------------------------------------------------------------------ *)
-(* Evidence-driven permanent exclusion — mirrors Quorum_select, except no
-   forced re-issue: Algorithm 2 only changes quorums through leader changes
-   and epoch bumps, and a stable leader re-broadcasting a shrunken
-   FOLLOWERS message would trip its own receivers' equivocation check. The
-   conviction takes effect on every future leader derivation, default
-   quorum and well-formedness check. *)
-
+(* No forced re-issue on a conviction: Algorithm 2 only changes quorums
+   through leader changes and epoch bumps, and a stable leader
+   re-broadcasting a shrunken FOLLOWERS message would trip its own
+   receivers' equivocation check. Only a convicted current leader must be
+   stepped away from now: the leader rule skips excluded vertices, so the
+   re-derivation cannot pick [p] again. *)
 let exclude t p =
-  if p < 0 || p >= t.config.Quorum_select.n then
-    invalid_arg "Follower_select.exclude: out of range";
-  if not (List.mem p t.excluded) then begin
-    t.excluded <- t.excluded @ [ p ];
-    (* A convicted current leader must be stepped away from now: re-derive
-       (the leader rule skips excluded vertices, so this cannot pick [p]
-       again, and the normal FOLLOWERS exchange issues the next quorum). *)
-    if (not t.dormant) && List.mem p (applied_exclusions t) && t.leader = p then
-      update_quorum t
-  end
+  if
+    S.exclude t.s p
+    && (not t.s.dormant)
+    && List.mem p (S.applied_exclusions t.s)
+    && t.leader = p
+  then update_quorum t
 
-let excluded t = List.sort compare t.excluded
+let excluded t = List.sort compare t.s.excluded
 
-(* ------------------------------------------------------------------ *)
-(* Selection policy — static configuration, like Quorum_select. No forced
-   re-issue on install (same reasoning as [exclude]: a stable leader
-   re-broadcasting a reshaped FOLLOWERS message would trip equivocation);
-   the policy shapes every future FOLLOWERS selection by this leader. *)
+let policy t = t.s.policy
 
-let policy t = t.policy
+(* No forced re-issue on install either, for the same reason as [exclude]. *)
+let set_policy t p = S.set_policy t.s p
 
-let set_policy t p =
-  Qs_core.Selection_policy.validate p ~n:t.config.Quorum_select.n ~q:(q_of t);
-  t.policy <- p
+let cepoch t = t.s.cepoch
 
-(* ------------------------------------------------------------------ *)
-(* Reconfiguration — mirrors Quorum_select.reconfigure. The follower
-   variant additionally resets the leader/stability machinery to the new
-   config's defaults and cancels any armed expectation: the old leader may
-   not even be a member any more. *)
-
-let cepoch t = t.cepoch
-
+(* The leader/stability machinery resets to the new config's defaults: the
+   old leader may not even be a member any more. *)
 let reconfigure t config' ~me ~cepoch ~of_new =
-  Quorum_select.validate_config config';
-  if config'.Quorum_select.n <= 3 * config'.Quorum_select.f then
-    invalid_arg "Follower_select.reconfigure: requires n > 3f";
-  if me < 0 || me >= config'.Quorum_select.n then
-    invalid_arg "Follower_select.reconfigure: me out of range";
-  if Qs_crypto.Auth.universe t.auth < config'.Quorum_select.n then
-    invalid_arg "Follower_select.reconfigure: auth universe too small";
-  if cepoch <= t.cepoch then
-    invalid_arg "Follower_select.reconfigure: config epoch must advance";
-  let old_n = t.config.Quorum_select.n in
-  let inv = Array.make old_n (-1) in
-  for i = 0 to config'.Quorum_select.n - 1 do
-    let o = of_new i in
-    if o >= old_n then invalid_arg "Follower_select.reconfigure: of_new out of range";
-    if o >= 0 then inv.(o) <- i
-  done;
-  let remap_pids ps =
-    List.filter_map
-      (fun p -> if p >= 0 && p < old_n && inv.(p) >= 0 then Some inv.(p) else None)
-      ps
-  in
-  let matrix' =
-    Suspicion_matrix.remap t.matrix ~n:config'.Quorum_select.n ~of_new
-  in
-  Suspicion_matrix.clear_watcher t.matrix;
-  t.matrix <- matrix';
-  t.view <- Qs_core.Suspect_view.create matrix' ~epoch:t.epoch;
-  t.config <- config';
-  t.me <- me;
-  t.cepoch <- cepoch;
-  t.suspecting <- List.sort_uniq compare (remap_pids t.suspecting);
-  t.excluded <- remap_pids t.excluded;
-  t.detections <- remap_pids t.detections;
-  t.policy <-
-    Qs_core.Selection_policy.remap t.policy ~n:config'.Quorum_select.n ~of_new;
-  t.fd_cancel ();
-  t.leader <- default_leader_of t;
-  t.stable <- true;
-  t.qlast <- default_quorum_of t;
-  t.history <- [];
-  t.issued_in_epoch <- 0;
-  Metrics.set t.g_this_epoch 0.0;
-  if Journal.live () then
-    Journal.record
-      (Journal.Reconfigured { who = t.me; cepoch; n = config'.Quorum_select.n });
-  if not t.dormant then update_quorum t
+  require_3f "Follower_select.reconfigure" config';
+  S.reconfigure t.s config' ~me ~cepoch ~of_new ~carry:(fun remap ->
+      t.detections <- remap t.detections;
+      to_default t);
+  if not t.s.dormant then update_quorum t
 
-(* ------------------------------------------------------------------ *)
-(* Crash-recovery (amnesia) hooks — mirrors Quorum_select. *)
-
-let dormant t = t.dormant
+let dormant t = t.s.dormant
 
 let amnesia t =
-  Suspicion_matrix.blit
-    ~src:(Suspicion_matrix.create t.config.Quorum_select.n)
-    ~dst:t.matrix;
-  t.epoch <- 1;
-  t.suspecting <- [];
-  t.leader <- default_leader_of t;
-  t.stable <- true;
-  t.qlast <- default_quorum_of t;
-  t.history <- [];
+  S.amnesia t.s;
   t.detections <- [];
-  t.issued_in_epoch <- 0;
-  t.max_issued_in_epoch <- 0;
-  t.dormant <- true;
-  Metrics.set t.g_this_epoch 0.0;
-  t.fd_cancel ()
+  to_default t
 
+(* The new-epoch path resets leader and quorum to the defaults, as
+   Algorithm 2's own epoch advance does; re-deriving at the absorbed epoch
+   then re-arms the expectation, and the normal FOLLOWERS exchange
+   completes the rejoin. *)
 let absorb t ~matrix ~epoch =
-  ignore (Suspicion_matrix.merge t.matrix matrix);
-  if epoch > t.epoch then begin
-    t.epoch <- epoch;
-    t.epochs_entered <- t.epochs_entered + 1;
-    t.issued_in_epoch <- 0;
-    Metrics.inc t.m_epochs;
-    Metrics.set t.g_this_epoch 0.0;
-    if Journal.live () then
-      Journal.record (Journal.Epoch_advanced { who = t.me; epoch = t.epoch });
-    t.fd_cancel ();
-    t.leader <- default_leader_of t;
-    t.stable <- true;
-    t.qlast <- default_quorum_of t
-  end;
-  t.dormant <- false;
-  (* Re-derive the leader at the absorbed epoch; if it differs from the
-     default the normal FOLLOWERS exchange (with a re-armed expectation)
-     completes the rejoin. *)
+  S.absorb t.s ~matrix ~epoch ~on_advance:(fun () -> to_default t);
   update_quorum t
 
-(* ------------------------------------------------------------------ *)
-(* Model-checker hooks — mirrors Quorum_select. *)
-
-(* Appended only when non-default, so historical fingerprints (and pinned
-   mc state counts) stay byte-identical under the default policy. *)
-let policy_tag t =
-  if Qs_core.Selection_policy.is_default t.policy then ""
-  else "|" ^ Qs_core.Selection_policy.to_string t.policy
-
 let fingerprint t =
-  Format.asprintf "%d,%d,%d|%d|%a|%d|%b|%s|%s|%s|%d|%d|%b|%s%s"
-    t.config.Quorum_select.n t.config.Quorum_select.f t.cepoch t.epoch
-    Suspicion_matrix.pp t.matrix t.leader t.stable
-    (String.concat "," (List.map string_of_int t.qlast))
-    (String.concat "," (List.map string_of_int t.suspecting))
-    (String.concat "," (List.map string_of_int t.detections))
-    t.issued_in_epoch t.max_issued_in_epoch t.dormant
-    (String.concat "," (List.map string_of_int t.excluded))
-    (policy_tag t)
+  let pids l = String.concat "," (List.map string_of_int l) in
+  S.fingerprint t.s
+    (Printf.sprintf "%d|%b|%s|%s|%s" t.leader t.stable (pids t.qlast)
+       (pids t.s.suspecting) (pids t.detections))
 
 type snapshot = {
-  s_config : Quorum_select.config;
-  s_me : Pid.t;
-  s_cepoch : int;
-  s_matrix : Suspicion_matrix.t;
-  s_epoch : int;
-  s_suspecting : Pid.t list;
+  shared : (Pid.t * Pid.t list) S.snapshot;
   s_leader : Pid.t;
   s_stable : bool;
   s_qlast : Pid.t list;
-  s_history : (Pid.t * Pid.t list) list;
-  s_epochs_entered : int;
   s_detections : Pid.t list;
-  s_rejected : int;
-  s_issued_in_epoch : int;
-  s_max_issued_in_epoch : int;
-  s_dormant : bool;
-  s_excluded : Pid.t list;
-  s_policy : Qs_core.Selection_policy.t;
 }
 
 let snapshot t =
   {
-    s_config = t.config;
-    s_me = t.me;
-    s_cepoch = t.cepoch;
-    s_matrix = Suspicion_matrix.copy t.matrix;
-    s_epoch = t.epoch;
-    s_suspecting = t.suspecting;
+    shared = S.snapshot t.s;
     s_leader = t.leader;
     s_stable = t.stable;
     s_qlast = t.qlast;
-    s_history = t.history;
-    s_epochs_entered = t.epochs_entered;
     s_detections = t.detections;
-    s_rejected = t.rejected;
-    s_issued_in_epoch = t.issued_in_epoch;
-    s_max_issued_in_epoch = t.max_issued_in_epoch;
-    s_dormant = t.dormant;
-    s_excluded = t.excluded;
-    s_policy = t.policy;
   }
 
-let restore t s =
-  t.config <- s.s_config;
-  t.me <- s.s_me;
-  t.cepoch <- s.s_cepoch;
-  (* Cross-config restore: widths differ, so adopt a copy and rebuild the
-     view (mirrors Quorum_select.restore). *)
-  if Suspicion_matrix.n t.matrix <> Suspicion_matrix.n s.s_matrix then begin
-    Suspicion_matrix.clear_watcher t.matrix;
-    t.matrix <- Suspicion_matrix.copy s.s_matrix;
-    t.view <- Qs_core.Suspect_view.create t.matrix ~epoch:s.s_epoch
-  end
-  else Suspicion_matrix.blit ~src:s.s_matrix ~dst:t.matrix;
-  t.epoch <- s.s_epoch;
-  t.suspecting <- s.s_suspecting;
-  t.leader <- s.s_leader;
-  t.stable <- s.s_stable;
-  t.qlast <- s.s_qlast;
-  t.history <- s.s_history;
-  t.epochs_entered <- s.s_epochs_entered;
-  t.detections <- s.s_detections;
-  t.rejected <- s.s_rejected;
-  t.issued_in_epoch <- s.s_issued_in_epoch;
-  t.max_issued_in_epoch <- s.s_max_issued_in_epoch;
-  t.dormant <- s.s_dormant;
-  t.excluded <- s.s_excluded;
-  t.policy <- s.s_policy
+let restore t snap =
+  S.restore t.s snap.shared;
+  t.leader <- snap.s_leader;
+  t.stable <- snap.s_stable;
+  t.qlast <- snap.s_qlast;
+  t.detections <- snap.s_detections

@@ -16,6 +16,11 @@
     detector ([fd_expect] / [fd_detected]), earning a suspicion that changes
     the leader.
 
+    The suspicion machinery Algorithm 2 keeps from Algorithm 1
+    (updateSuspicions, UPDATE max-merge, epoch aging) and the extension
+    planes below live once in {!Qs_core.Selector_state}, shared with
+    {!Qs_core.Quorum_select}; this module adds only the selection rule.
+
     Deviations from the listing, documented here:
     - after an epoch bump whose re-stamped row is unchanged, evaluation
       continues locally (same liveness fix as in {!Qs_core.Quorum_select});
@@ -41,7 +46,8 @@ val create :
     FOLLOWERS message from the new leader ([fd_expect]), cancel expectations
     on leader/epoch change ([fd_cancel]), report proofs of misbehavior
     ([fd_detected]). They default to no-ops for harnesses that emulate the
-    detector externally. *)
+    detector externally. Raises [Invalid_argument] unless [n > 3f], [me]
+    is in range and [auth] knows at least [n] processes. *)
 
 val me : t -> Qs_core.Pid.t
 
@@ -112,8 +118,8 @@ val well_formed :
     degree-0 vertex of its line subgraph and no follower may be excluded.
     Exposed for tests. *)
 
-(** {2 Evidence-driven permanent exclusion} — mirrors
-    {!Qs_core.Quorum_select.exclude}. *)
+(** {2 Evidence-driven permanent exclusion} — the conviction list and its
+    f-cap are {!Qs_core.Selector_state}'s. *)
 
 val exclude : t -> Qs_core.Pid.t -> unit
 (** Permanently bar a proven-guilty process from leadership, followership
@@ -125,7 +131,7 @@ val exclude : t -> Qs_core.Pid.t -> unit
 val excluded : t -> Qs_core.Pid.t list
 (** Processes convicted so far, sorted. *)
 
-(** {2 Selection policy} — mirrors {!Qs_core.Quorum_select.set_policy}. *)
+(** {2 Selection policy} — held in {!Qs_core.Selector_state}. *)
 
 val policy : t -> Qs_core.Selection_policy.t
 (** The installed policy ({!Qs_core.Selection_policy.Lex_first} initially). *)
@@ -143,8 +149,8 @@ val set_policy : t -> Qs_core.Selection_policy.t -> unit
     across {!reconfigure} via {!Qs_core.Selection_policy.remap}; survives
     {!amnesia}. The fingerprint gains a policy tag only when non-default. *)
 
-(** {2 Reconfiguration (open membership)} — mirrors
-    {!Qs_core.Quorum_select.reconfigure}. *)
+(** {2 Reconfiguration (open membership)} — what carries across is
+    {!Qs_core.Selector_state.reconfigure}'s. *)
 
 val reconfigure :
   t ->
@@ -163,7 +169,8 @@ val reconfigure :
 
 val cepoch : t -> int
 
-(** {2 Crash-recovery (amnesia) hooks} — mirror {!Qs_core.Quorum_select}. *)
+(** {2 Crash-recovery (amnesia) hooks} — dormancy as in
+    {!Qs_core.Selector_state}. *)
 
 val amnesia : t -> unit
 (** Lose all volatile Algorithm-2 state (matrix, epoch, leader, quorum,
@@ -181,7 +188,8 @@ val absorb : t -> matrix:Qs_core.Suspicion_matrix.t -> epoch:int -> unit
 val dormant : t -> bool
 (** [true] between {!amnesia} and the first {!absorb}. *)
 
-(** {2 Model-checker hooks} — mirror {!Qs_core.Quorum_select}. *)
+(** {2 Model-checker hooks} — the shared fields are snapshotted and
+    rendered by {!Qs_core.Selector_state}. *)
 
 val fingerprint : t -> string
 (** Canonical encoding of the algorithm-visible state (epoch, matrix,
