@@ -3,8 +3,6 @@ include Qs_sim.Smr_cluster.Make (struct
 
   type msg = Chain_msg.t
 
-  type request = Chain_msg.request
-
   type config = Chain_node.config
 
   type fault = Chain_node.fault
@@ -27,10 +25,6 @@ include Qs_sim.Smr_cluster.Make (struct
   let executed = Chain_node.executed
 
   let set_fault = Chain_node.set_fault
-
-  let request ~client ~rid op = { Chain_msg.client; rid; op }
-
-  let key (r : Chain_msg.request) = (r.client, r.rid)
 end)
 
 let current_chain t = Chain_node.chain (replica t 0)

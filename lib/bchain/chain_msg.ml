@@ -1,6 +1,8 @@
 module Auth = Qs_crypto.Auth
 
-type request = { client : int; rid : int; op : string }
+type request = Qs_sim.Smr_cluster.request = { client : int; rid : int; op : string }
+
+let encode_request = Qs_sim.Smr_cluster.encode_request
 
 type forward = {
   slot : int;
@@ -16,8 +18,6 @@ type body =
 
 type t = { sender : Qs_core.Pid.t; body : body; signature : Auth.signature }
 
-let encode_request r = Printf.sprintf "REQ|%d|%d|%s" r.client r.rid r.op
-
 let head_binding ~slot ~cepoch request =
   Printf.sprintf "CHAIN|%d|%d|%s" slot cepoch (encode_request request)
 
@@ -25,11 +25,9 @@ let sign_head auth ~head ~slot ~cepoch request =
   Auth.sign auth ~signer:head (head_binding ~slot ~cepoch request)
 
 let verify_head auth ~head fwd =
-  head >= 0
-  && head < Auth.universe auth
-  && Auth.verify auth ~signer:head
-       (head_binding ~slot:fwd.slot ~cepoch:fwd.cepoch fwd.request)
-       fwd.hsig
+  Auth.verify auth ~signer:head
+    (head_binding ~slot:fwd.slot ~cepoch:fwd.cepoch fwd.request)
+    fwd.hsig
 
 let hex = Qs_crypto.Sha256.hex
 
@@ -42,10 +40,7 @@ let encode_body = function
 let seal auth ~sender body =
   { sender; body; signature = Auth.sign auth ~signer:sender (encode_body body) }
 
-let verify auth t =
-  t.sender >= 0
-  && t.sender < Auth.universe auth
-  && Auth.verify auth ~signer:t.sender (encode_body t.body) t.signature
+let verify auth t = Auth.verify auth ~signer:t.sender (encode_body t.body) t.signature
 
 let tag = function
   | Forward _ -> "CHAIN"

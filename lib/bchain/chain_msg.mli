@@ -6,7 +6,7 @@
     (Section I; chain communication is also the future-work case of
     Section X). *)
 
-type request = { client : int; rid : int; op : string }
+type request = Qs_sim.Smr_cluster.request = { client : int; rid : int; op : string }
 
 type forward = {
   slot : int;

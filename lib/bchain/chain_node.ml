@@ -1,9 +1,7 @@
-module Sim = Qs_sim.Sim
 module Detector = Qs_fd.Detector
 module Timeout = Qs_fd.Timeout
-module QS = Qs_core.Quorum_select
 module Pid = Qs_core.Pid
-module Auth = Qs_crypto.Auth
+module Shell = Qs_shell.Shell
 
 type config = {
   n : int;
@@ -12,7 +10,7 @@ type config = {
   timeout_strategy : Timeout.strategy;
 }
 
-type fault = Honest | Mute | Omit_to of Pid.t list
+type fault = Shell.fault = Honest | Mute | Omit_to of Pid.t list
 
 type slot_state = {
   mutable forward : Chain_msg.forward option;
@@ -21,65 +19,42 @@ type slot_state = {
 
 type t = {
   config : config;
-  me : Pid.t;
-  auth : Auth.t;
-  sim : Sim.t;
-  net_send : dst:Pid.t -> Chain_msg.t -> unit;
+  sh : (Chain_msg.body, Chain_msg.t) Shell.t;
   on_execute : Chain_msg.request -> unit;
-  mutable fd : Chain_msg.t Detector.t option;
-  mutable qsel : QS.t option;
   mutable chain : Pid.t list;
   mutable cepoch : int;
   slots : (int * int, slot_state) Hashtbl.t; (* (cepoch, slot) *)
   mutable next_slot : int;
   proposed : (int * int, unit) Hashtbl.t; (* request ids the head proposed *)
-  executed_ids : (int * int, unit) Hashtbl.t;
-  mutable executed : Chain_msg.request list; (* reversed *)
   awaiting_forward : (int * int, unit) Hashtbl.t;
-  mutable fault : fault;
 }
 
-let me t = t.me
+let me t = Shell.me t.sh
 
-let fd t = Option.get t.fd
+let fd t = Shell.detector t.sh
 
-let qsel t = Option.get t.qsel
-
-let set_fault t fault = t.fault <- fault
+let set_fault t fault = Shell.set_fault t.sh fault
 
 let chain t = t.chain
 
 let head t = match t.chain with h :: _ -> h | [] -> assert false
 
-let is_head t = head t = t.me
+let is_head t = head t = me t
 
 let chain_epoch t = t.cepoch
 
-let executed t = List.rev t.executed
+let executed t = Shell.executed t.sh
 
 let detector = fd
 
-let quorum_selector = qsel
+let quorum_selector t = Option.get (Shell.selector t.sh)
 
-let fault_allows t dst =
-  match t.fault with
-  | Honest -> true
-  | Mute -> false
-  | Omit_to victims -> not (List.mem dst victims)
-
-let send t ~dst body =
-  if dst = t.me || fault_allows t dst then
-    t.net_send ~dst (Chain_msg.seal t.auth ~sender:t.me body)
-
-let send_all_including_self t body =
-  for dst = 0 to t.config.n - 1 do
-    send t ~dst body
-  done
+let send t = Shell.send t.sh
 
 (* Chain neighbors. *)
 let successor t =
   let rec loop = function
-    | a :: b :: _ when a = t.me -> Some b
+    | a :: b :: _ when a = me t -> Some b
     | _ :: rest -> loop rest
     | [] -> None
   in
@@ -87,13 +62,13 @@ let successor t =
 
 let predecessor t =
   let rec loop prev = function
-    | a :: _ when a = t.me -> prev
+    | a :: _ when a = me t -> prev
     | a :: rest -> loop (Some a) rest
     | [] -> None
   in
   loop None t.chain
 
-let in_chain t = List.mem t.me t.chain
+let in_chain t = List.mem (me t) t.chain
 
 let slot_state t key =
   match Hashtbl.find_opt t.slots key with
@@ -103,18 +78,12 @@ let slot_state t key =
     Hashtbl.replace t.slots key s;
     s
 
-let execute t (request : Chain_msg.request) =
-  let key = (request.Chain_msg.client, request.Chain_msg.rid) in
-  if not (Hashtbl.mem t.executed_ids key) then begin
-    Hashtbl.replace t.executed_ids key ();
-    t.executed <- request :: t.executed;
-    t.on_execute request
-  end
+let execute t request = if Shell.execute_once t.sh request then t.on_execute request
 
 (* Position in the current chain, 0 = head. *)
 let position t =
   let rec loop i = function
-    | p :: _ when p = t.me -> Some i
+    | p :: _ when p = me t -> Some i
     | _ :: rest -> loop (i + 1) rest
     | [] -> None
   in
@@ -178,7 +147,8 @@ let propose t (request : Chain_msg.request) =
       Chain_msg.slot;
       cepoch = t.cepoch;
       request;
-      hsig = Chain_msg.sign_head t.auth ~head:t.me ~slot ~cepoch:t.cepoch request;
+      hsig =
+        Chain_msg.sign_head (Shell.auth t.sh) ~head:(me t) ~slot ~cepoch:t.cepoch request;
     }
   in
   let s = slot_state t (t.cepoch, slot) in
@@ -210,7 +180,7 @@ let handle_forward t ~src (f : Chain_msg.forward) =
     in_chain t
     && predecessor t = Some src
     && f.Chain_msg.cepoch = t.cepoch
-    && Chain_msg.verify_head t.auth ~head:(head t) f
+    && Chain_msg.verify_head (Shell.auth t.sh) ~head:(head t) f
   then begin
     let s = slot_state t (t.cepoch, f.Chain_msg.slot) in
     match s.forward with
@@ -246,52 +216,33 @@ let process t ~src msg =
   match msg.Chain_msg.body with
   | Chain_msg.Forward f -> handle_forward t ~src f
   | Chain_msg.Ack { aslot; aepoch } -> handle_ack t ~src (aslot, aepoch)
-  | Chain_msg.Qsel update -> QS.handle_update (qsel t) update
+  | Chain_msg.Qsel update -> Shell.update t.sh update
 
-let receive t ~src msg =
-  if Chain_msg.verify t.auth msg && msg.Chain_msg.sender = src then
-    Detector.receive (fd t) ~src msg
+let receive t = Shell.receive t.sh
 
 let create config ~me ~auth ~sim ~net_send ?(on_execute = fun _ -> ()) () =
   if config.n <= 0 || config.f < 0 || config.n - config.f <= config.f then
     invalid_arg "Chain_node.create: need n - f > f";
-  if me < 0 || me >= config.n then invalid_arg "Chain_node.create: me out of range";
+  let sh =
+    Shell.create ~who:"Chain_node.create" ~n:config.n ~me ~auth ~sim ~net_send
+      ~seal:Chain_msg.seal ~verify:Chain_msg.verify
+      ~sender:(fun m -> m.Chain_msg.sender)
+      ~initial_timeout:config.initial_timeout config.timeout_strategy
+  in
   let t =
     {
       config;
-      me;
-      auth;
-      sim;
-      net_send;
+      sh;
       on_execute;
-      fd = None;
-      qsel = None;
       chain = List.init (config.n - config.f) (fun i -> i);
       cepoch = 0;
       slots = Hashtbl.create 64;
       next_slot = 0;
       proposed = Hashtbl.create 64;
-      executed_ids = Hashtbl.create 64;
-      executed = [];
       awaiting_forward = Hashtbl.create 64;
-      fault = Honest;
     }
   in
-  let timeouts =
-    Timeout.create ~n:config.n ~initial:config.initial_timeout config.timeout_strategy
-  in
-  t.fd <-
-    Some
-      (Detector.create ~sim ~me ~n:config.n ~timeouts
-         ~deliver:(fun ~src m -> process t ~src m)
-         ~on_suspected:(fun s -> QS.handle_suspected (qsel t) s)
-         ());
-  t.qsel <-
-    Some
-      (QS.create
-         { QS.n = config.n; f = config.f }
-         ~me ~auth
-         ~send:(fun update -> send_all_including_self t (Chain_msg.Qsel update))
-         ~on_quorum:(fun quorum -> on_quorum t quorum)
-         ());
+  Shell.start sh ~deliver:(process t)
+    (Shell.Select
+       { f = config.f; wrap = (fun u -> Chain_msg.Qsel u); on_quorum = on_quorum t });
   t

@@ -27,7 +27,7 @@ type config = {
   timeout_strategy : Qs_fd.Timeout.strategy;
 }
 
-type fault = Honest | Mute | Omit_to of Qs_core.Pid.t list
+type fault = Qs_shell.Shell.fault = Honest | Mute | Omit_to of Qs_core.Pid.t list
 
 type t
 

@@ -17,9 +17,7 @@ let encode u =
 let seal auth u = { update = u; signature = Qs_crypto.Auth.sign auth ~signer:u.owner (encode u) }
 
 let verify auth t =
-  t.update.owner >= 0
-  && t.update.owner < Qs_crypto.Auth.universe auth
-  && Qs_crypto.Auth.verify auth ~signer:t.update.owner (encode t.update) t.signature
+  Qs_crypto.Auth.verify auth ~signer:t.update.owner (encode t.update) t.signature
 
 let pp ppf t =
   Format.fprintf ppf "UPDATE(%a: %a)" Pid.pp t.update.owner

@@ -16,16 +16,14 @@ let key t i =
 
 let sign t ~signer payload = Hmac.mac ~key:(key t signer) payload
 
-let verify t ~signer payload tag = Hmac.verify ~key:(key t signer) payload ~tag
+let verify t ~signer payload tag =
+  signer >= 0 && signer < Array.length t.keys && Hmac.verify ~key:t.keys.(signer) payload ~tag
 
 type signed = { signer : int; payload : string; signature : signature }
 
 let seal t ~signer payload = { signer; payload; signature = sign t ~signer payload }
 
-let check t s =
-  s.signer >= 0
-  && s.signer < Array.length t.keys
-  && verify t ~signer:s.signer s.payload s.signature
+let check t s = verify t ~signer:s.signer s.payload s.signature
 
 let forge t ~claimed payload =
   ignore (key t claimed);

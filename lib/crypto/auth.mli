@@ -28,7 +28,8 @@ val sign : t -> signer:int -> string -> signature
 (** Tag [payload] with [signer]'s key. *)
 
 val verify : t -> signer:int -> string -> signature -> bool
-(** Does the tag check out under [signer]'s key? *)
+(** Does the tag check out under [signer]'s key? [false] for a signer
+    outside the directory. *)
 
 type signed = {
   signer : int;

@@ -28,10 +28,7 @@ let encode_body = function
 let seal auth ~sender body =
   { sender; body; signature = Auth.sign auth ~signer:sender (encode_body body) }
 
-let verify auth m =
-  m.sender >= 0
-  && m.sender < Auth.universe auth
-  && Auth.verify auth ~signer:m.sender (encode_body m.body) m.signature
+let verify auth m = Auth.verify auth ~signer:m.sender (encode_body m.body) m.signature
 
 type proc = {
   me : Pid.t;

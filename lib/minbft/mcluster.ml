@@ -3,8 +3,6 @@ include Qs_sim.Smr_cluster.Make (struct
 
   type msg = Mmsg.t
 
-  type request = Mmsg.request
-
   type config = Mreplica.config
 
   type fault = Mreplica.fault
@@ -29,8 +27,4 @@ include Qs_sim.Smr_cluster.Make (struct
   let executed = Mreplica.executed
 
   let set_fault = Mreplica.set_fault
-
-  let request ~client ~rid op = { Mmsg.client; rid; op }
-
-  let key (r : Mmsg.request) = (r.client, r.rid)
 end)

@@ -1,8 +1,8 @@
 module Auth = Qs_crypto.Auth
 
-type request = { client : int; rid : int; op : string }
+type request = Qs_sim.Smr_cluster.request = { client : int; rid : int; op : string }
 
-let encode_request r = Printf.sprintf "REQ|%d|%d|%s" r.client r.rid r.op
+let encode_request = Qs_sim.Smr_cluster.encode_request
 
 let digest_of ~view ~slot request =
   Qs_crypto.Sha256.digest_string (Printf.sprintf "BIND|%d|%d|%s" view slot (encode_request request))
@@ -35,10 +35,7 @@ let encode_body = function
 let seal auth ~sender body =
   { sender; body; signature = Auth.sign auth ~signer:sender (encode_body body) }
 
-let verify auth t =
-  t.sender >= 0
-  && t.sender < Auth.universe auth
-  && Auth.verify auth ~signer:t.sender (encode_body t.body) t.signature
+let verify auth t = Auth.verify auth ~signer:t.sender (encode_body t.body) t.signature
 
 let tag = function
   | Prepare _ -> "PREPARE"

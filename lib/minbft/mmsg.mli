@@ -6,7 +6,7 @@
     the request binding; a COMMIT carries the committer's own UI over the
     primary's certificate. *)
 
-type request = { client : int; rid : int; op : string }
+type request = Qs_sim.Smr_cluster.request = { client : int; rid : int; op : string }
 
 val digest_of : view:int -> slot:int -> request -> string
 

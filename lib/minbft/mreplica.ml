@@ -1,9 +1,7 @@
-module Sim = Qs_sim.Sim
 module Detector = Qs_fd.Detector
 module Timeout = Qs_fd.Timeout
-module QS = Qs_core.Quorum_select
 module Pid = Qs_core.Pid
-module Auth = Qs_crypto.Auth
+module Shell = Qs_shell.Shell
 
 type participation = Full | Selected
 
@@ -15,7 +13,7 @@ type config = {
   timeout_strategy : Timeout.strategy;
 }
 
-type fault = Honest | Mute | Omit_to of Pid.t list
+type fault = Shell.fault = Honest | Mute | Omit_to of Pid.t list
 
 type slot_state = {
   mutable prepare : Mmsg.prepare option;
@@ -25,69 +23,46 @@ type slot_state = {
 
 type t = {
   config : config;
-  me : Pid.t;
-  auth : Auth.t;
+  sh : (Mmsg.body, Mmsg.t) Shell.t;
   usig : Usig.t;
   monitor : Usig.monitor;
   monitor_directory : Usig.directory;
   resync_pending : bool array;
-  sim : Sim.t;
-  net_send : dst:Pid.t -> Mmsg.t -> unit;
   on_execute : Mmsg.request -> unit;
-  mutable fd : Mmsg.t Detector.t option;
-  mutable qsel : QS.t option;
   mutable active : Pid.t list;
   mutable cepoch : int;
   slots : (int * int, slot_state) Hashtbl.t; (* (cepoch, slot) *)
   mutable next_slot : int;
   proposed : (int * int, unit) Hashtbl.t;
   awaiting_prepare : (int * int, unit) Hashtbl.t;
-  executed_ids : (int * int, unit) Hashtbl.t;
-  mutable executed : Mmsg.request list; (* reversed *)
-  mutable fault : fault;
   mutable gaps : int;
 }
 
-let me t = t.me
+let me t = Shell.me t.sh
 
-let fd t = Option.get t.fd
+let fd t = Shell.detector t.sh
 
 let detector = fd
 
-let quorum_selector t = t.qsel
+let quorum_selector t = Shell.selector t.sh
 
-let set_fault t fault = t.fault <- fault
+let set_fault t fault = Shell.set_fault t.sh fault
 
 let active t = t.active
 
 let primary t = match t.active with p :: _ -> p | [] -> assert false
 
-let is_primary t = primary t = t.me
+let is_primary t = primary t = me t
 
-let in_active t = List.mem t.me t.active
+let in_active t = List.mem (me t) t.active
 
 let config_epoch t = t.cepoch
 
-let executed t = List.rev t.executed
+let executed t = Shell.executed t.sh
 
 let usig_gaps t = t.gaps
 
-let fault_allows t dst =
-  match t.fault with
-  | Honest -> true
-  | Mute -> false
-  | Omit_to victims -> not (List.mem dst victims)
-
-let send t ~dst body =
-  if dst = t.me || fault_allows t dst then
-    t.net_send ~dst (Mmsg.seal t.auth ~sender:t.me body)
-
-let send_active t body = List.iter (fun dst -> if dst <> t.me then send t ~dst body) t.active
-
-let send_all_including_self t body =
-  for dst = 0 to t.config.n - 1 do
-    send t ~dst body
-  done
+let send_active t body = Shell.multicast t.sh t.active body
 
 let slot_state t key =
   match Hashtbl.find_opt t.slots key with
@@ -97,13 +72,7 @@ let slot_state t key =
     Hashtbl.replace t.slots key s;
     s
 
-let execute t (request : Mmsg.request) =
-  let key = (request.Mmsg.client, request.Mmsg.rid) in
-  if not (Hashtbl.mem t.executed_ids key) then begin
-    Hashtbl.replace t.executed_ids key ();
-    t.executed <- request :: t.executed;
-    t.on_execute request
-  end
+let execute t request = if Shell.execute_once t.sh request then t.on_execute request
 
 (* Counter acceptance with post-reconfiguration resync. *)
 let accept_ui t ~digest (ui : Usig.ui) =
@@ -158,12 +127,12 @@ let adopt_prepare t (p : Mmsg.prepare) =
   if s.prepare = None then begin
     s.prepare <- Some p;
     if not (is_primary t) then begin
-      let cui = Usig.certify t.usig ~digest:(Mmsg.commit_digest p ~committer:t.me) in
+      let cui = Usig.certify t.usig ~digest:(Mmsg.commit_digest p ~committer:(me t)) in
       send_active t (Mmsg.Commit { cprepare = p; cui });
-      if not (List.mem t.me s.committers) then s.committers <- t.me :: s.committers;
+      if not (List.mem (me t) s.committers) then s.committers <- me t :: s.committers;
       if selected t then
         List.iter
-          (fun k -> if k <> t.me && k <> primary t then expect_commit t ~from:k ~slot:p.Mmsg.pslot)
+          (fun k -> if k <> me t && k <> primary t then expect_commit t ~from:k ~slot:p.Mmsg.pslot)
           t.active
     end;
     check_commit t s
@@ -222,7 +191,7 @@ let propose t request =
   s.prepare <- Some p;
   send_active t (Mmsg.Prepare p);
   if selected t then
-    List.iter (fun k -> if k <> t.me then expect_commit t ~from:k ~slot) t.active;
+    List.iter (fun k -> if k <> me t then expect_commit t ~from:k ~slot) t.active;
   check_commit t s
 
 (* Note: no early return on local execution — the cluster-wide commit may
@@ -257,30 +226,27 @@ let process t ~src msg =
   match msg.Mmsg.body with
   | Mmsg.Prepare p -> handle_prepare t ~src p
   | Mmsg.Commit { cprepare; cui } -> handle_commit t ~src (cprepare, cui)
-  | Mmsg.Qsel update -> (
-    match t.qsel with Some qsel -> QS.handle_update qsel update | None -> ())
+  | Mmsg.Qsel update -> Shell.update t.sh update
 
-let receive t ~src msg =
-  if Mmsg.verify t.auth msg && msg.Mmsg.sender = src then Detector.receive (fd t) ~src msg
+let receive t = Shell.receive t.sh
 
 let create config ~me ~auth ~usig ~usig_directory ~sim ~net_send
     ?(on_execute = fun _ -> ()) () =
   if config.n <> (2 * config.f) + 1 then invalid_arg "Mreplica.create: need n = 2f+1";
-  if me < 0 || me >= config.n then invalid_arg "Mreplica.create: me out of range";
+  let sh =
+    Shell.create ~who:"Mreplica.create" ~n:config.n ~me ~auth ~sim ~net_send ~seal:Mmsg.seal ~verify:Mmsg.verify
+      ~sender:(fun m -> m.Mmsg.sender)
+      ~initial_timeout:config.initial_timeout config.timeout_strategy
+  in
   let t =
     {
       config;
-      me;
-      auth;
+      sh;
       usig;
       monitor = Usig.monitor usig_directory ~n:config.n;
       monitor_directory = usig_directory;
       resync_pending = Array.make config.n false;
-      sim;
-      net_send;
       on_execute;
-      fd = None;
-      qsel = None;
       active =
         (match config.participation with
          | Full -> List.init config.n Fun.id
@@ -290,31 +256,13 @@ let create config ~me ~auth ~usig ~usig_directory ~sim ~net_send
       next_slot = 0;
       proposed = Hashtbl.create 64;
       awaiting_prepare = Hashtbl.create 64;
-      executed_ids = Hashtbl.create 64;
-      executed = [];
-      fault = Honest;
       gaps = 0;
     }
   in
-  let timeouts =
-    Timeout.create ~n:config.n ~initial:config.initial_timeout config.timeout_strategy
-  in
-  t.fd <-
-    Some
-      (Detector.create ~sim ~me ~n:config.n ~timeouts
-         ~deliver:(fun ~src m -> process t ~src m)
-         ~on_suspected:(fun s ->
-           match t.qsel with Some qsel -> QS.handle_suspected qsel s | None -> ())
-         ());
-  (match config.participation with
-   | Full -> ()
-   | Selected ->
-     t.qsel <-
-       Some
-         (QS.create
-            { QS.n = config.n; f = config.f }
-            ~me ~auth
-            ~send:(fun update -> send_all_including_self t (Mmsg.Qsel update))
-            ~on_quorum:(fun quorum -> on_quorum t quorum)
-            ()));
+  Shell.start sh ~deliver:(process t)
+    (match config.participation with
+     | Full -> Shell.Protocol ignore
+     | Selected ->
+       Shell.Select
+         { f = config.f; wrap = (fun u -> Mmsg.Qsel u); on_quorum = on_quorum t });
   t

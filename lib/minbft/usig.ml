@@ -28,11 +28,9 @@ let certify t ~digest =
 let counter t = t.last
 
 let verify directory ~digest ui =
-  ui.origin >= 0
-  && ui.origin < Auth.universe directory
-  && Auth.verify directory ~signer:ui.origin
-       (binding ~origin:ui.origin ~counter:ui.counter ~digest)
-       ui.usig_sig
+  Auth.verify directory ~signer:ui.origin
+    (binding ~origin:ui.origin ~counter:ui.counter ~digest)
+    ui.usig_sig
 
 type monitor = { directory : directory; expected : int array }
 

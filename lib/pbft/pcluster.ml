@@ -3,8 +3,6 @@ include Qs_sim.Smr_cluster.Make (struct
 
   type msg = Pmsg.t
 
-  type request = Pmsg.request
-
   type config = Preplica.config
 
   type fault = Preplica.fault
@@ -29,10 +27,6 @@ include Qs_sim.Smr_cluster.Make (struct
   let executed = Preplica.executed
 
   let set_fault = Preplica.set_fault
-
-  let request ~client ~rid op = { Pmsg.client; rid; op }
-
-  let key (r : Pmsg.request) = (r.client, r.rid)
 end)
 
 let max_view t = Array.fold_left (fun acc r -> max acc (Preplica.view r)) 0 (replicas t)

@@ -1,8 +1,8 @@
 module Auth = Qs_crypto.Auth
 
-type request = { client : int; rid : int; op : string }
+type request = Qs_sim.Smr_cluster.request = { client : int; rid : int; op : string }
 
-let encode_request r = Printf.sprintf "REQ|%d|%d|%s" r.client r.rid r.op
+let encode_request = Qs_sim.Smr_cluster.encode_request
 
 let digest r = Qs_crypto.Sha256.digest_string (encode_request r)
 
@@ -37,9 +37,7 @@ let sign_pre_prepare auth ~primary pp =
   { pp; ppsig = Auth.sign auth ~signer:primary (encode_pre_prepare pp) }
 
 let verify_pre_prepare auth ~primary spp =
-  primary >= 0
-  && primary < Auth.universe auth
-  && Auth.verify auth ~signer:primary (encode_pre_prepare spp.pp) spp.ppsig
+  Auth.verify auth ~signer:primary (encode_pre_prepare spp.pp) spp.ppsig
 
 let encode_entry e =
   Printf.sprintf "E|%d|%d|%s|%b|%s" e.eview e.eslot (encode_request e.erequest)
@@ -58,10 +56,7 @@ let encode_body = function
 let seal auth ~sender body =
   { sender; body; signature = Auth.sign auth ~signer:sender (encode_body body) }
 
-let verify auth t =
-  t.sender >= 0
-  && t.sender < Auth.universe auth
-  && Auth.verify auth ~signer:t.sender (encode_body t.body) t.signature
+let verify auth t = Auth.verify auth ~signer:t.sender (encode_body t.body) t.signature
 
 let tag = function
   | Pre_prepare _ -> "PRE-PREPARE"

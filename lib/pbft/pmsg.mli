@@ -7,7 +7,7 @@
     original pre-prepare signatures as provenance (same scheme as the XPaxos
     substrate). *)
 
-type request = { client : int; rid : int; op : string }
+type request = Qs_sim.Smr_cluster.request = { client : int; rid : int; op : string }
 
 val digest : request -> string
 (** SHA-256 of the canonical request encoding. *)

@@ -1,9 +1,7 @@
-module Sim = Qs_sim.Sim
 module Detector = Qs_fd.Detector
 module Timeout = Qs_fd.Timeout
-module QS = Qs_core.Quorum_select
 module Pid = Qs_core.Pid
-module Auth = Qs_crypto.Auth
+module Shell = Qs_shell.Shell
 
 type participation = Full | Selected
 
@@ -15,7 +13,7 @@ type config = {
   timeout_strategy : Timeout.strategy;
 }
 
-type fault = Honest | Mute | Omit_to of Pid.t list
+type fault = Shell.fault = Honest | Mute | Omit_to of Pid.t list
 
 type slot_state = {
   mutable spp : Pmsg.signed_pre_prepare option;
@@ -30,13 +28,8 @@ type phase = Normal | Collecting of (Pid.t, Pmsg.entry list) Hashtbl.t | Awaitin
 
 type t = {
   config : config;
-  me : Pid.t;
-  auth : Auth.t;
-  sim : Sim.t;
-  net_send : dst:Pid.t -> Pmsg.t -> unit;
+  sh : (Pmsg.body, Pmsg.t) Shell.t;
   on_execute : slot:int -> Pmsg.request -> unit;
-  mutable fd : Pmsg.t Detector.t option;
-  mutable qsel : QS.t option;
   mutable view : int;
   mutable active : Pid.t list; (* participants: all (Full) or the quorum *)
   slots : (int, slot_state) Hashtbl.t;
@@ -45,7 +38,6 @@ type t = {
   proposed : (int * int, int) Hashtbl.t;
   awaiting_pp : (int * int, unit) Hashtbl.t;
   mutable phase : phase;
-  mutable fault : fault;
   mutable view_changes : int;
   mutable last_vc_view : int;
   (* VIEW-CHANGE messages for views we have not entered yet (our own quorum
@@ -53,11 +45,11 @@ type t = {
   pending_vcs : (int * Pid.t, Pmsg.entry list) Hashtbl.t;
 }
 
-let me t = t.me
+let me t = Shell.me t.sh
 
-let fd t = Option.get t.fd
+let fd t = Shell.detector t.sh
 
-let set_fault t fault = t.fault <- fault
+let set_fault t fault = Shell.set_fault t.sh fault
 
 let view t = t.view
 
@@ -68,15 +60,15 @@ let primary t =
   | Full -> t.view mod t.config.n
   | Selected -> ( match t.active with p :: _ -> p | [] -> assert false)
 
-let is_primary t = primary t = t.me
+let is_primary t = primary t = me t
 
-let in_active t = List.mem t.me t.active
+let in_active t = List.mem (me t) t.active
 
 let view_changes t = t.view_changes
 
 let detector = fd
 
-let quorum_selector t = t.qsel
+let quorum_selector t = Shell.selector t.sh
 
 (* Selected-mode views map deterministically to active sets through the
    lexicographic enumeration of q-subsets (same scheme as the XPaxos
@@ -96,28 +88,7 @@ let view_for t ~at_least ~group =
   let candidate = base + rank in
   if candidate >= at_least then candidate else candidate + total
 
-let fault_allows t dst =
-  match t.fault with
-  | Honest -> true
-  | Mute -> false
-  | Omit_to victims -> not (List.mem dst victims)
-
-let send t ~dst body =
-  if dst = t.me || fault_allows t dst then
-    t.net_send ~dst (Pmsg.seal t.auth ~sender:t.me body)
-
-let send_active t body =
-  List.iter (fun dst -> if dst <> t.me then send t ~dst body) t.active
-
-let send_everyone t body =
-  for dst = 0 to t.config.n - 1 do
-    if dst <> t.me then send t ~dst body
-  done
-
-let send_all_including_self t body =
-  for dst = 0 to t.config.n - 1 do
-    send t ~dst body
-  done
+let send_active t body = Shell.multicast t.sh t.active body
 
 let slot_state t slot =
   match Hashtbl.find_opt t.slots slot with
@@ -194,10 +165,10 @@ let check_prepared t slot (s : slot_state) =
      | Some spp ->
        let d = Pmsg.digest spp.Pmsg.pp.Pmsg.request in
        send_active t (Pmsg.Commit { view = t.view; slot; cdigest = d });
-       s.commits <- record_vote s.commits t.me;
+       s.commits <- record_vote s.commits (me t);
        if selected t then
          List.iter
-           (fun k -> if k <> t.me then expect_commit t ~from:k ~view:t.view ~slot)
+           (fun k -> if k <> me t then expect_commit t ~from:k ~view:t.view ~slot)
            t.active
      | None -> ());
     check_commit t slot s
@@ -210,12 +181,12 @@ let adopt_pre_prepare t slot spp =
     let d = Pmsg.digest spp.Pmsg.pp.Pmsg.request in
     if not (is_primary t) then begin
       send_active t (Pmsg.Prepare { view = t.view; slot; pdigest = d });
-      s.prepares <- record_vote s.prepares t.me
+      s.prepares <- record_vote s.prepares (me t)
     end;
     if selected t then begin
       List.iter
         (fun k ->
-          if k <> t.me && k <> primary t then expect_prepare t ~from:k ~view:t.view ~slot)
+          if k <> me t && k <> primary t then expect_prepare t ~from:k ~view:t.view ~slot)
         t.active
     end;
     check_prepared t slot s
@@ -225,7 +196,7 @@ let handle_pre_prepare t ~src spp =
   let pp = spp.Pmsg.pp in
   if
     in_active t && src = primary t && pp.Pmsg.view = t.view
-    && Pmsg.verify_pre_prepare t.auth ~primary:src spp
+    && Pmsg.verify_pre_prepare (Shell.auth t.sh) ~primary:src spp
   then begin
     let s = slot_state t pp.Pmsg.slot in
     match s.spp with
@@ -280,7 +251,8 @@ let next_slot t = t.max_slot + 1
 let propose_at t ~slot request =
   Hashtbl.replace t.proposed (request.Pmsg.client, request.Pmsg.rid) slot;
   let spp =
-    Pmsg.sign_pre_prepare t.auth ~primary:t.me { Pmsg.view = t.view; slot; request }
+    Pmsg.sign_pre_prepare (Shell.auth t.sh) ~primary:(me t)
+      { Pmsg.view = t.view; slot; request }
   in
   let s = slot_state t slot in
   s.spp <- Some spp;
@@ -289,7 +261,7 @@ let propose_at t ~slot request =
   s.prepared <- false;
   send_active t (Pmsg.Pre_prepare spp);
   if selected t then
-    List.iter (fun k -> if k <> t.me then expect_prepare t ~from:k ~view:t.view ~slot) t.active;
+    List.iter (fun k -> if k <> me t then expect_prepare t ~from:k ~view:t.view ~slot) t.active;
   check_prepared t slot s
 
 let submit t request =
@@ -322,7 +294,7 @@ let entry_provenance_ok t (e : Pmsg.entry) =
      binding. To keep verification exact we try all processes — n is tens at
      most and this path is rare. *)
   let check primary =
-    Pmsg.verify_pre_prepare t.auth ~primary
+    Pmsg.verify_pre_prepare (Shell.auth t.sh) ~primary
       {
         Pmsg.pp = { Pmsg.view = e.Pmsg.eview; slot = e.Pmsg.eslot; request = e.Pmsg.erequest };
         ppsig = e.Pmsg.epsig;
@@ -423,7 +395,7 @@ let enter_view t ~view ~active =
   if not (in_active t) then t.phase <- Normal
   else if is_primary t then begin
     let tbl = Hashtbl.create 8 in
-    Hashtbl.replace tbl t.me (log_entries t);
+    Hashtbl.replace tbl (me t) (log_entries t);
     t.phase <- Collecting tbl;
     (* Drain VIEW-CHANGEs that arrived before we entered this view. *)
     let stashed =
@@ -441,16 +413,17 @@ let enter_view t ~view ~active =
   end
   else begin
     t.phase <- Awaiting_nv;
-    send t ~dst:(primary t) (Pmsg.View_change { vview = t.view; vlog = log_entries t })
+    Shell.send t.sh ~dst:(primary t) (Pmsg.View_change { vview = t.view; vlog = log_entries t })
   end
 
 (* Full-mode rotation: anyone suspecting the primary broadcasts a
-   VIEW-CHANGE for view+1; receivers join. *)
+   VIEW-CHANGE for view+1; receivers join. In Full mode the active set is
+   everyone, so [send_active] reaches every other replica. *)
 let start_rotation t =
   if t.config.participation = Full && t.last_vc_view < t.view + 1 then begin
     t.last_vc_view <- t.view + 1;
     let target = t.view + 1 in
-    send_everyone t (Pmsg.View_change { vview = target; vlog = log_entries t });
+    send_active t (Pmsg.View_change { vview = target; vlog = log_entries t });
     enter_view t ~view:target ~active:t.active
   end
 
@@ -460,7 +433,7 @@ let handle_view_change t ~src (vview, vlog) =
     if vview > t.view then begin
       t.last_vc_view <- max t.last_vc_view vview;
       (* Join the view change; our own VC travels to everyone. *)
-      send_everyone t (Pmsg.View_change { vview; vlog = log_entries t });
+      send_active t (Pmsg.View_change { vview; vlog = log_entries t });
       enter_view t ~view:vview ~active:t.active
     end;
     if vview = t.view && is_primary t then begin
@@ -499,10 +472,8 @@ let handle_new_view t ~src (nview, nlog) =
 (* ------------------------------------------------------------------ *)
 (* Suspicion plumbing *)
 
-let on_suspected t suspects =
-  match t.config.participation with
-  | Selected -> QS.handle_suspected (Option.get t.qsel) suspects
-  | Full -> if List.mem (primary t) suspects then start_rotation t
+(* Full mode only: in Selected mode Algorithm 1 consumes suspicions. *)
+let on_suspected t suspects = if List.mem (primary t) suspects then start_rotation t
 
 let on_qs_quorum t quorum =
   if quorum <> t.active then begin
@@ -519,11 +490,9 @@ let process t ~src msg =
   | Pmsg.Commit { view; slot; cdigest } -> handle_commit t ~src (view, slot, cdigest)
   | Pmsg.View_change { vview; vlog } -> handle_view_change t ~src (vview, vlog)
   | Pmsg.New_view { nview; nlog } -> handle_new_view t ~src (nview, nlog)
-  | Pmsg.Qsel update -> (
-    match t.qsel with Some qsel -> QS.handle_update qsel update | None -> ())
+  | Pmsg.Qsel update -> Shell.update t.sh update
 
-let receive t ~src msg =
-  if Pmsg.verify t.auth msg && msg.Pmsg.sender = src then Detector.receive (fd t) ~src msg
+let receive t = Shell.receive t.sh
 
 let executed t =
   let rec loop slot acc =
@@ -536,17 +505,16 @@ let executed t =
 
 let create config ~me ~auth ~sim ~net_send ?(on_execute = fun ~slot:_ _ -> ()) () =
   if config.n <> (3 * config.f) + 1 then invalid_arg "Preplica.create: need n = 3f+1";
-  if me < 0 || me >= config.n then invalid_arg "Preplica.create: me out of range";
+  let sh =
+    Shell.create ~who:"Preplica.create" ~n:config.n ~me ~auth ~sim ~net_send ~seal:Pmsg.seal ~verify:Pmsg.verify
+      ~sender:(fun m -> m.Pmsg.sender)
+      ~initial_timeout:config.initial_timeout config.timeout_strategy
+  in
   let t =
     {
       config;
-      me;
-      auth;
-      sim;
-      net_send;
+      sh;
       on_execute;
-      fd = None;
-      qsel = None;
       view = 0;
       active =
         (match config.participation with
@@ -558,30 +526,15 @@ let create config ~me ~auth ~sim ~net_send ?(on_execute = fun ~slot:_ _ -> ()) (
       proposed = Hashtbl.create 64;
       awaiting_pp = Hashtbl.create 64;
       phase = Normal;
-      fault = Honest;
       view_changes = 0;
       last_vc_view = 0;
       pending_vcs = Hashtbl.create 16;
     }
   in
-  let timeouts =
-    Timeout.create ~n:config.n ~initial:config.initial_timeout config.timeout_strategy
-  in
-  t.fd <-
-    Some
-      (Detector.create ~sim ~me ~n:config.n ~timeouts
-         ~deliver:(fun ~src m -> process t ~src m)
-         ~on_suspected:(fun s -> on_suspected t s)
-         ());
-  (match config.participation with
-   | Full -> ()
-   | Selected ->
-     t.qsel <-
-       Some
-         (QS.create
-            { QS.n = config.n; f = config.f }
-            ~me ~auth
-            ~send:(fun update -> send_all_including_self t (Pmsg.Qsel update))
-            ~on_quorum:(fun quorum -> on_qs_quorum t quorum)
-            ()));
+  Shell.start sh ~deliver:(process t)
+    (match config.participation with
+     | Full -> Shell.Protocol (on_suspected t)
+     | Selected ->
+       Shell.Select
+         { f = config.f; wrap = (fun u -> Pmsg.Qsel u); on_quorum = on_qs_quorum t });
   t

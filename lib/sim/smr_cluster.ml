@@ -9,6 +9,21 @@
    few genuine extras. The module is mostly signatures, so it has no
    separate interface file: [Make]'s result is sealed by [S]. *)
 
+(** A client request, the one record every stack orders and executes:
+    (client, rid) identifies it, [op] is the opaque state-machine
+    operation. *)
+type request = {
+  client : int;
+  rid : int;  (** client-local request id *)
+  op : string;  (** state-machine operation *)
+}
+
+(** The canonical bytes of a request inside every signed binding. *)
+let encode_request r = Printf.sprintf "REQ|%d|%d|%s" r.client r.rid r.op
+
+(** (client, rid) *)
+let request_id r = (r.client, r.rid)
+
 (** One history is a prefix of the other. *)
 let prefix_compatible a b =
   let rec is_prefix a b =
@@ -38,8 +53,6 @@ module type REPLICA = sig
   type t
 
   type msg
-
-  type request
 
   type config
 
@@ -71,11 +84,6 @@ module type REPLICA = sig
   val executed : t -> request list
 
   val set_fault : t -> fault -> unit
-
-  val request : client:int -> rid:int -> string -> request
-
-  val key : request -> int * int
-  (** (client, rid) *)
 end
 
 module type S = sig
@@ -144,14 +152,14 @@ module Make (R : REPLICA) :
   S
     with type replica = R.t
      and type msg = R.msg
-     and type request = R.request
+     and type request = request
      and type config = R.config
      and type fault = R.fault = struct
   type replica = R.t
 
   type msg = R.msg
 
-  type request = R.request
+  type nonrec request = request
 
   type config = R.config
 
@@ -184,7 +192,7 @@ module Make (R : REPLICA) :
           make ~me ~sim
             ~net_send:(fun ~dst msg -> Network.send net ~src:me ~dst msg)
             ~on_execute:(fun request ->
-              let key = R.key request in
+              let key = request_id request in
               let cell =
                 match Hashtbl.find_opt executions key with
                 | Some c -> c
@@ -229,7 +237,7 @@ module Make (R : REPLICA) :
   let set_fault t i fault = R.set_fault t.replicas.(i) fault
 
   let executed_by t request =
-    match Hashtbl.find_opt t.executions (R.key request) with
+    match Hashtbl.find_opt t.executions (request_id request) with
     | Some cell -> List.sort compare !cell
     | None -> []
 
@@ -247,7 +255,7 @@ module Make (R : REPLICA) :
   let submit t ?(client = 0) ?resubmit_every op =
     let rid = t.next_rid in
     t.next_rid <- t.next_rid + 1;
-    let request = R.request ~client ~rid op in
+    let request = { client; rid; op } in
     Hashtbl.replace t.submit_times (client, rid) (Sim.now t.sim);
     let deliver () = Array.iter (fun r -> R.submit r request) t.replicas in
     Sim.schedule t.sim ~delay:0 deliver;
@@ -265,7 +273,7 @@ module Make (R : REPLICA) :
 
   let run ?until ?max_events t = Sim.run ?until ?max_events t.sim
 
-  let history t p = List.map R.key (R.executed t.replicas.(p))
+  let history t p = List.map request_id (R.executed t.replicas.(p))
 
   let consistent t ~correct =
     prefix_consistent (List.map (fun p -> R.executed t.replicas.(p)) correct)
@@ -273,7 +281,7 @@ module Make (R : REPLICA) :
   let message_count t = Network.sent_count t.net
 
   let commit_latency t request =
-    let key = R.key request in
+    let key = request_id request in
     match (Hashtbl.find_opt t.submit_times key, Hashtbl.find_opt t.commit_times key) with
     | Some s, Some c -> Some (Stime.( - ) c s)
     | _ -> None

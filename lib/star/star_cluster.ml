@@ -3,8 +3,6 @@ include Qs_sim.Smr_cluster.Make (struct
 
   type msg = Star_msg.t
 
-  type request = Star_msg.request
-
   type config = Star_node.config
 
   type fault = Star_node.fault
@@ -27,10 +25,6 @@ include Qs_sim.Smr_cluster.Make (struct
   let executed = Star_node.executed
 
   let set_fault = Star_node.set_fault
-
-  let request ~client ~rid op = { Star_msg.client; rid; op }
-
-  let key (r : Star_msg.request) = (r.client, r.rid)
 end)
 
 let max_quorum_epoch t =

@@ -1,6 +1,8 @@
 module Auth = Qs_crypto.Auth
 
-type request = { client : int; rid : int; op : string }
+type request = Qs_sim.Smr_cluster.request = { client : int; rid : int; op : string }
+
+let encode_request = Qs_sim.Smr_cluster.encode_request
 
 type lead = { slot : int; qepoch : int; request : request; lsig : Auth.signature }
 
@@ -12,8 +14,6 @@ type body =
 
 type t = { sender : Qs_core.Pid.t; body : body; signature : Auth.signature }
 
-let encode_request r = Printf.sprintf "REQ|%d|%d|%s" r.client r.rid r.op
-
 let lead_binding ~slot ~qepoch request =
   Printf.sprintf "LEAD|%d|%d|%s" slot qepoch (encode_request request)
 
@@ -21,11 +21,8 @@ let sign_lead auth ~leader ~slot ~qepoch request =
   Auth.sign auth ~signer:leader (lead_binding ~slot ~qepoch request)
 
 let verify_lead auth ~leader l =
-  leader >= 0
-  && leader < Auth.universe auth
-  && Auth.verify auth ~signer:leader
-       (lead_binding ~slot:l.slot ~qepoch:l.qepoch l.request)
-       l.lsig
+  Auth.verify auth ~signer:leader (lead_binding ~slot:l.slot ~qepoch:l.qepoch l.request)
+    l.lsig
 
 let hex = Qs_crypto.Sha256.hex
 
@@ -39,10 +36,7 @@ let encode_body = function
 let seal auth ~sender body =
   { sender; body; signature = Auth.sign auth ~signer:sender (encode_body body) }
 
-let verify auth t =
-  t.sender >= 0
-  && t.sender < Auth.universe auth
-  && Auth.verify auth ~signer:t.sender (encode_body t.body) t.signature
+let verify auth t = Auth.verify auth ~signer:t.sender (encode_body t.body) t.signature
 
 let tag = function
   | Lead _ -> "LEAD"

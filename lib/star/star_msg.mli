@@ -6,7 +6,7 @@
     fan-in, one APPLY fan-out — 3(q−1) messages per request, and the only
     links that matter are leader↔follower. *)
 
-type request = { client : int; rid : int; op : string }
+type request = Qs_sim.Smr_cluster.request = { client : int; rid : int; op : string }
 
 type lead = {
   slot : int;

@@ -1,8 +1,7 @@
-module Sim = Qs_sim.Sim
 module Detector = Qs_fd.Detector
 module Timeout = Qs_fd.Timeout
 module Pid = Qs_core.Pid
-module Auth = Qs_crypto.Auth
+module Shell = Qs_shell.Shell
 module Fsel = Qs_follower.Follower_select
 module Fmsg = Qs_follower.Fmsg
 
@@ -13,7 +12,7 @@ type config = {
   timeout_strategy : Timeout.strategy;
 }
 
-type fault = Honest | Mute | Omit_to of Pid.t list
+type fault = Shell.fault = Honest | Mute | Omit_to of Pid.t list
 
 type slot_state = {
   mutable request : Star_msg.request option;
@@ -23,12 +22,8 @@ type slot_state = {
 
 type t = {
   config : config;
-  me : Pid.t;
-  auth : Auth.t;
-  sim : Sim.t;
-  net_send : dst:Pid.t -> Star_msg.t -> unit;
+  sh : (Star_msg.body, Star_msg.t) Shell.t;
   on_execute : Star_msg.request -> unit;
-  mutable fd : Star_msg.t Detector.t option;
   mutable fsel : Fsel.t option;
   mutable leader : Pid.t;
   mutable quorum : Pid.t list;
@@ -37,47 +32,31 @@ type t = {
   mutable next_slot : int;
   proposed : (int * int, int) Hashtbl.t; (* request id -> slot in current epoch *)
   awaiting_lead : (int * int, unit) Hashtbl.t;
-  executed_ids : (int * int, unit) Hashtbl.t;
-  mutable executed : Star_msg.request list; (* reversed *)
-  mutable fault : fault;
 }
 
-let me t = t.me
+let me t = Shell.me t.sh
 
-let fd t = Option.get t.fd
+let fd t = Shell.detector t.sh
 
 let selector t = Option.get t.fsel
 
 let detector = fd
 
-let set_fault t fault = t.fault <- fault
+let set_fault t fault = Shell.set_fault t.sh fault
 
 let leader t = t.leader
 
 let quorum t = t.quorum
 
-let is_leader t = t.leader = t.me
+let is_leader t = t.leader = me t
 
-let in_quorum t = List.mem t.me t.quorum
+let in_quorum t = List.mem (me t) t.quorum
 
 let quorum_epoch t = t.qepoch
 
-let executed t = List.rev t.executed
+let executed t = Shell.executed t.sh
 
-let fault_allows t dst =
-  match t.fault with
-  | Honest -> true
-  | Mute -> false
-  | Omit_to victims -> not (List.mem dst victims)
-
-let send t ~dst body =
-  if dst = t.me || fault_allows t dst then
-    t.net_send ~dst (Star_msg.seal t.auth ~sender:t.me body)
-
-let send_all_including_self t body =
-  for dst = 0 to t.config.n - 1 do
-    send t ~dst body
-  done
+let send t = Shell.send t.sh
 
 let slot_state t key =
   match Hashtbl.find_opt t.slots key with
@@ -87,13 +66,7 @@ let slot_state t key =
     Hashtbl.replace t.slots key s;
     s
 
-let execute t (request : Star_msg.request) =
-  let key = (request.Star_msg.client, request.Star_msg.rid) in
-  if not (Hashtbl.mem t.executed_ids key) then begin
-    Hashtbl.replace t.executed_ids key ();
-    t.executed <- request :: t.executed;
-    t.on_execute request
-  end
+let execute t request = if Shell.execute_once t.sh request then t.on_execute request
 
 (* ------------------------------------------------------------------ *)
 (* Expectations *)
@@ -131,7 +104,9 @@ let propose t request =
   let slot = t.next_slot in
   t.next_slot <- slot + 1;
   Hashtbl.replace t.proposed key slot;
-  let lsig = Star_msg.sign_lead t.auth ~leader:t.me ~slot ~qepoch:t.qepoch request in
+  let lsig =
+    Star_msg.sign_lead (Shell.auth t.sh) ~leader:(me t) ~slot ~qepoch:t.qepoch request
+  in
   let s = slot_state t (t.qepoch, slot) in
   s.request <- Some request;
   List.iter
@@ -157,7 +132,7 @@ let submit t request =
 let handle_lead t ~src (l : Star_msg.lead) =
   if
     in_quorum t && src = t.leader && l.Star_msg.qepoch = t.qepoch
-    && Star_msg.verify_lead t.auth ~leader:src l
+    && Star_msg.verify_lead (Shell.auth t.sh) ~leader:src l
   then begin
     let s = slot_state t (t.qepoch, l.Star_msg.slot) in
     match s.request with
@@ -215,22 +190,21 @@ let process t ~src msg =
   | Star_msg.Apply { pslot; pepoch } -> handle_apply t ~src (pslot, pepoch)
   | Star_msg.Fsel m -> Fsel.handle_msg (selector t) m
 
-let receive t ~src msg =
-  if Star_msg.verify t.auth msg && msg.Star_msg.sender = src then
-    Detector.receive (fd t) ~src msg
+let receive t = Shell.receive t.sh
 
 let create config ~me ~auth ~sim ~net_send ?(on_execute = fun _ -> ()) () =
   if config.n <= 3 * config.f then invalid_arg "Star_node.create: requires n > 3f";
-  if me < 0 || me >= config.n then invalid_arg "Star_node.create: me out of range";
+  let sh =
+    Shell.create ~who:"Star_node.create" ~n:config.n ~me ~auth ~sim ~net_send
+      ~seal:Star_msg.seal ~verify:Star_msg.verify
+      ~sender:(fun m -> m.Star_msg.sender)
+      ~initial_timeout:config.initial_timeout config.timeout_strategy
+  in
   let t =
     {
       config;
-      me;
-      auth;
-      sim;
-      net_send;
+      sh;
       on_execute;
-      fd = None;
       fsel = None;
       leader = 0;
       quorum = List.init (config.n - config.f) Fun.id;
@@ -239,26 +213,16 @@ let create config ~me ~auth ~sim ~net_send ?(on_execute = fun _ -> ()) () =
       next_slot = 0;
       proposed = Hashtbl.create 64;
       awaiting_lead = Hashtbl.create 64;
-      executed_ids = Hashtbl.create 64;
-      executed = [];
-      fault = Honest;
     }
   in
-  let timeouts =
-    Timeout.create ~n:config.n ~initial:config.initial_timeout config.timeout_strategy
-  in
-  t.fd <-
-    Some
-      (Detector.create ~sim ~me ~n:config.n ~timeouts
-         ~deliver:(fun ~src m -> process t ~src m)
-         ~on_suspected:(fun s -> Fsel.handle_suspected (selector t) s)
-         ());
+  Shell.start sh ~deliver:(process t)
+    (Shell.Protocol (fun s -> Fsel.handle_suspected (selector t) s));
   t.fsel <-
     Some
       (Fsel.create
          { Qs_core.Quorum_select.n = config.n; f = config.f }
          ~me ~auth
-         ~send:(fun m -> send_all_including_self t (Star_msg.Fsel m))
+         ~send:(fun m -> Shell.broadcast sh (Star_msg.Fsel m))
          ~on_quorum:(fun ~leader quorum -> on_quorum t ~leader quorum)
          ~fd_expect:(fun ~leader ~epoch ->
            Detector.expect (fd t) ~from:leader ~tag:"followers" (fun m ->

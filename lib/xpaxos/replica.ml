@@ -3,7 +3,7 @@ module Detector = Qs_fd.Detector
 module Timeout = Qs_fd.Timeout
 module QS = Qs_core.Quorum_select
 module Pid = Qs_core.Pid
-module Auth = Qs_crypto.Auth
+module Shell = Qs_shell.Shell
 module Metrics = Qs_obs.Metrics
 module Journal = Qs_obs.Journal
 
@@ -29,20 +29,14 @@ type phase =
 
 type t = {
   config : config;
-  me : Pid.t;
-  auth : Auth.t;
-  sim : Sim.t;
-  net_send : dst:Pid.t -> Xmsg.t -> unit;
+  sh : (Xmsg.body, Xmsg.t) Shell.t;
   on_execute : slot:int -> Xmsg.request -> unit;
   on_view_change : view:int -> group:Pid.t list -> unit;
-  mutable fd : Xmsg.t Detector.t option; (* set right after creation *)
-  mutable timeouts : Timeout.t option; (* the detector's, kept for durability *)
-  mutable qsel : QS.t option;
   log : Xlog.t;
   mutable view : int;
   mutable grp : Pid.t list;
   mutable phase : phase;
-  mutable fault : fault;
+  mutable fault : fault; (* its link part lives in the shell *)
   mutable view_changes : int;
   mutable detections : Pid.t list;
   proposed : (int * int, int) Hashtbl.t; (* (client, rid) -> slot *)
@@ -55,11 +49,17 @@ type t = {
   g_view : Metrics.gauge;
 }
 
-let me t = t.me
+let me t = Shell.me t.sh
 
-let fd t = Option.get t.fd
+let fd t = Shell.detector t.sh
 
-let set_fault t fault = t.fault <- fault
+let set_fault t fault =
+  t.fault <- fault;
+  Shell.set_fault t.sh
+    (match fault with
+     | Honest | Equivocate _ -> Shell.Honest
+     | Mute -> Shell.Mute
+     | Omit_to victims -> Shell.Omit_to victims)
 
 let view t = t.view
 
@@ -67,31 +67,18 @@ let group t = t.grp
 
 let leader t = match t.grp with l :: _ -> l | [] -> assert false
 
-let is_leader t = leader t = t.me
+let is_leader t = leader t = me t
 
-let in_group t = List.mem t.me t.grp
+let in_group t = List.mem (me t) t.grp
 
 let q t = quorum_size t.config
 
 (* ------------------------------------------------------------------ *)
 (* Sending *)
 
-let fault_allows t dst =
-  match t.fault with
-  | Honest | Equivocate _ -> true
-  | Mute -> false
-  | Omit_to victims -> not (List.mem dst victims)
+let send t = Shell.send t.sh
 
-let send t ~dst body =
-  if dst = t.me || fault_allows t dst then
-    t.net_send ~dst (Xmsg.seal t.auth ~sender:t.me body)
-
-let send_group t body = List.iter (fun dst -> if dst <> t.me then send t ~dst body) t.grp
-
-let send_all_including_self t body =
-  for dst = 0 to t.config.n - 1 do
-    send t ~dst body
-  done
+let send_group t body = Shell.multicast t.sh t.grp body
 
 (* ------------------------------------------------------------------ *)
 (* Expectations (Section V-A) *)
@@ -175,7 +162,7 @@ let check_commit t (e : Xlog.entry) =
       Metrics.inc t.m_commits;
       if Journal.live () then
         Journal.record
-          (Journal.Commit { who = t.me; slot = sp.Xmsg.prepare.Xmsg.slot });
+          (Journal.Commit { who = me t; slot = sp.Xmsg.prepare.Xmsg.slot });
       try_execute t
     end
   | _ -> ()
@@ -187,12 +174,12 @@ let check_commit t (e : Xlog.entry) =
    … in this case, no expectation should be issued for process k". *)
 let adopt_prepare ?(except = []) t (e : Xlog.entry) sp =
   e.Xlog.sp <- Some sp;
-  Xlog.record_vote e t.me;
+  Xlog.record_vote e (me t);
   let slot = sp.Xmsg.prepare.Xmsg.slot in
   send_group t (Xmsg.Commit { cview = t.view; cslot = slot; csp = sp });
   List.iter
     (fun k ->
-      if k <> t.me && not (List.mem k except) then
+      if k <> me t && not (List.mem k except) then
         expect_commit t ~from:k ~view:t.view ~slot)
     t.grp;
   check_commit t e
@@ -204,7 +191,7 @@ let handle_prepare t ~src sp =
   let p = sp.Xmsg.prepare in
   if
     in_group t && src = leader t && p.Xmsg.view = t.view
-    && Xmsg.verify_prepare t.auth ~leader:src sp
+    && Xmsg.verify_prepare (Shell.auth t.sh) ~leader:src sp
   then begin
     let e = Xlog.entry t.log p.Xmsg.slot in
     match e.Xlog.sp with
@@ -225,7 +212,7 @@ let handle_commit t ~src (cview, cslot, csp) =
   if in_group t && List.mem src t.grp && cview = t.view then begin
     let p = csp.Xmsg.prepare in
     if
-      (not (Xmsg.verify_prepare t.auth ~leader:(leader t) csp))
+      (not (Xmsg.verify_prepare (Shell.auth t.sh) ~leader:(leader t) csp))
       || p.Xmsg.view <> cview || p.Xmsg.slot <> cslot
     then detect t src (* malformed COMMIT (Section V-A, second subtlety) *)
     else begin
@@ -258,26 +245,28 @@ let handle_commit t ~src (cview, cslot, csp) =
 let propose_at t ~slot request =
   Hashtbl.replace t.proposed (request.Xmsg.client, request.Xmsg.rid) slot;
   let prepare = { Xmsg.view = t.view; slot; request } in
-  let sp = Xmsg.sign_prepare t.auth ~leader:t.me prepare in
+  let sp = Xmsg.sign_prepare (Shell.auth t.sh) ~leader:(me t) prepare in
   let e = Xlog.entry t.log slot in
   e.Xlog.sp <- Some sp;
   e.Xlog.votes <- [];
-  Xlog.record_vote e t.me;
+  Xlog.record_vote e (me t);
   List.iter
     (fun dst ->
-      if dst <> t.me then begin
+      if dst <> me t then begin
         let body =
           match t.fault with
           | Equivocate victim when dst = victim ->
             let evil = { request with Xmsg.op = "EVIL:" ^ request.Xmsg.op } in
-            Xmsg.Prepare (Xmsg.sign_prepare t.auth ~leader:t.me { prepare with Xmsg.request = evil })
+            Xmsg.Prepare
+              (Xmsg.sign_prepare (Shell.auth t.sh) ~leader:(me t)
+                 { prepare with Xmsg.request = evil })
           | _ -> Xmsg.Prepare sp
         in
         send t ~dst body;
         send t ~dst (Xmsg.Commit { cview = t.view; cslot = slot; csp = sp })
       end)
     t.grp;
-  List.iter (fun k -> if k <> t.me then expect_commit t ~from:k ~view:t.view ~slot) t.grp;
+  List.iter (fun k -> if k <> me t then expect_commit t ~from:k ~view:t.view ~slot) t.grp;
   check_commit t e
 
 let submit t request =
@@ -306,7 +295,7 @@ let submit t request =
 
 let entry_provenance_ok t (e : Xmsg.entry) =
   let lead = Enumeration.leader ~n:t.config.n ~q:(q t) ~view:e.Xmsg.eview in
-  Xmsg.verify_prepare t.auth ~leader:lead
+  Xmsg.verify_prepare (Shell.auth t.sh) ~leader:lead
     {
       Xmsg.prepare = { Xmsg.view = e.Xmsg.eview; slot = e.Xmsg.eslot; request = e.Xmsg.erequest };
       psig = e.Xmsg.epsig;
@@ -364,24 +353,24 @@ let rec move_to_view t v =
     Metrics.inc t.m_view_changes;
     Metrics.set t.g_view (float_of_int v);
     if Journal.live () then
-      Journal.record (Journal.View_change { who = t.me; view = v; group = t.grp });
+      Journal.record (Journal.View_change { who = me t; view = v; group = t.grp });
     Hashtbl.reset t.awaiting_prepare;
     Detector.cancel_all (fd t); (* Section V-B: expectations no longer valid *)
     Logs.debug ~src:Qs_stdx.Debug.xpaxos (fun m ->
-        m "p%d VIEW %d group %s" (t.me + 1) v (Pid.set_to_string t.grp));
+        m "p%d VIEW %d group %s" (me t + 1) v (Pid.set_to_string t.grp));
     t.on_view_change ~view:v ~group:t.grp;
     (match t.config.mode with
      | Enumeration ->
        (* Gossip the move: re-broadcasting the SUSPECT that justifies view v
           keeps correct processes' views synchronized even when the message
           that moved us came over a faulty process's selective links. *)
-       send_all_including_self t (Xmsg.Suspect { sview = v - 1 });
+       Shell.broadcast t.sh (Xmsg.Suspect { sview = v - 1 });
        (* Permanent detections survive cancel_all but produce no fresh
           ⟨SUSPECTED⟩ event; if the new group contains one, skip it directly
           (enumeration mode's equivalent of "suspect all quorums ordered
           before a clean one"). Scheduled to keep the view-skip iterative. *)
        if List.exists (fun s -> List.mem s t.grp) (Detector.suspected (fd t)) then
-         Sim.schedule t.sim ~delay:0 (fun () ->
+         Sim.schedule (Shell.sim t.sh) ~delay:0 (fun () ->
              if t.view = v then move_to_view t (v + 1))
      | Quorum_selection -> ());
     if not (in_group t) then t.phase <- Passive
@@ -389,9 +378,9 @@ let rec move_to_view t v =
       let entries = Xlog.to_entries t.log in
       if is_leader t then begin
         let tbl = Hashtbl.create 8 in
-        Hashtbl.replace tbl t.me entries;
+        Hashtbl.replace tbl (me t) entries;
         t.phase <- Leading_collect tbl;
-        List.iter (fun k -> if k <> t.me then expect_view_change t ~from:k ~view:v) t.grp;
+        List.iter (fun k -> if k <> me t then expect_view_change t ~from:k ~view:v) t.grp;
         finish_collect t tbl (* singleton group commits immediately *)
       end
       else begin
@@ -428,12 +417,10 @@ let handle_new_view t ~src (nview, nlog) =
 (* ------------------------------------------------------------------ *)
 (* Suspicion plumbing *)
 
+(* Enumeration mode only: under Quorum_selection Algorithm 1 consumes
+   suspicions. move_to_view broadcasts the justifying SUSPECT itself. *)
 let on_suspected t suspects =
-  match t.config.mode with
-  | Quorum_selection -> QS.handle_suspected (Option.get t.qsel) suspects
-  | Enumeration ->
-    (* move_to_view broadcasts the justifying SUSPECT itself. *)
-    if List.exists (fun s -> List.mem s t.grp) suspects then move_to_view t (t.view + 1)
+  if List.exists (fun s -> List.mem s t.grp) suspects then move_to_view t (t.view + 1)
 
 let on_qs_quorum t quorum =
   let target =
@@ -452,14 +439,9 @@ let process t ~src msg =
     if t.config.mode = Enumeration && sview >= t.view then move_to_view t (sview + 1)
   | Xmsg.View_change { vview; vlog } -> handle_view_change t ~src (vview, vlog)
   | Xmsg.New_view { nview; nlog } -> handle_new_view t ~src (nview, nlog)
-  | Xmsg.Qsel update -> (
-    match t.qsel with
-    | Some qsel -> QS.handle_update qsel update
-    | None -> ())
+  | Xmsg.Qsel update -> Shell.update t.sh update
 
-let receive t ~src msg =
-  if Xmsg.verify t.auth msg && msg.Xmsg.sender = src then
-    Detector.receive (fd t) ~src msg
+let receive t = Shell.receive t.sh
 
 (* ------------------------------------------------------------------ *)
 
@@ -467,20 +449,18 @@ let create config ~me ~auth ~sim ~net_send ?(on_execute = fun ~slot:_ _ -> ())
     ?(on_view_change = fun ~view:_ ~group:_ -> ()) () =
   if config.n <= 0 || config.f < 0 || config.n - config.f <= config.f then
     invalid_arg "Replica.create: need n - f > f";
-  if me < 0 || me >= config.n then invalid_arg "Replica.create: me out of range";
+  let sh =
+    Shell.create ~who:"Replica.create" ~n:config.n ~me ~auth ~sim ~net_send ~seal:Xmsg.seal ~verify:Xmsg.verify
+      ~sender:(fun m -> m.Xmsg.sender)
+      ~initial_timeout:config.initial_timeout config.timeout_strategy
+  in
   let labels = [ ("p", string_of_int me) ] in
   let t =
     {
       config;
-      me;
-      auth;
-      sim;
-      net_send;
+      sh;
       on_execute;
       on_view_change;
-      fd = None;
-      timeouts = None;
-      qsel = None;
       log = Xlog.create ();
       view = 0;
       grp = Enumeration.group ~n:config.n ~q:(quorum_size config) ~view:0;
@@ -498,25 +478,12 @@ let create config ~me ~auth ~sim ~net_send ?(on_execute = fun ~slot:_ _ -> ())
       g_view = Metrics.gauge ~labels "xp_view";
     }
   in
-  let timeouts = Timeout.create ~n:config.n ~initial:config.initial_timeout config.timeout_strategy in
-  t.timeouts <- Some timeouts;
-  t.fd <-
-    Some
-      (Detector.create ~sim ~me ~n:config.n ~timeouts
-         ~deliver:(fun ~src m -> process t ~src m)
-         ~on_suspected:(fun s -> on_suspected t s)
-         ());
-  (match config.mode with
-   | Enumeration -> ()
-   | Quorum_selection ->
-     t.qsel <-
-       Some
-         (QS.create
-            { QS.n = config.n; f = config.f }
-            ~me ~auth
-            ~send:(fun update -> send_all_including_self t (Xmsg.Qsel update))
-            ~on_quorum:(fun quorum -> on_qs_quorum t quorum)
-            ()));
+  Shell.start sh ~deliver:(process t)
+    (match config.mode with
+     | Enumeration -> Shell.Protocol (on_suspected t)
+     | Quorum_selection ->
+       Shell.Select
+         { f = config.f; wrap = (fun u -> Xmsg.Qsel u); on_quorum = on_qs_quorum t });
   t
 
 let executed t = Xlog.executed_prefix t.log
@@ -529,9 +496,9 @@ let detector t = fd t
 
 let detections t = t.detections
 
-let quorum_selector t = t.qsel
+let quorum_selector t = Shell.selector t.sh
 
-let timeouts t = Option.get t.timeouts
+let timeouts t = Shell.timeouts t.sh
 
 (* ------------------------------------------------------------------ *)
 (* Crash-recovery (amnesia) *)
@@ -570,7 +537,7 @@ let amnesia_restart t ~view =
   t.phase <- (if in_group t then Normal else Passive);
   Metrics.set t.g_view (float_of_int view);
   Detector.amnesia (fd t);
-  match t.qsel with Some qsel -> QS.amnesia qsel | None -> ()
+  match quorum_selector t with Some qsel -> QS.amnesia qsel | None -> ()
 
 (* Canonical encoding of the replica's protocol-visible state for the model
    checker's fingerprints. Covers the view/group/phase machine, the log
@@ -617,7 +584,7 @@ let fingerprint t =
        (String.concat "," (List.map string_of_int (List.sort_uniq compare t.detections)))
        (String.concat "," (List.map string_of_int (Detector.suspected (fd t))))
        (Detector.open_expectations (fd t)));
-  (match t.qsel with
+  (match quorum_selector t with
    | None -> ()
    | Some qsel -> Buffer.add_string b ("|qs:" ^ QS.fingerprint qsel));
   Buffer.contents b

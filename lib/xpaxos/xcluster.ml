@@ -8,8 +8,6 @@ module C = Qs_sim.Smr_cluster.Make (struct
 
   type msg = Xmsg.t
 
-  type request = Xmsg.request
-
   type config = Replica.config
 
   type fault = Replica.fault
@@ -34,10 +32,6 @@ module C = Qs_sim.Smr_cluster.Make (struct
   let executed = Replica.executed
 
   let set_fault = Replica.set_fault
-
-  let request ~client ~rid op = { Xmsg.client; rid; op }
-
-  let key (r : Xmsg.request) = (r.client, r.rid)
 end)
 
 type replica = C.replica

@@ -1,6 +1,8 @@
 module Auth = Qs_crypto.Auth
 
-type request = { client : int; rid : int; op : string }
+type request = Qs_sim.Smr_cluster.request = { client : int; rid : int; op : string }
+
+let encode_request = Qs_sim.Smr_cluster.encode_request
 
 type prepare = { view : int; slot : int; request : request }
 
@@ -23,8 +25,6 @@ type body =
   | Qsel of Qs_core.Msg.t
 
 type t = { sender : Qs_core.Pid.t; body : body; signature : Auth.signature }
-
-let encode_request r = Printf.sprintf "REQ|%d|%d|%s" r.client r.rid r.op
 
 let encode_prepare p =
   Printf.sprintf "PREPARE|%d|%d|%s" p.view p.slot (encode_request p.request)
@@ -52,17 +52,12 @@ let sign_prepare auth ~leader prepare =
   { prepare; psig = Auth.sign auth ~signer:leader (encode_prepare prepare) }
 
 let verify_prepare auth ~leader sp =
-  leader >= 0
-  && leader < Auth.universe auth
-  && Auth.verify auth ~signer:leader (encode_prepare sp.prepare) sp.psig
+  Auth.verify auth ~signer:leader (encode_prepare sp.prepare) sp.psig
 
 let seal auth ~sender body =
   { sender; body; signature = Auth.sign auth ~signer:sender (encode_body body) }
 
-let verify auth t =
-  t.sender >= 0
-  && t.sender < Auth.universe auth
-  && Auth.verify auth ~signer:t.sender (encode_body t.body) t.signature
+let verify auth t = Auth.verify auth ~signer:t.sender (encode_body t.body) t.signature
 
 let tag = function
   | Prepare _ -> "PREPARE"

@@ -8,11 +8,7 @@
     - quorum-selection UPDATE rows piggyback on the same network ([Qsel]),
       since the selection module is part of each replica's stack (Fig. 1). *)
 
-type request = {
-  client : int;
-  rid : int;  (** client-local request id *)
-  op : string;  (** state-machine operation *)
-}
+type request = Qs_sim.Smr_cluster.request = { client : int; rid : int; op : string }
 
 type prepare = { view : int; slot : int; request : request }
 
@@ -46,8 +42,6 @@ type t = {
   body : body;
   signature : Qs_crypto.Auth.signature;
 }
-
-val encode_request : request -> string
 
 val encode_prepare : prepare -> string
 

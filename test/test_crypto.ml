@@ -129,7 +129,9 @@ let test_auth_rejects_unknown_signer () =
   let dir = Auth.create 4 in
   let s = Auth.seal dir ~signer:0 "x" in
   check_bool "signer out of universe" false (Auth.check dir { s with Auth.signer = 17 });
-  check_bool "negative signer" false (Auth.check dir { s with Auth.signer = -1 })
+  check_bool "negative signer" false (Auth.check dir { s with Auth.signer = -1 });
+  check_bool "verify: signer out of universe" false (Auth.verify dir ~signer:17 "x" s.signature);
+  check_bool "verify: negative signer" false (Auth.verify dir ~signer:(-1) "x" s.signature)
 
 let test_auth_keys_distinct () =
   let dir = Auth.create 3 in

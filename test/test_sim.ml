@@ -523,13 +523,11 @@ let prop_fifo_preserves_order =
 module Toy = struct
   type t = {
     mutable muted : bool;
-    mutable log : (int * int * string) list;
-    on_execute : int * int * string -> unit;
+    mutable log : Smr_cluster.request list;
+    on_execute : Smr_cluster.request -> unit;
   }
 
   type msg = unit
-
-  type request = int * int * string
 
   type config = { n : int; k : int }
 
@@ -554,10 +552,6 @@ module Toy = struct
   let executed t = t.log
 
   let set_fault t muted = t.muted <- muted
-
-  let request ~client ~rid op = (client, rid, op)
-
-  let key (client, rid, _) = (client, rid)
 end
 
 module Toy_cluster = Smr_cluster.Make (Toy)
