@@ -819,17 +819,20 @@ let mc_cmd =
              fallback on OCaml 4.14). Random mode is byte-identical across \
              any $(docv); exhaustive mode agrees with the sequential \
              explorer on the visited state set and the violations found. \
-             Omitted: the legacy single-domain engine runs.")
+             Omitted: the legacy single-domain engine runs. A $(docv) above \
+             the host's recommended domain count is clamped to it, with a \
+             note on stderr (reports do not depend on $(docv)).")
   in
   let sym =
     Arg.(
       value & flag
       & info [ "sym" ]
           ~doc:
-            "Prune on the symmetry-canonical fingerprint (quorum protocol \
-             only; exhaustive mode), collapsing states identical up to a \
-             relabeling of the processes no fault or injection \
-             distinguishes.")
+            "Prune on the symmetry-canonical fingerprint, collapsing states \
+             identical up to a relabeling of the processes no crash, fault \
+             or injection distinguishes. Exhaustive mode of the quorum \
+             protocol only, with at least two such processes; anywhere \
+             else it is a usage error.")
   in
   let parse_injections specs =
     List.fold_left
@@ -890,8 +893,23 @@ let mc_cmd =
         | Ok _ when (match jobs with Some j -> j < 1 | None -> false) ->
           `Error (true, "--jobs must be >= 1")
         | Ok _ when (not random) && depth < 1 -> `Error (true, "--depth must be >= 1")
+        | Ok _ when sym && random ->
+          `Error (true, "--sym prunes exhaustive search; it does not combine with --random")
+        | Ok { Engine.symmetry = None; _ } when sym ->
+          (* Kept under one line: some Cmdliner versions reflow long errors. *)
+          `Error (true, "--sym: no symmetry here (quorum protocol, two or more free pids)")
         | Ok system ->
           let mk () = MC.make spec in
+          let recommended = Qs_stdx.Domainpool.recommended () in
+          (* Only the domain count is clamped: the branch below still
+             follows the --jobs given, so the report is the one it names. *)
+          let clamp j =
+            if j > recommended then
+              Printf.eprintf "qsel mc: --jobs %d clamped to the %d recommended domain%s\n%!" j
+                recommended
+                (if recommended = 1 then "" else "s");
+            min j recommended
+          in
           let report, shards =
             match (random, jobs) with
             | true, None -> (Engine.random ~seed ~iters system, None)
@@ -899,13 +917,13 @@ let mc_cmd =
               (* Any --jobs selects the per-walk-seeded sharded fuzzer; its
                  reports are byte-identical for every J (but differently
                  seeded than the legacy single-stream walker above). *)
-              let r = Qs_mc.Shard.random ~jobs:j ~seed ~iters mk in
+              let r = Qs_mc.Shard.random ~jobs:(clamp j) ~seed ~iters mk in
               Qs_mc.Shard.observe r;
               (r.Qs_mc.Shard.report, Some r.Qs_mc.Shard.shards)
             | false, (None | Some 1) ->
               (Engine.explore ~por:(not no_por) ~sym ~depth system, None)
             | false, Some j ->
-              let r = Qs_mc.Shard.explore ~jobs:j ~por:(not no_por) ~sym ~depth mk in
+              let r = Qs_mc.Shard.explore ~jobs:(clamp j) ~por:(not no_por) ~sym ~depth mk in
               Qs_mc.Shard.observe r;
               (r.Qs_mc.Shard.report, Some r.Qs_mc.Shard.shards)
           in

@@ -145,22 +145,24 @@ let validate spec =
 let correct_pids spec =
   List.filter (fun p -> not (List.mem p spec.crashes)) (List.init spec.n Fun.id)
 
-(* Canonical id-free key for a parked message; see Engine.choice_info. *)
-let canon_of encode src dst payload =
-  Printf.sprintf "%d>%d#%s" src dst (Qs_crypto.Sha256.digest_hex (encode payload))
+(* The unmemoised payload digest: hex SHA-256 of its canonical encoding. *)
+let sha256_of encode payload = Qs_crypto.Sha256.digest_hex (encode payload)
 
-let deliver_choices net encode =
+(* Canonical id-free key for a parked message; see Engine.choice_info. *)
+let canon_of digest src dst payload = Printf.sprintf "%d>%d#%s" src dst (digest payload)
+
+let deliver_choices net digest =
   List.map
     (fun (id, src, dst, payload) ->
-      { Engine.choice = Schedule.Deliver id; canon = canon_of encode src dst payload;
+      { Engine.choice = Schedule.Deliver id; canon = canon_of digest src dst payload;
         receiver = Some dst })
     (Network.deliverable net)
 
 (* The in-flight multiset for fingerprints: sorted canonical keys, so two
    interleavings that parked the same messages under different ids agree. *)
-let pending_part net encode =
+let pending_part net digest =
   Network.pending net
-  |> List.map (fun (_, src, dst, payload) -> canon_of encode src dst payload)
+  |> List.map (fun (_, src, dst, payload) -> canon_of digest src dst payload)
   |> List.sort compare |> String.concat ","
 
 let drop_crashed_filter crashes = fun ~now:_ ~src ~dst _ ->
@@ -209,6 +211,8 @@ type qwire = Q_update of Qs_core.Msg.t | Q_rejoin of Rejoin.msg
    and its effect on the current state ([false]: nothing to fire). *)
 type fault_row = { info : Engine.choice_info; blamed : int list; fire : unit -> bool }
 
+type canon_search = { full_canon : unit -> string; candidates : unit -> int }
+
 let make_quorum spec =
   let cfg = { QS.n = spec.n; f = spec.f } in
   let correct = correct_pids spec in
@@ -223,6 +227,22 @@ let make_quorum spec =
     | Q_update (m : Qs_core.Msg.t) -> "u" ^ Qs_core.Msg.encode m.update
     | Q_rejoin m -> "r" ^ Rejoin.encode_msg m
   in
+  (* This system's encoded payload -> digest memo. Choice keys, the plain
+     pending render and every relabeled pending render hash the same few
+     payloads over and over; it is per system, not global, because
+     [Shard.explore] runs one system per domain. Never cleared: it holds
+     one entry per distinct payload this instance can send, however long
+     the search runs. *)
+  let digests : (string, string) Hashtbl.t = Hashtbl.create 64 in
+  let digest_of enc =
+    match Hashtbl.find_opt digests enc with
+    | Some d -> d
+    | None ->
+      let d = Qs_crypto.Sha256.digest_hex enc in
+      Hashtbl.add digests enc d;
+      d
+  in
+  let digest payload = digest_of (encode payload) in
   (* Deterministic in n (fixed default master secret), so one directory
      serves every reset — and lets the Equivocate choice re-sign variants. *)
   let auth = Qs_crypto.Auth.create spec.n in
@@ -475,10 +495,24 @@ let make_quorum spec =
      whose endpoints are all distinguished below — so relabeling free pids
      commutes with every transition and every check, and lex-first quorum
      selection (a function of the invariant suspect graph) picks the same
-     set in the relabeled execution. The canonical fingerprint is the
-     minimum over the induced permutation group of the plain fingerprint's
-     relabeled render: sibling states differing only in which free process
-     played a role collapse into one orbit representative. *)
+     set in the relabeled execution. Sibling states differing only in which
+     free process played a role form one orbit, and the canonical
+     fingerprint picks one relabeled render per orbit.
+
+     It is found by signature refinement (one round of McKay & Piperno's
+     individualisation-refinement) rather than by rendering every
+     permutation: each free pid gets a label-free signature, and the
+     candidate labellings are those that lay the free pids into the free
+     slots in non-decreasing signature order — only arrangements within
+     ties are enumerated. The canonical fingerprint is the least relabeled
+     render over the candidates. A signature writes every pid as its class
+     (see [cls]), so sig(σ·s)(σp) = sig(s)(p) for every σ in the group: the
+     candidates of σ·s are those of s composed with σ⁻¹, both sets yield
+     the same relabeled renders, and the minimum is an orbit invariant.
+     Distinct orbits share no render, so the partition into orbits — and
+     every state count — is the full group's; only the representative, and
+     hence the canon string, may differ from the full-group minimum. A
+     signature need not be complete: a field left out only widens ties. *)
   let distinguished =
     List.sort_uniq compare
       (spec.crashes @ blamed @ List.concat_map (fun (p, s) -> p :: s) spec.injections)
@@ -486,6 +520,7 @@ let make_quorum spec =
   let free =
     List.filter (fun p -> not (List.mem p distinguished)) (List.init spec.n Fun.id)
   in
+  let is_free = Array.init spec.n (fun p -> List.mem p free) in
   let rec permutations = function
     | [] -> [ [] ]
     | l ->
@@ -494,14 +529,36 @@ let make_quorum spec =
           List.map (fun r -> x :: r) (permutations (List.filter (( <> ) x) l)))
         l
   in
-  (* new pid = perm.(old pid); identity on distinguished pids. *)
-  let group =
+  (* Every labelling that lays [groups], one after another, into the free
+     slots in increasing order, permuting members within their group:
+     new pid = perm.(old pid), identity on distinguished pids. One group
+     holding every free pid yields the whole group. *)
+  let labellings groups =
+    let rec go slots = function
+      | [] -> [ [] ]
+      | g :: rest ->
+        let k = List.length g in
+        let mine = List.filteri (fun i _ -> i < k) slots in
+        let tails = go (List.filteri (fun i _ -> i >= k) slots) rest in
+        List.concat_map
+          (fun order -> List.map (fun t -> List.combine order mine @ t) tails)
+          (permutations g)
+    in
     List.map
-      (fun image ->
+      (fun pairs ->
         let a = Array.init spec.n Fun.id in
-        List.iter2 (fun old img -> a.(old) <- img) free image;
+        List.iter (fun (old, img) -> a.(old) <- img) pairs;
         a)
-      (permutations free)
+      (go free groups)
+  in
+  (* Rejoin state carries pids only inside encoded matrices; req carries
+     none and delta gossip is off in this instance. *)
+  let map_rejoin_matrix matrix = function
+    | Rejoin.State_resp { rid; payload } ->
+      Rejoin.State_resp { rid; payload = { payload with matrix = matrix payload.matrix } }
+    | Rejoin.State_push { payload } ->
+      Rejoin.State_push { payload = { payload with matrix = matrix payload.matrix } }
+    | (Rejoin.State_req _ | Rejoin.State_delta _ | Rejoin.Delta_ack _) as rm -> rm
   in
   let render_perm perm =
     let inv = Array.make spec.n 0 in
@@ -519,20 +576,7 @@ let make_quorum spec =
               Qs_core.Msg.owner = perm.(m.update.owner);
               row = Array.init spec.n (fun j -> m.update.row.(inv.(j)));
             }
-      | Q_rejoin rm ->
-        "r"
-        ^ Rejoin.encode_msg
-            (match rm with
-             | Rejoin.State_req _ | Rejoin.State_delta _ | Rejoin.Delta_ack _ ->
-               (* req carries no pids; delta gossip is off in this instance *)
-               rm
-             | Rejoin.State_resp { rid; payload } ->
-               Rejoin.State_resp
-                 { rid;
-                   payload = { payload with Rejoin.matrix = pmatrix payload.Rejoin.matrix } }
-             | Rejoin.State_push { payload } ->
-               Rejoin.State_push
-                 { payload = { payload with Rejoin.matrix = pmatrix payload.Rejoin.matrix } })
+      | Q_rejoin rm -> "r" ^ Rejoin.encode_msg (map_rejoin_matrix pmatrix rm)
     in
     (* Mirrors the plain fingerprint layout exactly: line i holds the
        relabeled render of the node the permutation sends to slot i, so the
@@ -556,67 +600,134 @@ let make_quorum spec =
     let pend =
       Network.pending (net ())
       |> List.map (fun (_, src, dst, payload) ->
-             Printf.sprintf "%d>%d#%s" perm.(src) perm.(dst)
-               (Qs_crypto.Sha256.digest_hex (pencode payload)))
+             Printf.sprintf "%d>%d#%s" perm.(src) perm.(dst) (digest_of (pencode payload)))
       |> List.sort compare |> String.concat ","
     in
     Buffer.add_string buf ("[" ^ pend ^ "]");
     Buffer.contents buf
   in
+  (* How [self]'s signature writes pid [q]: [self] as -1, any other free
+     pid as -2, a distinguished pid as itself — its class, never a free
+     label. Each field below is written the way [render_perm] treats it:
+     what the render relabels, the signature writes by class; what the
+     render keeps verbatim (the quorum, epochs, counters), it keeps too. *)
+  let cls self q = if q = self then -1 else if is_free.(q) then -2 else q in
+  let sorted l = String.concat "," (List.sort compare l) in
+  let pids_sig self l = sorted (List.map (fun q -> string_of_int (cls self q)) l) in
+  let matrix_sig self m =
+    let cells = ref [] in
+    Qs_core.Suspicion_matrix.iter_nonzero m (fun ~suspector ~suspect ~epoch ->
+        cells :=
+          Printf.sprintf "%d>%d=%d" (cls self suspector) (cls self suspect) epoch :: !cells);
+    sorted !cells
+  in
+  let encoded_matrix_sig self enc = matrix_sig self (Codec.decode_matrix enc) in
+  let payload_sig self = function
+    | Q_update (m : Qs_core.Msg.t) ->
+      let cells = ref [] in
+      Array.iteri
+        (fun j v -> if v <> 0 then cells := Printf.sprintf "%d=%d" (cls self j) v :: !cells)
+        m.update.row;
+      Printf.sprintf "u%d:%s" (cls self m.update.owner) (sorted !cells)
+    | Q_rejoin rm -> "r" ^ Rejoin.encode_msg (map_rejoin_matrix (encoded_matrix_sig self) rm)
+  in
+  (* The free pids grouped by signature — selector, rejoin state, and the
+     multiset of pending messages sent and received — in signature order. *)
+  let tie_groups () =
+    let msgs = Array.make spec.n [] in
+    List.iter
+      (fun (_, src, dst, payload) ->
+        let add self dir peer =
+          msgs.(self) <-
+            Printf.sprintf "%s%d#%s" dir (cls self peer) (payload_sig self payload) :: msgs.(self)
+        in
+        if is_free.(src) then add src "o" dst;
+        if is_free.(dst) then add dst "i" src)
+      (Network.pending (net ()));
+    let signature p =
+      let node = (nodes ()).(p) in
+      Printf.sprintf "%d|%d|%s|%s|%s|%d|%b|%s\n%s\n%s" (QS.cepoch node) (QS.epoch node)
+        (matrix_sig p (QS.matrix node))
+        (String.concat "," (List.map string_of_int (QS.last_quorum node)))
+        (pids_sig p (QS.suspecting node))
+        (QS.max_issued_per_epoch node) (QS.dormant node)
+        (pids_sig p (QS.excluded node))
+        (Rejoin.fingerprint_perm (rejoins ()).(p) ~perm:(cls p)
+           ~matrix:(encoded_matrix_sig p))
+        (sorted msgs.(p))
+    in
+    List.map (fun p -> (signature p, p)) free
+    |> List.sort compare
+    |> List.fold_left
+         (fun acc (s, p) ->
+           match acc with
+           | (s', g) :: rest when String.equal s s' -> (s, p :: g) :: rest
+           | _ -> (s, [ p ]) :: acc)
+         []
+    |> List.rev_map snd
+  in
+  (* The one search: the least render over the given candidates. *)
+  let canonical candidates =
+    List.fold_left
+      (fun best perm ->
+        let r = render_perm perm in
+        match best with Some b when b <= r -> best | _ -> Some r)
+      None candidates
+    |> Option.get
+  in
   let symmetry =
     if List.compare_length_with free 2 < 0 then None
-    else
-      Some
-        (fun () ->
-          List.fold_left
-            (fun best perm ->
-              let r = render_perm perm in
-              match best with Some b when b <= r -> best | _ -> Some r)
-            None group
-          |> Option.get)
+    else Some (fun () -> canonical (labellings (tie_groups ())))
   in
-  {
-    Engine.reset;
-    enabled =
-      (fun () ->
-        deliver_choices (net ()) encode
-        @ List.filteri (fun i _ -> not fired.(i)) (Array.to_list (Array.map (fun r -> r.info) rows)));
-    apply =
-      (function Schedule.Deliver id -> Network.deliver_now (net ()) id | choice -> fire 0 choice);
-    fingerprint =
-      (fun () ->
-        let buf = Buffer.create 256 in
-        Array.iter
-          (fun node ->
-            Buffer.add_string buf (QS.fingerprint node);
-            Buffer.add_char buf '\n')
-          (nodes ());
-        Array.iter
-          (fun rj ->
-            Buffer.add_string buf (Rejoin.fingerprint rj);
-            Buffer.add_char buf '\n')
-          (rejoins ());
-        Buffer.add_string buf ("F" ^ fired_part ());
-        Buffer.add_string buf ("[" ^ pending_part (net ()) encode ^ "]");
-        Buffer.contents buf);
-    violations;
-    quiescent_violations;
-    snapshot =
-      Some
+  let system =
+    {
+      Engine.reset;
+      enabled =
         (fun () ->
-          let ns = Array.map QS.snapshot (nodes ()) in
-          let rs = Array.map Rejoin.snapshot (rejoins ()) in
-          let fd = Array.copy fired in
-          let mu = Array.copy muted in
-          let net_snap = Network.snapshot (net ()) in
-          fun () ->
-            Array.iteri (fun i s -> QS.restore (nodes ()).(i) s) ns;
-            Array.iteri (fun i s -> Rejoin.restore (rejoins ()).(i) s) rs;
-            Array.blit fd 0 fired 0 (Array.length fired);
-            Array.blit mu 0 muted 0 spec.n;
-            Network.restore (net ()) net_snap);
-    symmetry;
-  }
+          deliver_choices (net ()) digest
+          @ List.filteri (fun i _ -> not fired.(i)) (Array.to_list (Array.map (fun r -> r.info) rows)));
+      apply =
+        (function Schedule.Deliver id -> Network.deliver_now (net ()) id | choice -> fire 0 choice);
+      fingerprint =
+        (fun () ->
+          let buf = Buffer.create 256 in
+          Array.iter
+            (fun node ->
+              Buffer.add_string buf (QS.fingerprint node);
+              Buffer.add_char buf '\n')
+            (nodes ());
+          Array.iter
+            (fun rj ->
+              Buffer.add_string buf (Rejoin.fingerprint rj);
+              Buffer.add_char buf '\n')
+            (rejoins ());
+          Buffer.add_string buf ("F" ^ fired_part ());
+          Buffer.add_string buf ("[" ^ pending_part (net ()) digest ^ "]");
+          Buffer.contents buf);
+      violations;
+      quiescent_violations;
+      snapshot =
+        Some
+          (fun () ->
+            let ns = Array.map QS.snapshot (nodes ()) in
+            let rs = Array.map Rejoin.snapshot (rejoins ()) in
+            let fd = Array.copy fired in
+            let mu = Array.copy muted in
+            let net_snap = Network.snapshot (net ()) in
+            fun () ->
+              Array.iteri (fun i s -> QS.restore (nodes ()).(i) s) ns;
+              Array.iteri (fun i s -> Rejoin.restore (rejoins ()).(i) s) rs;
+              Array.blit fd 0 fired 0 (Array.length fired);
+              Array.blit mu 0 muted 0 spec.n;
+              Network.restore (net ()) net_snap);
+      symmetry;
+    }
+  in
+  ( system,
+    {
+      full_canon = (fun () -> canonical (labellings [ free ]));
+      candidates = (fun () -> List.length (labellings (tie_groups ())));
+    } )
 
 (* -------------------------------------------------------------- follower *)
 
@@ -783,7 +894,7 @@ let make_follower spec =
   in
   {
     Engine.reset;
-    enabled = (fun () -> deliver_choices (net ()) encode @ fire_choices ());
+    enabled = (fun () -> deliver_choices (net ()) (sha256_of encode) @ fire_choices ());
     apply;
     fingerprint =
       (fun () ->
@@ -794,7 +905,7 @@ let make_follower spec =
             Buffer.add_char buf '\n')
           (nodes ());
         Buffer.add_string buf (fd_part ());
-        Buffer.add_string buf ("[" ^ pending_part (net ()) encode ^ "]");
+        Buffer.add_string buf ("[" ^ pending_part (net ()) (sha256_of encode) ^ "]");
         Buffer.contents buf);
     violations;
     quiescent_violations;
@@ -939,7 +1050,7 @@ let make_xpaxos mode spec =
     Engine.reset;
     enabled =
       (fun () ->
-        deliver_choices (Xcluster.net (cluster ())) encode
+        deliver_choices (Xcluster.net (cluster ())) (sha256_of encode)
         @
         if Sim.pending_events (Xcluster.sim (cluster ())) > 0 then
           [ { Engine.choice = Schedule.Step;
@@ -961,7 +1072,7 @@ let make_xpaxos mode spec =
           Buffer.add_string buf (Replica.fingerprint (Xcluster.replica c p));
           Buffer.add_char buf '\n'
         done;
-        Buffer.add_string buf ("[" ^ pending_part (Xcluster.net c) encode ^ "]");
+        Buffer.add_string buf ("[" ^ pending_part (Xcluster.net c) (sha256_of encode) ^ "]");
         (* The simulator queue itself is opaque; virtual time plus the event
            count is the (weak) proxy — see DESIGN.md for the caveat. *)
         Buffer.add_string buf
@@ -1035,10 +1146,17 @@ let make spec =
   validate spec;
   trap_exceptions
     (match spec.protocol with
-     | Quorum -> make_quorum spec
+     | Quorum -> fst (make_quorum spec)
      | Follower -> make_follower spec
      | Xpaxos -> make_xpaxos Replica.Quorum_selection spec
      | Xpaxos_enum -> make_xpaxos Replica.Enumeration spec)
+
+let make_with_canon_search spec =
+  validate spec;
+  if spec.protocol <> Quorum then
+    invalid_arg "Modelcheck.make_with_canon_search: quorum instance only";
+  let system, search = make_quorum spec in
+  (trap_exceptions system, search)
 
 (* ----------------------------------------------------------- regressions *)
 

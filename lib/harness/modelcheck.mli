@@ -130,6 +130,30 @@ val make : spec -> Qs_mc.Engine.system
     reports an ["exception"] violation, so the engine shrinks and prints
     a replayable schedule for it like for any other check. *)
 
+(** {2 Symmetry canonicalisation}
+
+    Under [explore ~sym] the quorum instance prunes on a canonical
+    fingerprint found by signature refinement: every free pid (one no
+    crash, fault or injection names) gets a label-free signature, and only
+    the labellings that order the free pids by signature — permuting
+    within ties — are rendered. The search below is the same one over the
+    whole permutation group, so a test can check that both induce the same
+    partition of states. *)
+
+type canon_search = {
+  full_canon : unit -> string;
+      (** The least relabeled render of the current state over every
+          permutation of the free pids. *)
+  candidates : unit -> int;
+      (** The number of labellings [symmetry] renders for the current
+          state (computed afresh on each call; nothing is counted). *)
+}
+
+val make_with_canon_search : spec -> Qs_mc.Engine.system * canon_search
+(** [make spec] together with the full-group search over its state.
+    [Invalid_argument] as {!validate}, or for a protocol other than
+    [quorum]. *)
+
 (** {2 Regression corpus}
 
     A [.sched] file is [key=value] lines ([#] comments, blank lines

@@ -136,11 +136,12 @@ val fingerprint : t -> string
 
 val fingerprint_perm :
   t -> perm:(int -> int) -> matrix:(string -> string) -> string
-(** {!fingerprint} of the state relabeled through the pid bijection [perm]:
+(** {!fingerprint} of the state relabeled through [perm] (old pid to new pid):
     responders mapped (rendered sorted, hence canonical), each buffered
     payload's encoded matrix rewritten by [matrix] (the codec-level
     conjugation lives with the caller). Supports the model checker's
-    symmetry-canonical fingerprints. *)
+    symmetry-canonical fingerprints; [perm] need not be injective (its
+    signatures pass a map from pids to classes). *)
 
 type snapshot
 

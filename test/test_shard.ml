@@ -268,9 +268,78 @@ let test_sym_sibling_states_equal_canon () =
   let fp1, c1 = state_after (to_p 1) in
   let fp2, c2 = state_after (to_p 2) in
   check_bool "plain fingerprints differ" true (not (String.equal fp1 fp2));
-  check_string "canonical fingerprints agree" c1 c2;
-  check_bool "canon is the orbit minimum" true
-    (String.compare c1 fp1 <= 0 && String.compare c2 fp2 <= 0)
+  check_string "canonical fingerprints agree" c1 c2
+
+(* The shipped canonical form renders only the labellings that order the
+   free pids by signature; the full-group form renders every permutation.
+   Over every state an exhaustive plain walk reaches (orbit-mates visited
+   separately), the two must induce the same partition: the map between
+   their canon strings is a bijection. *)
+let orbit_partition spec ~depth =
+  let system, search = MC.make_with_canon_search spec in
+  let canon = Option.value system.Engine.symmetry ~default:system.Engine.fingerprint in
+  let to_full = Hashtbl.create 256 and to_canon = Hashtbl.create 256 in
+  let splits = ref 0 and merges = ref 0 in
+  let agree conflicts table k v =
+    match Hashtbl.find_opt table k with
+    | None -> Hashtbl.replace table k v
+    | Some v' -> if not (String.equal v v') then incr conflicts
+  in
+  let recording =
+    {
+      system with
+      Engine.violations =
+        (fun () ->
+          let c = canon () and g = search.MC.full_canon () in
+          agree merges to_full c g;
+          agree splits to_canon g c;
+          system.Engine.violations ());
+    }
+  in
+  let r = Engine.explore ~depth recording in
+  check_int "no violations" 0 (List.length r.Engine.violations);
+  check_int "no full-group orbit split by the canon" 0 !splits;
+  check_int "no canon merging two full-group orbits" 0 !merges;
+  (system.Engine.symmetry <> None, r.Engine.visited, Hashtbl.length to_full)
+
+let test_sym_partition_matches_full_group () =
+  let q = MC.default_spec MC.Quorum in
+  List.iter
+    (fun (name, spec, depth) ->
+      let symmetric, visited, orbits = orbit_partition spec ~depth in
+      if symmetric then check_bool (name ^ ": orbits collapse states") true (orbits < visited))
+    [
+      ("n=4", q, 4);
+      ("n=5", { q with MC.n = 5 }, 4);
+      ( "n=5 f=2 0:4 amnesia:1",
+        { q with MC.n = 5; f = 2; injections = [ (0, [ 4 ]) ]; faults = [ MC.Amnesia 1 ] },
+        4 );
+      ("n=4 equivocate:0", { q with MC.injections = []; faults = [ MC.Equivocate 0 ] }, 5);
+      ( "n=5 equivocate:0",
+        { q with MC.n = 5; injections = []; faults = [ MC.Equivocate 0 ] },
+        4 );
+    ]
+
+(* Refinement pays: over the n=5 sym exploration (free pids {1,2,4},
+   3! = 6 labellings) a canonical call renders fewer candidates than the
+   group on average. *)
+let test_sym_fewer_candidates_than_group () =
+  let system, search = MC.make_with_canon_search { (MC.default_spec MC.Quorum) with MC.n = 5 } in
+  let canon = Option.get system.Engine.symmetry in
+  let calls = ref 0 and rendered = ref 0 in
+  let counting () =
+    incr calls;
+    rendered := !rendered + search.MC.candidates ();
+    canon ()
+  in
+  let r = Engine.explore ~sym:true ~depth:4 { system with Engine.symmetry = Some counting } in
+  check_int "n=5 sym visited pin" 335 r.Engine.visited;
+  let group_order = 6 in
+  check_bool "canonical calls made" true (!calls > 0);
+  check_bool
+    (Printf.sprintf "%d candidates over %d calls < %d per call" !rendered !calls group_order)
+    true
+    (!rendered < !calls * group_order)
 
 (* Pinned orbit collapse at n=4: same depth, strictly fewer states, no
    violations introduced, and the sharded explorer agrees. *)
@@ -400,6 +469,10 @@ let () =
                test_fingerprint_perm_identity;
              Alcotest.test_case "sibling states same canon" `Quick
                test_sym_sibling_states_equal_canon;
+             Alcotest.test_case "partition matches full group" `Quick
+               test_sym_partition_matches_full_group;
+             Alcotest.test_case "fewer candidates than group" `Quick
+               test_sym_fewer_candidates_than_group;
              Alcotest.test_case "n4 orbit collapse pins" `Quick
                test_sym_explore_quorum_n4;
              Alcotest.test_case "n5 within n4 budget" `Quick
