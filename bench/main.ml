@@ -541,6 +541,50 @@ let commission_json counters =
            ])
        counters)
 
+(* Durability section: one deterministic XPaxos run with durable stores,
+   one request committed at a time. Store bytes written per commit over
+   commits 1-100 and 301-400, summed over the replicas' stores: an
+   incremental log keeps the two windows level, where rewriting the whole
+   log at every execute makes the later one grow with the log. *)
+let durability_section () =
+  let module Json = Qs_obs.Json in
+  let module Xcluster = Qs_xpaxos.Xcluster in
+  let config =
+    {
+      Qs_xpaxos.Replica.n = 3;
+      f = 1;
+      mode = Qs_xpaxos.Replica.Quorum_selection;
+      initial_timeout = Qs_sim.Stime.of_ms 25;
+      timeout_strategy =
+        Qs_fd.Timeout.Exponential { factor = 2.0; max = Qs_sim.Stime.of_ms 2000 };
+    }
+  in
+  let c = Xcluster.create ~seed:1L config in
+  Xcluster.attach_durability c;
+  let written () =
+    List.fold_left
+      (fun acc p -> acc + Qs_recovery.Store.bytes_written (Xcluster.store c p))
+      0 [ 0; 1; 2 ]
+  in
+  let commits = 400 and window = 100 in
+  let at = Array.make (commits + 1) (written ()) in
+  for k = 1 to commits do
+    let r = Xcluster.submit c (Printf.sprintf "op-%d" k) in
+    Xcluster.run c;
+    if not (Xcluster.is_committed c r) then
+      failwith "durability: a request did not commit";
+    at.(k) <- written ()
+  done;
+  let per_commit last = (at.(last) - at.(last - window)) / window in
+  let first = per_commit window and later = per_commit commits in
+  Json.Obj
+    [
+      ("commits", Json.Int commits);
+      ("first_bytes_per_commit", Json.Int first);
+      ("later_bytes_per_commit", Json.Int later);
+      ("level", Json.Bool (2 * later <= 3 * first));
+    ]
+
 (* The sections Qs_obs.Bench_gate gates, in summary order. They run before
    the metrics reset that precedes the tables: the commission smoke's
    Chaos.execute resets the default registry itself, so running it later
@@ -552,6 +596,7 @@ let gated_sections ~quick () =
   let explore = explore_json (explore_sweep ~quick ()) in
   let policy = policy_json (policy_sweep ()) in
   let runtime = runtime_section ~quick () in
+  let durability = durability_section () in
   [
     ("commission", commission);
     ("scaling", scaling);
@@ -559,6 +604,7 @@ let gated_sections ~quick () =
     ("explore", explore);
     ("policy", policy);
     ("runtime", runtime);
+    ("durability", durability);
   ]
 
 (* A BENCH_*.json summary: per-benchmark ns/run, the experiment verdict

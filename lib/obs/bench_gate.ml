@@ -387,6 +387,15 @@ let sections =
         chk "violations" zero ~label:"monitor violations = 0";
         chk "nemesis_unsupported" zero ~label:"no unsupported nemesis phases";
       ];
+    (* Durable-log write volume: store bytes per commit early and late in
+       one deterministic run, pinned; the later window within 1.5x of the
+       earlier holds from the current run alone. *)
+    section "durability" [ "durability" ]
+      [
+        chk "first_bytes_per_commit" Pinned ~label:"store bytes/commit, commits 1-100";
+        chk "later_bytes_per_commit" Pinned ~label:"store bytes/commit, commits 301-400";
+        chk "level" holds ~label:"commits 301-400 within 1.5x of commits 1-100";
+      ];
     (* Absolute ns/run: the runner's, not the code's. *)
     section "ns" [ "results" ] ~key:[ "group"; "name" ] [ chk "ns_per_run" (Drift 1.5) ];
   ]

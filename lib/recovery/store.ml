@@ -4,6 +4,7 @@ type t = {
   fsync_every : int option;
   mutable unflushed : int;
   mutable puts : int;
+  mutable bytes : int;
   mutable fsyncs : int;
   mutable crashes : int;
   mutable lost : int;
@@ -19,6 +20,7 @@ let create ?fsync_every () =
     fsync_every;
     unflushed = 0;
     puts = 0;
+    bytes = 0;
     fsyncs = 0;
     crashes = 0;
     lost = 0;
@@ -33,6 +35,7 @@ let fsync t =
 let put t key value =
   Hashtbl.replace t.pending key value;
   t.puts <- t.puts + 1;
+  t.bytes <- t.bytes + String.length key + String.length value;
   t.unflushed <- t.unflushed + 1;
   match t.fsync_every with
   | Some k when t.unflushed >= k -> fsync t
@@ -55,6 +58,8 @@ let pending_writes t = Hashtbl.length t.pending
 
 let puts t = t.puts
 
+let bytes_written t = t.bytes
+
 let fsyncs t = t.fsyncs
 
 let crashes t = t.crashes
@@ -74,6 +79,7 @@ type snapshot = {
   s_pending : (string * string) list;
   s_unflushed : int;
   s_puts : int;
+  s_bytes : int;
   s_fsyncs : int;
   s_crashes : int;
   s_lost : int;
@@ -86,6 +92,7 @@ let snapshot t =
     s_pending = dump t.pending;
     s_unflushed = t.unflushed;
     s_puts = t.puts;
+    s_bytes = t.bytes;
     s_fsyncs = t.fsyncs;
     s_crashes = t.crashes;
     s_lost = t.lost;
@@ -98,6 +105,7 @@ let restore t s =
   List.iter (fun (k, v) -> Hashtbl.replace t.pending k v) s.s_pending;
   t.unflushed <- s.s_unflushed;
   t.puts <- s.s_puts;
+  t.bytes <- s.s_bytes;
   t.fsyncs <- s.s_fsyncs;
   t.crashes <- s.s_crashes;
   t.lost <- s.s_lost

@@ -40,6 +40,9 @@ val pending_writes : t -> int
 
 val puts : t -> int
 
+val bytes_written : t -> int
+(** Key plus value bytes over every {!put}, flushed or not. *)
+
 val fsyncs : t -> int
 
 val crashes : t -> int

@@ -146,8 +146,7 @@ let try_execute t =
   while !continue do
     match Xlog.find t.log t.exec_cursor with
     | Some ({ committed = true; executed = false; sp = Some sp; _ } : Xlog.entry) ->
-      let e = Xlog.entry t.log t.exec_cursor in
-      e.Xlog.executed <- true;
+      Xlog.mark_executed (Xlog.entry t.log t.exec_cursor);
       Metrics.inc t.m_executed;
       t.on_execute ~slot:t.exec_cursor sp.Xmsg.prepare.Xmsg.request;
       t.exec_cursor <- t.exec_cursor + 1
@@ -158,7 +157,7 @@ let check_commit t (e : Xlog.entry) =
   match e.Xlog.sp with
   | Some sp when not e.Xlog.committed ->
     if List.for_all (fun k -> List.mem k e.Xlog.votes) t.grp then begin
-      e.Xlog.committed <- true;
+      Xlog.mark_committed t.log e;
       Metrics.inc t.m_commits;
       if Journal.live () then
         Journal.record
@@ -173,7 +172,7 @@ let check_commit t (e : Xlog.entry) =
    subtlety: "a COMMIT message from process k may arrive before the PREPARE
    … in this case, no expectation should be issued for process k". *)
 let adopt_prepare ?(except = []) t (e : Xlog.entry) sp =
-  e.Xlog.sp <- Some sp;
+  Xlog.set_prepare t.log e sp;
   Xlog.record_vote e (me t);
   let slot = sp.Xmsg.prepare.Xmsg.slot in
   send_group t (Xmsg.Commit { cview = t.view; cslot = slot; csp = sp });
@@ -203,7 +202,7 @@ let handle_prepare t ~src sp =
         detect t src
       else if sp'.Xmsg.view < p.Xmsg.view then begin
         (* Re-prepare at a newer view (after view change). *)
-        e.Xlog.votes <- [];
+        Xlog.clear_votes e;
         adopt_prepare t e sp
       end
   end
@@ -247,8 +246,8 @@ let propose_at t ~slot request =
   let prepare = { Xmsg.view = t.view; slot; request } in
   let sp = Xmsg.sign_prepare (Shell.auth t.sh) ~leader:(me t) prepare in
   let e = Xlog.entry t.log slot in
-  e.Xlog.sp <- Some sp;
-  e.Xlog.votes <- [];
+  Xlog.set_prepare t.log e sp;
+  Xlog.clear_votes e;
   Xlog.record_vote e (me t);
   List.iter
     (fun dst ->
@@ -503,8 +502,9 @@ let timeouts t = Shell.timeouts t.sh
 (* ------------------------------------------------------------------ *)
 (* Crash-recovery (amnesia) *)
 
-let export_log_prefix t =
-  List.filter (fun (e : Xmsg.entry) -> e.Xmsg.ecommitted) (Xlog.to_entries t.log)
+let export_log_prefix t = Xlog.committed_entries t.log
+
+let log t = t.log
 
 (* Committed entries only, with the same provenance check a view-change
    recipient applies: the original leader-of-[eview] signature must verify,

@@ -120,6 +120,10 @@ val export_log_prefix : t -> Xmsg.entry list
 (** The committed entries, slot-ordered — what the durable snapshot and the
     [StateResp] supplement carry. *)
 
+val log : t -> Xlog.t
+(** The replica's log, for the durability layer's change tracking
+    ({!Xlog.id}, {!Xlog.changed_since}). *)
+
 val import_log_prefix : t -> Xmsg.entry list -> unit
 (** Re-install committed entries (from the durable snapshot or a peer's
     supplement) and execute the contiguous prefix. Each entry's original

@@ -19,6 +19,9 @@ module Rejoin = Qs_recovery.Rejoin
 module Fault = Qs_faults.Fault
 module Replica = Qs_xpaxos.Replica
 module Xcluster = Qs_xpaxos.Xcluster
+module Xdurable = Qs_xpaxos.Xdurable
+module Xlog = Qs_xpaxos.Xlog
+module Xmsg = Qs_xpaxos.Xmsg
 module Auth = Qs_crypto.Auth
 
 let ms = Stime.of_ms
@@ -55,6 +58,14 @@ let test_store_auto_fsync () =
   Store.crash s;
   check_str_opt "pre-point writes survive" (Some "2") (Store.get s "b");
   check_str_opt "post-point write does not" None (Store.get s "c")
+
+let test_store_bytes_written () =
+  let s = Store.create () in
+  Store.put s "k" "abc";
+  Store.put s "key" "";
+  check_int "key and value bytes of every put" 7 (Store.bytes_written s);
+  Store.crash s;
+  check_int "lost writes still count" 7 (Store.bytes_written s)
 
 (* ------------------------------------------------------------------ *)
 (* Codec: round-trips and explicit corruption *)
@@ -399,10 +410,258 @@ let test_xpaxos_amnesia_without_durability_is_total () =
   check_int "trivial payload" 1 payload.Rejoin.epoch
 
 (* ------------------------------------------------------------------ *)
+(* The incremental durable log: what a recovery reads back equals a full
+   encode of the committed log at the last fsync point *)
+
+(* The reference: the whole committed log, encoded in one piece. *)
+let full_encode entries = Xdurable.encode_entries entries
+
+type dop = Commit of int | View_change | Resign of int | Amnesia of int
+
+let dop_to_string = function
+  | Commit k -> Printf.sprintf "commit %d" k
+  | View_change -> "view-change"
+  | Resign p -> Printf.sprintf "resign p%d" p
+  | Amnesia p -> Printf.sprintf "amnesia p%d" p
+
+let auth3 = Auth.create 3
+
+(* Re-sign replica [p]'s highest committed slot at the next view, as a
+   NEW-VIEW carrying a newer prepare for it installs it. *)
+let resign c p =
+  let r = Xcluster.replica c p in
+  match List.rev (Replica.export_log_prefix r) with
+  | [] -> ()
+  | (e : Xmsg.entry) :: _ ->
+    let view = e.Xmsg.eview + 1 in
+    let leader = Qs_xpaxos.Enumeration.leader ~n:3 ~q:2 ~view in
+    let sp =
+      Xmsg.sign_prepare auth3 ~leader
+        { Xmsg.view; slot = e.Xmsg.eslot; request = e.Xmsg.erequest }
+    in
+    Xlog.adopt (Replica.log r)
+      { e with Xmsg.eview = view; epsig = sp.Xmsg.psig }
+      ~view ~sp
+
+(* The small durable state of a replica: view, adapted timeouts, and the
+   selector's encoded matrix and epoch. *)
+let small_state r =
+  let qsel = Option.get (Replica.quorum_selector r) in
+  ( Replica.view r,
+    Qs_fd.Timeout.export (Replica.timeouts r),
+    Codec.encode_matrix (QS.matrix qsel),
+    QS.epoch qsel )
+
+(* Run [ops] on a durable three-replica cluster. After every persist, the
+   log a recovery would read from that replica's store must equal a full
+   encode of its committed log; after every op, each store must still read
+   as its replica's last persist; an amnesia must restore the small state
+   of the last persist too. Returns the mismatches, described. *)
+let run_durable_ops ?fsync_every ops =
+  let last = Array.make 3 "" in
+  let last_small = Array.make 3 (0, [||], "", 0) in
+  let bad = ref [] in
+  let cluster = ref None in
+  let at_persist p _ =
+    match !cluster with
+    | None -> ()
+    | Some c ->
+      let r = Xcluster.replica c p in
+      let want = full_encode (Replica.export_log_prefix r) in
+      last.(p) <- want;
+      last_small.(p) <- small_state r;
+      if full_encode (Xdurable.durable_log (Xcluster.store c p)) <> want then
+        bad := Printf.sprintf "p%d after a persist" p :: !bad
+  in
+  let c = Xcluster.create ~on_execute:at_persist xpaxos_cfg in
+  Xcluster.attach_durability ?fsync_every c;
+  cluster := Some c;
+  for p = 0 to 2 do
+    last.(p) <- full_encode (Replica.export_log_prefix (Xcluster.replica c p));
+    last_small.(p) <- small_state (Xcluster.replica c p)
+  done;
+  let now = ref 0 in
+  let advance by =
+    now := !now + by;
+    Xcluster.run ~until:(ms !now) c
+  in
+  let step = function
+    | Commit k ->
+      for _ = 1 to k do
+        ignore (Xcluster.submit c "op")
+      done;
+      advance 200
+    | View_change ->
+      let leader = Replica.leader (Xcluster.replica c 2) in
+      Xcluster.set_fault c leader Replica.Mute;
+      ignore (Xcluster.submit c "vc");
+      advance 400;
+      Xcluster.set_fault c leader Replica.Honest;
+      advance 200
+    | Resign p -> resign c p
+    | Amnesia p ->
+      (* Re-executing the re-imported log persists again, so take the
+         last persist's view of the replica first. *)
+      let log = last.(p) and view, timeouts, matrix, epoch = last_small.(p) in
+      let payload = Xcluster.amnesia c p in
+      let r = Xcluster.replica c p in
+      if full_encode (Replica.export_log_prefix r) <> log then
+        bad := Printf.sprintf "p%d re-imported another log" p :: !bad;
+      if
+        Replica.view r <> view
+        || Qs_fd.Timeout.export (Replica.timeouts r) <> timeouts
+        || payload.Rejoin.matrix <> matrix
+        || payload.Rejoin.epoch <> epoch
+      then bad := Printf.sprintf "p%d restored another small state" p :: !bad;
+      let peer = Xcluster.collect_payload c ((p + 1) mod 3) in
+      Xcluster.adopt_payload c p
+        ~matrix:(Codec.decode_matrix peer.Rejoin.matrix)
+        ~epoch:peer.Rejoin.epoch ~extra:peer.Rejoin.extra
+  in
+  List.iter
+    (fun op ->
+      step op;
+      for p = 0 to 2 do
+        if full_encode (Xdurable.durable_log (Xcluster.store c p)) <> last.(p) then
+          bad := Printf.sprintf "p%d after %s" p (dop_to_string op) :: !bad
+      done)
+    ops;
+  (c, List.rev !bad)
+
+let dop_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (5, map (fun k -> Commit (k + 1)) (int_bound 4));
+        (2, return View_change);
+        (2, map (fun p -> Resign p) (int_bound 2));
+        (2, map (fun p -> Amnesia p) (int_bound 2));
+      ])
+
+let prop_incremental_log_matches_full_encode =
+  QCheck.Test.make ~name:"durable log reads back as a full encode at every fsync point"
+    ~count:40
+    QCheck.(
+      make
+        ~print:(fun (fe, ops) ->
+          Printf.sprintf "fsync_every=%s: %s"
+            (match fe with None -> "none" | Some k -> string_of_int k)
+            (String.concat "; " (List.map dop_to_string ops)))
+        Gen.(pair (oneofl [ None; Some 1; Some 3 ]) (list_size (int_range 1 12) dop_gen)))
+    (fun (fsync_every, ops) ->
+      match run_durable_ops ?fsync_every ops with
+      | _, [] -> true
+      | _, bad -> QCheck.Test.fail_reportf "%s" (String.concat ", " bad))
+
+(* A fixed run long enough to compact several times, with re-signed
+   committed slots and an amnesia in the middle. *)
+let test_incremental_log_long_run () =
+  let ops =
+    List.concat
+      [
+        List.init 10 (fun _ -> Commit 5);
+        [ Resign 0; Resign 1; View_change ];
+        List.init 10 (fun _ -> Commit 5);
+        [ Amnesia 0; Resign 0 ];
+        List.init 10 (fun _ -> Commit 5);
+      ]
+  in
+  let c, bad = run_durable_ops ops in
+  Alcotest.(check (list string)) "every read-back matches" [] bad;
+  check_bool "the run committed a long log" true
+    (List.length (Replica.export_log_prefix (Xcluster.replica c 0)) >= 100);
+  check_bool "the view changed" true (Xcluster.max_view c > 0)
+
+(* A store this log did not write last gets a complete snapshot: a fresh
+   scratch store written mid-run (what perfbench's persist probe does), and
+   the replica's own store after an amnesia clear. Run twice, with and
+   without the scratch writes: the own store must end the same. *)
+let foreign_store_run ~probe =
+  let c = Xcluster.create xpaxos_cfg in
+  Xcluster.attach_durability c;
+  let p = 0 in
+  let r = Xcluster.replica c p in
+  let own = Xcluster.store c p in
+  let full () = full_encode (Replica.export_log_prefix r) in
+  let scratch_write () =
+    if probe then begin
+      let scratch = Store.create () in
+      Xdurable.persist r scratch;
+      check_bool "scratch store holds the whole log" true
+        (full_encode (Xdurable.durable_log scratch) = full ());
+      check_str_opt "as one base snapshot, no delta" None (Store.get scratch "log.1")
+    end
+  in
+  let now = ref 0 in
+  let batch k =
+    for _ = 1 to k do
+      ignore (Xcluster.submit c "a")
+    done;
+    now := !now + 300;
+    Xcluster.run ~until:(ms !now) c;
+    scratch_write ()
+  in
+  List.iter batch [ 30; 1; 1; 5 ];
+  check_bool "a long log" true (List.length (Replica.export_log_prefix r) >= 37);
+  check_bool "the own store took deltas" true (Store.get own "log.1" <> None);
+  (* After an amnesia clear the log has a new identity: its first persist
+     into the same store — at the first re-executed slot of the re-import —
+     writes a new base. *)
+  let base = Store.get own "log" in
+  ignore (Xcluster.amnesia c p : Rejoin.payload);
+  check_bool "re-imported the durable log" true
+    (full_encode (Xdurable.durable_log own) = full ());
+  check_bool "a new base after the clear" true (Store.get own "log" <> base);
+  scratch_write ();
+  List.iter batch [ 1; 1; 5 ];
+  check_bool "own store reads back the whole log" true
+    (full_encode (Xdurable.durable_log own) = full ());
+  (* Values carry the writing log's process-unique identity, so the two
+     runs compare by key, value length and what recovery reads. *)
+  ( List.map (fun (k, v) -> (k, String.length v)) (Store.bindings own),
+    Store.bytes_written own,
+    full_encode (Xdurable.durable_log own) )
+
+let test_foreign_store_gets_full_snapshot () =
+  let with_probe = foreign_store_run ~probe:true in
+  let without = foreign_store_run ~probe:false in
+  check_bool "scratch writes leave the own store's deltas as they were" true
+    (with_probe = without)
+
+(* The entry count is bounded by the payload, not by a constant. *)
+let test_entries_count_bound () =
+  let w = Codec.W.create () in
+  Codec.W.int w 1_000_000_000;
+  Codec.W.int w 0;
+  corrupt "huge count on a short payload" (fun () ->
+      Xdurable.decode_entries (Codec.frame ~tag:"xlg" ~version:1 (Codec.W.contents w)))
+
+let test_entries_million_roundtrip () =
+  let n = 1_000_001 in
+  let minimal =
+    {
+      Xmsg.eview = 0;
+      eslot = 0;
+      erequest = { Xmsg.client = 0; rid = 0; op = "" };
+      ecommitted = true;
+      epsig = "";
+    }
+  in
+  let entries = List.init n (fun _ -> minimal) in
+  let decoded = Xdurable.decode_entries (Xdurable.encode_entries entries) in
+  check_int "every entry back" n (List.length decoded);
+  check_bool "unchanged" true (List.for_all (fun e -> e = minimal) decoded)
+
+(* ------------------------------------------------------------------ *)
 
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_matrix_codec_roundtrip; prop_decoded_merge_laws; prop_fault_roundtrip ]
+    [
+      prop_matrix_codec_roundtrip;
+      prop_decoded_merge_laws;
+      prop_fault_roundtrip;
+      prop_incremental_log_matches_full_encode;
+    ]
 
 let () =
   Alcotest.run "recovery"
@@ -411,6 +670,7 @@ let () =
         [
           Alcotest.test_case "fsync point" `Quick test_store_fsync_point;
           Alcotest.test_case "auto fsync" `Quick test_store_auto_fsync;
+          Alcotest.test_case "bytes written" `Quick test_store_bytes_written;
         ] );
       ( "codec",
         [
@@ -436,6 +696,14 @@ let () =
           Alcotest.test_case "durable log restored" `Quick test_xpaxos_amnesia_restores_durable_log;
           Alcotest.test_case "no durability = total loss" `Quick
             test_xpaxos_amnesia_without_durability_is_total;
+          Alcotest.test_case "incremental log, long run" `Quick
+            test_incremental_log_long_run;
+          Alcotest.test_case "foreign store gets a full snapshot" `Quick
+            test_foreign_store_gets_full_snapshot;
+          Alcotest.test_case "entry count bounded by payload" `Quick
+            test_entries_count_bound;
+          Alcotest.test_case "million-entry log round-trips" `Slow
+            test_entries_million_roundtrip;
         ] );
       ("properties", qsuite);
     ]

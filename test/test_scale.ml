@@ -357,9 +357,18 @@ let runtime_section ?(corrupt_rejected = 1) ?(committed = 3) ?(violations = 0) (
           ] );
     ]
 
+let durability_section ?(first = 1011) ?(later = 1282) () =
+  Json.Obj
+    [
+      ("commits", Json.Int 400);
+      ("first_bytes_per_commit", Json.Int first);
+      ("later_bytes_per_commit", Json.Int later);
+      ("level", Json.Bool (2 * later <= 3 * first));
+    ]
+
 let bench ?(scaling = []) ?(churn = [ churn_point () ])
     ?(explore = explore_section ()) ?(policy = policy_section ())
-    ?(runtime = runtime_section ()) () =
+    ?(runtime = runtime_section ()) ?(durability = durability_section ()) () =
   Json.Obj
     [
       ("schema", Json.String "qsel-bench/1");
@@ -381,6 +390,7 @@ let bench ?(scaling = []) ?(churn = [ churn_point () ])
       ("explore", explore);
       ("policy", policy);
       ("runtime", runtime);
+      ("durability", durability);
       ("results", Json.List []);
     ]
 
@@ -570,6 +580,18 @@ let test_gate_fails_runtime_regression () =
   in
   check_bool "monitor violation fails" false (gate violating b)
 
+let test_gate_fails_durability_regression () =
+  let b = Gate.derive_baseline (healthy ()) in
+  let heavier =
+    bench ~scaling:(scaling_healthy ()) ~durability:(durability_section ~later:1300 ()) ()
+  in
+  check_bool "more bytes per commit fails" false (gate heavier b);
+  let growing = durability_section ~later:2000 () in
+  check_bool "a later window past 1.5x fails on its own" false
+    (gate
+       (bench ~scaling:(scaling_healthy ()) ~durability:growing ())
+       (Gate.derive_baseline (bench ~scaling:(scaling_healthy ()) ~durability:growing ())))
+
 let test_gate_missing_field_malformed () =
   (* A gated field absent from the current run is an error, never a pass. *)
   let b = Gate.derive_baseline (healthy ()) in
@@ -663,6 +685,8 @@ let () =
             test_gate_fails_explore_regression;
           Alcotest.test_case "runtime regression fails" `Quick
             test_gate_fails_runtime_regression;
+          Alcotest.test_case "durability regression fails" `Quick
+            test_gate_fails_durability_regression;
           Alcotest.test_case "missing gated field is malformed" `Quick
             test_gate_missing_field_malformed;
           Alcotest.test_case "update-baseline ratchet" `Quick

@@ -73,9 +73,10 @@ let test_xlog_executed_prefix_stops_at_gap () =
   let log = Xlog.create () in
   let mk slot =
     let e = Xlog.entry log slot in
-    e.Xlog.sp <- Some (sp_for auth ~leader:0 ~view:0 ~slot (Printf.sprintf "op%d" slot));
-    e.Xlog.committed <- true;
-    e.Xlog.executed <- true
+    Xlog.set_prepare log e
+      (sp_for auth ~leader:0 ~view:0 ~slot (Printf.sprintf "op%d" slot));
+    Xlog.mark_committed log e;
+    Xlog.mark_executed e
   in
   mk 0;
   mk 1;
@@ -87,8 +88,8 @@ let test_xlog_to_entries () =
   let auth = Qs_crypto.Auth.create 3 in
   let log = Xlog.create () in
   let e = Xlog.entry log 0 in
-  e.Xlog.sp <- Some (sp_for auth ~leader:0 ~view:2 ~slot:0 "x");
-  e.Xlog.committed <- true;
+  Xlog.set_prepare log e (sp_for auth ~leader:0 ~view:2 ~slot:0 "x");
+  Xlog.mark_committed log e;
   ignore (Xlog.entry log 1);
   (* no prepare: not exported *)
   let entries = Xlog.to_entries log in
@@ -96,6 +97,40 @@ let test_xlog_to_entries () =
   let entry = List.hd entries in
   check_int "view" 2 entry.Xmsg.eview;
   check_bool "committed" true entry.Xmsg.ecommitted
+
+(* The change journal: a slot committing and a committed slot re-signed
+   are changes; a prepare on an uncommitted slot and an equal prepare are
+   not. The journal forgets old changes once they outnumber the committed
+   slots, and a clear takes a fresh identity. *)
+let test_xlog_changed_since () =
+  let auth = Qs_crypto.Auth.create 3 in
+  let log = Xlog.create () in
+  let slots v =
+    Option.map (List.map (fun e -> e.Xmsg.eslot)) (Xlog.changed_since log v)
+  in
+  let check_slots = Alcotest.(check (option (list int))) in
+  let e0 = Xlog.entry log 0 and e1 = Xlog.entry log 1 in
+  Xlog.set_prepare log e0 (sp_for auth ~leader:0 ~view:0 ~slot:0 "a");
+  Xlog.set_prepare log e1 (sp_for auth ~leader:0 ~view:0 ~slot:1 "b");
+  check_int "uncommitted prepares are no change" 0 (Xlog.version log);
+  Xlog.mark_committed log e1;
+  Xlog.mark_committed log e1;
+  check_slots "slot 1 committed once" (Some [ 1 ]) (slots 0);
+  let v = Xlog.version log in
+  Xlog.set_prepare log e1 (sp_for auth ~leader:0 ~view:0 ~slot:1 "b");
+  check_slots "an equal prepare is no change" (Some []) (slots v);
+  Xlog.set_prepare log e1 (sp_for auth ~leader:1 ~view:1 ~slot:1 "b");
+  check_slots "a re-signed committed slot is" (Some [ 1 ]) (slots v);
+  check_slots "ahead of the log" None (slots (Xlog.version log + 1));
+  for view = 2 to 200 do
+    Xlog.set_prepare log e1 (sp_for auth ~leader:0 ~view ~slot:1 "b")
+  done;
+  check_slots "old changes forgotten" None (slots 0);
+  check_slots "recent ones kept" (Some [ 1 ]) (slots (Xlog.version log - 1));
+  let id = Xlog.id log in
+  Xlog.clear log;
+  check_bool "a clear takes a fresh identity" true (Xlog.id log <> id);
+  check_int "and an empty journal" 0 (Xlog.version log)
 
 (* ------------------------------------------------------------------ *)
 (* Xmsg *)
@@ -370,6 +405,7 @@ let () =
           Alcotest.test_case "basics" `Quick test_xlog_basics;
           Alcotest.test_case "prefix stops at gap" `Quick test_xlog_executed_prefix_stops_at_gap;
           Alcotest.test_case "to_entries" `Quick test_xlog_to_entries;
+          Alcotest.test_case "changed_since" `Quick test_xlog_changed_since;
         ] );
       ("xmsg", [ Alcotest.test_case "sign/verify" `Quick test_xmsg_sign_verify ]);
       ( "normal-case",
