@@ -6,6 +6,7 @@ module Timeout = Qs_fd.Timeout
 module QS = Qs_core.Quorum_select
 module Pid = Qs_core.Pid
 module Auth = Qs_crypto.Auth
+module Shell = Qs_shell.Shell
 
 type config = {
   n : int;
@@ -30,27 +31,22 @@ let seal auth ~sender body =
 
 let verify auth m = Auth.verify auth ~signer:m.sender (encode_body m.body) m.signature
 
-type proc = {
-  me : Pid.t;
-  fd : msg Detector.t;
-  qsel : QS.t;
-  mutable crashed_at : Stime.t option;
-  mutable quorum_times : (Stime.t * Pid.t list) list; (* reversed *)
-}
-
 type t = {
   config : config;
   sim : Sim.t;
   net : msg Network.t;
   auth : Auth.t;
-  procs : proc array;
+  shells : (body, msg) Shell.t array;
+  crashed_at : Stime.t option array;
+  quorum_times : (Stime.t * Pid.t list) list array; (* each reversed *)
   omissions : (Pid.t * Pid.t, Stime.t) Hashtbl.t;
   mutable rounds_scheduled : bool;
 }
 
-let is_crashed t p =
-  match t.procs.(p).crashed_at with
-  | Some at -> Stime.compare (Sim.now t.sim) at >= 0
+(* A scheduled crash: [p] is down from its crash time on. *)
+let down sim crashed_at p =
+  match crashed_at.(p) with
+  | Some at -> Stime.compare (Sim.now sim) at >= 0
   | None -> false
 
 let create ?(seed = 1L) ?(delay = Network.Fixed (Stime.of_ms 1)) config =
@@ -58,73 +54,55 @@ let create ?(seed = 1L) ?(delay = Network.Fixed (Stime.of_ms 1)) config =
   let sim = Sim.create ~seed () in
   let net = Network.create ~sim ~n:config.n ~delay () in
   let auth = Auth.create config.n in
-  let omissions = Hashtbl.create 8 in
-  let procs = Array.make config.n None in
-  let t_ref = ref None in
-  for me = 0 to config.n - 1 do
-    let timeouts =
-      Timeout.create ~n:config.n ~initial:config.initial_timeout config.timeout_strategy
-    in
-    let proc_ref = ref None in
-    let qsel =
-      QS.create
-        { QS.n = config.n; f = config.f }
-        ~me ~auth
-        ~send:(fun update ->
-          let t = Option.get !t_ref in
-          if not (is_crashed t me) then
-            for dst = 0 to config.n - 1 do
-              Network.send net ~src:me ~dst (seal auth ~sender:me (Qsel update))
-            done)
-        ~on_quorum:(fun quorum ->
-          let p = Option.get !proc_ref in
-          p.quorum_times <- (Sim.now sim, quorum) :: p.quorum_times)
-        ()
-    in
-    let fd =
-      Detector.create ~sim ~me ~n:config.n ~timeouts
-        ~deliver:(fun ~src m ->
-          match m.body with
-          | Beat _ -> ()
-          | Qsel update ->
-            ignore src;
-            QS.handle_update qsel update)
-        ~on_suspected:(fun s -> QS.handle_suspected qsel s)
-        ()
-    in
-    let proc = { me; fd; qsel; crashed_at = None; quorum_times = [] } in
-    proc_ref := Some proc;
-    procs.(me) <- Some proc
-  done;
-  let t =
-    {
-      config;
-      sim;
-      net;
-      auth;
-      procs = Array.map Option.get procs;
-      omissions;
-      rounds_scheduled = false;
-    }
+  let crashed_at = Array.make config.n None in
+  let quorum_times = Array.make config.n [] in
+  let shells =
+    Array.init config.n (fun me ->
+        let sh =
+          Shell.create ~who:"Heartbeat.create" ~n:config.n ~me ~auth ~sim
+            ~net_send:(fun ~dst m ->
+              if not (down sim crashed_at me) then Network.send net ~src:me ~dst m)
+            ~seal ~verify
+            ~sender:(fun m -> m.sender)
+            ~initial_timeout:config.initial_timeout config.timeout_strategy
+        in
+        Shell.start sh
+          ~deliver:(fun ~src:_ m ->
+            match m.body with Beat _ -> () | Qsel update -> Shell.update sh update)
+          (Shell.Select
+             {
+               f = config.f;
+               wrap = (fun u -> Qsel u);
+               on_quorum =
+                 (fun quorum ->
+                   quorum_times.(me) <- (Sim.now sim, quorum) :: quorum_times.(me));
+             });
+        Network.set_handler net me (fun ~src m ->
+            if not (down sim crashed_at me) then Shell.receive sh ~src m);
+        sh)
   in
-  t_ref := Some t;
-  Array.iteri
-    (fun i proc ->
-      Network.set_handler net i (fun ~src m ->
-          if (not (is_crashed t i)) && verify t.auth m && m.sender = src then
-            Detector.receive proc.fd ~src m))
-    t.procs;
+  let omissions = Hashtbl.create 8 in
   ignore
     (Network.add_filter net (fun ~now ~src ~dst _ ->
          match Hashtbl.find_opt omissions (src, dst) with
          | Some from when Stime.compare now from >= 0 -> Network.Drop
          | _ -> Network.Deliver)
       : Network.filter_id);
-  t
+  {
+    config;
+    sim;
+    net;
+    auth;
+    shells;
+    crashed_at;
+    quorum_times;
+    omissions;
+    rounds_scheduled = false;
+  }
 
 let sim t = t.sim
 
-let crash t p at = t.procs.(p).crashed_at <- Some at
+let crash t p at = t.crashed_at.(p) <- Some at
 
 let omit_link t ~src ~dst ~from = Hashtbl.replace t.omissions (src, dst) from
 
@@ -151,23 +129,20 @@ let inject t schedule =
 let schedule_rounds t ~until =
   let period = t.config.heartbeat_period in
   let rounds = until / period in
+  let everyone = List.init t.config.n Fun.id in
   for k = 1 to rounds do
     Sim.schedule_at t.sim ~at:(k * period) (fun () ->
-        Array.iter
-          (fun proc ->
-            let me = proc.me in
-            if not (is_crashed t me) then begin
-              for dst = 0 to t.config.n - 1 do
-                if dst <> me then
-                  Network.send t.net ~src:me ~dst (seal t.auth ~sender:me (Beat { seq = k }))
-              done;
+        Array.iteri
+          (fun me sh ->
+            if not (down t.sim t.crashed_at me) then begin
+              Shell.multicast sh everyone (Beat { seq = k });
               for peer = 0 to t.config.n - 1 do
                 if peer <> me then
-                  Detector.expect proc.fd ~from:peer ~tag:"beat" (fun m ->
+                  Detector.expect (Shell.detector sh) ~from:peer ~tag:"beat" (fun m ->
                       match m.body with Beat { seq } -> seq >= k | Qsel _ -> false)
               done
             end)
-          t.procs)
+          t.shells)
   done
 
 let run ?(until = Stime.of_ms 2000) t =
@@ -177,12 +152,15 @@ let run ?(until = Stime.of_ms 2000) t =
   end;
   Sim.run ~until t.sim
 
+let selector t p = Option.get (Shell.selector t.shells.(p))
+
 let agreed_quorum t ~correct =
   match correct with
   | [] -> None
   | first :: rest ->
-    let quorum = QS.last_quorum t.procs.(first).qsel in
-    if List.for_all (fun p -> QS.last_quorum t.procs.(p).qsel = quorum) rest then Some quorum
+    let quorum = QS.last_quorum (selector t first) in
+    if List.for_all (fun p -> QS.last_quorum (selector t p) = quorum) rest then
+      Some quorum
     else None
 
 let convergence_time t ~correct ~expect_excluded =
@@ -195,7 +173,7 @@ let convergence_time t ~correct ~expect_excluded =
       let latest =
         List.fold_left
           (fun acc p ->
-            match t.procs.(p).quorum_times with
+            match t.quorum_times.(p) with
             | (at, _) :: _ -> Stime.max acc at
             | [] -> acc)
           Stime.zero correct
@@ -204,18 +182,18 @@ let convergence_time t ~correct ~expect_excluded =
     end
 
 let quorum_changes t ~correct =
-  List.fold_left (fun acc p -> max acc (QS.quorums_issued t.procs.(p).qsel)) 0 correct
-
-let messages_sent t = Network.sent_count t.net
+  List.fold_left (fun acc p -> max acc (QS.quorums_issued (selector t p))) 0 correct
 
 let false_suspicion_total t ~correct =
-  List.fold_left (fun acc p -> acc + Detector.false_suspicions t.procs.(p).fd) 0 correct
+  List.fold_left
+    (fun acc p -> acc + Detector.false_suspicions (Shell.detector t.shells.(p)))
+    0 correct
 
 let matrices_agree t ~correct =
   match correct with
   | [] -> true
   | first :: rest ->
-    let reference = QS.matrix t.procs.(first).qsel in
+    let reference = QS.matrix (selector t first) in
     List.for_all
-      (fun p -> Qs_core.Suspicion_matrix.equal reference (QS.matrix t.procs.(p).qsel))
+      (fun p -> Qs_core.Suspicion_matrix.equal reference (QS.matrix (selector t p)))
       rest
