@@ -15,9 +15,9 @@ type t =
       every : Qs_sim.Stime.t;
     }
 
-let default_horizon = Qs_sim.Stime.of_ms 60_000
+let horizon = Qs_sim.Stime.of_ms 60_000
 
-let to_schedule ?(horizon = default_horizon) = function
+let to_schedule = function
   | Mute_replicas rs -> List.map (fun r -> Fault.at (Fault.Crash r)) rs
   | Omit_links links ->
     List.map (fun (src, dst) -> Fault.at (Fault.Omit { src; dst })) links

@@ -10,7 +10,7 @@
       bound, so no fixed timeout ever suffices — only adaptive ones keep
       accuracy).
 
-    All network-expressible attacks compile ({!to_schedule}) to
+    All network-expressible attacks compile to
     {!Qs_faults.Fault} schedules and are installed through
     {!Qs_faults.Injector} — the same vocabulary the chaos campaigns and
     tests use — so they stack with any other injected faults. [Equivocate]
@@ -29,14 +29,11 @@ type t =
       every : Qs_sim.Stime.t;
     }  (** delay grows by [step] every [every] ticks *)
 
-val to_schedule : ?horizon:Qs_sim.Stime.t -> t -> Qs_faults.Fault.schedule
-(** The declarative form. [Ramp_delay] unrolls one accumulating [Delay]
-    phase per step up to [horizon] (default 60 s of virtual time);
-    [Equivocate] has no network form and compiles to the empty schedule. *)
-
 val apply : Qs_xpaxos.Xcluster.t -> t -> unit
-(** Install on the cluster: [to_schedule] through {!Qs_faults.Injector}
-    (muting via [set_fault]), plus the replica-level equivocation hook. Call
-    before the simulation runs past the attack's start times. *)
+(** Install on the cluster: the attack's fault schedule through
+    {!Qs_faults.Injector} (muting via [set_fault]), plus the replica-level
+    equivocation hook. [Ramp_delay] unrolls one accumulating [Delay] phase
+    per step over 60 s of virtual time. Call before the simulation runs past
+    the attack's start times. *)
 
 val describe : t -> string

@@ -26,10 +26,6 @@ type t = {
   signature : Qs_crypto.Auth.signature;
 }
 
-val head_binding : slot:int -> cepoch:int -> request -> string
-(** Canonical bytes the head signs: binds a request to a slot within a chain
-    configuration. *)
-
 val sign_head : Qs_crypto.Auth.t -> head:int -> slot:int -> cepoch:int -> request -> Qs_crypto.Auth.signature
 
 val verify_head :

@@ -57,8 +57,6 @@ val chain : t -> Qs_core.Pid.t list
 
 val head : t -> Qs_core.Pid.t
 
-val is_head : t -> bool
-
 val chain_epoch : t -> int
 (** Bumped on every re-chaining. *)
 

@@ -72,8 +72,6 @@ let agreed_quorum t ~correct =
       Some quorum
     else None
 
-let issued_counts t = Array.map Quorum_select.quorums_issued t.nodes
-
 let max_issued t ~correct =
   List.fold_left (fun acc p -> max acc (Quorum_select.quorums_issued t.nodes.(p))) 0 correct
 

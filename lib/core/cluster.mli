@@ -5,8 +5,8 @@
     experiments need (Theorems 3 and 4 count quorum changes {e after} the
     failure detector is accurate, so network asynchrony is irrelevant — only
     the order of suspicion injections matters, and the adversary controls
-    that explicitly here). The full asynchronous stack lives in
-    [Qs_harness.Runner].
+    that explicitly here). The full asynchronous stack (network, failure
+    detector, Algorithm 1) lives in [Qs_harness.Heartbeat].
 
     The adversary interacts through three entry points:
     - [fd_suspect]: make a node's failure detector report a suspicion set
@@ -46,8 +46,6 @@ val last_quorums : t -> Pid.t list array
 
 val agreed_quorum : t -> correct:Pid.t list -> Pid.t list option
 (** The common last quorum of the given processes, if they agree. *)
-
-val issued_counts : t -> int array
 
 val max_issued : t -> correct:Pid.t list -> int
 (** Largest number of quorums issued by any of the given processes — the

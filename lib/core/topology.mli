@@ -14,11 +14,9 @@
 
 type t
 
-val of_array : string array -> t
-(** One label per slot. [Invalid_argument] on an empty array or an empty
-    or [','/';']-containing label (reserved by {!to_string}). *)
-
 val of_list : string list -> t
+(** One label per slot. [Invalid_argument] on an empty list or an empty
+    or [','/';']-containing label (reserved by {!to_string}). *)
 
 val round_robin : n:int -> string list -> t
 (** Slot [i] gets label [i mod k] of the [k] given labels — balanced

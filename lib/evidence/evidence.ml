@@ -25,10 +25,6 @@ let check_proof auth p =
   && Msg.verify auth p.second
   && incomparable p.first.Msg.update.Msg.row p.second.Msg.update.Msg.row
 
-let proof_to_string p =
-  Format.asprintf "proof[%a equivocated: %a vs %a]" Pid.pp p.culprit Msg.pp p.first
-    Msg.pp p.second
-
 type t = {
   auth : Auth.t;
   me : int;

@@ -40,8 +40,6 @@ val check_proof : Qs_crypto.Auth.t -> proof -> bool
     both frames verify under [culprit]'s key, both rows are owned by
     [culprit], and the rows are {!incomparable}. *)
 
-val proof_to_string : proof -> string
-
 type t
 
 val create : auth:Qs_crypto.Auth.t -> me:int -> n:int -> t

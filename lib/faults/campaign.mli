@@ -89,5 +89,3 @@ val render : report -> string
 (** Multi-line human-readable report. *)
 
 val to_json : report -> Qs_obs.Json.t
-
-val model_to_string : Fault.model -> string

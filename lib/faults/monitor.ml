@@ -444,8 +444,6 @@ let checks_run t = t.checks
 
 let commits_observed t = t.commits
 
-let quorums_observed t = t.quorums
-
 let proofs_observed t = t.proofs
 
 let forgeries_observed t = t.forgeries

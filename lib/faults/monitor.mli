@@ -138,8 +138,6 @@ val checks_run : t -> int
 
 val commits_observed : t -> int
 
-val quorums_observed : t -> int
-
 val proofs_observed : t -> int
 (** [Proof_found] + [Proof_admitted] events seen. *)
 

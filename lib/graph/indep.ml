@@ -112,9 +112,3 @@ let lex_first_independent_set g q =
     done;
     if !chosen_count = q then Some (List.rev !chosen) else None
   end
-
-let max_independent_set g =
-  let size = max_independent_set_size g in
-  match lex_first_independent_set g size with
-  | Some s -> s
-  | None -> assert false (* size is achievable by construction *)

@@ -32,7 +32,3 @@ val lex_first_independent_set : Graph.t -> int -> int list option
 val min_vertex_cover_size : Graph.t -> int
 (** [n - max_independent_set_size]: the complement view used in the proofs of
     Theorem 4 and Lemma 8. *)
-
-val max_independent_set : Graph.t -> int list
-(** One maximum independent set (the lexicographically first among maximum
-    ones), sorted increasing. *)

@@ -79,10 +79,6 @@ val topology_for : params -> Qs_core.Topology.t
     topology backs [--correlated] fault domains and [--policy diverse]
     caps, so the two compose coherently. *)
 
-val regions_for : params -> (string * int list) list
-(** {!topology_for} flattened to (label, members) fault domains — the
-    [regions] field of a correlated {!Qs_faults.Fault.gen_profile}. *)
-
 val rejoin_max_retries : int
 (** The retry budget every cluster's rejoin engines run with — also the
     monitor's [rejoin_retry_bound] on in-model schedules. *)
@@ -140,7 +136,7 @@ val campaign :
     width-preserving (membership epoch bump, identity slot remap) and the
     monitor's cross-epoch invariants (stale-config, joiner-quorum,
     ejected-quorum/readmitted) arm themselves from the journal.
-    [correlated] arms whole-fault-domain failures over {!regions_for}'s
+    [correlated] arms whole-fault-domain failures over {!topology_for}'s
     topology (region partitions, rack losses, gray regions), emitted only
     while the schedule's blame set fits the budget; like the other knobs it
     is stream-stable when off.

@@ -38,9 +38,6 @@ type explore_check = {
   sym_collapses : bool;  (** sym_visited < seq_visited *)
 }
 
-val default_jobs : int list
-(** [1; 2; 4; 8] *)
-
 val measure :
   ?quick:bool -> ?jobs:int list -> unit -> point list * explore_check
 (** Raw measurements — the bench harness serializes these into the

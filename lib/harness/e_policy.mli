@@ -34,7 +34,7 @@ type point = {
   standing : int list;  (** the pre-loss standing quorum *)
   max_exposure : int;
       (** worst [|standing ∩ region|] over all single-region losses *)
-  outages : int;  (** regions whose loss takes [>= outage_exposure] seats *)
+  outages : int;  (** regions whose loss takes [>= 2] seats *)
   availability : float;  (** fraction of region losses below the outage bar *)
   quorum_changes : int;  (** losses whose repaired quorum differs *)
   repairs_clean : bool;
@@ -46,10 +46,6 @@ type point = {
       (** reserved for callers that thread per-policy groups; {!measure}
           leaves it empty and {!run} checks the cross-policy groups *)
 }
-
-val outage_exposure : int
-(** [2] — the smallest simultaneous seat loss no single quorum change
-    repairs. *)
 
 val measure : unit -> point list
 (** One point per policy, in [lex; lottery; diverse] order.

@@ -117,8 +117,6 @@ val clear : ?j:t -> unit -> unit
 
 val event_to_string : event -> string
 
-val entry_to_json : entry -> Json.t
-
 val to_json : ?j:t -> unit -> Json.t
 (** [{"dropped": n, "events": [...]}] — oldest first. *)
 

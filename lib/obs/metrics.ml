@@ -86,8 +86,6 @@ let inc_c ?m ?labels ?by name = inc ?by (counter ?m ?labels name)
 
 let set_g ?m ?labels name v = set (gauge ?m ?labels name) v
 
-let max_g ?m ?labels name v = set_max (gauge ?m ?labels name) v
-
 let observe_h ?m ?labels name v = observe (histogram ?m ?labels name) v
 
 let counter_value c = c.c

@@ -60,7 +60,6 @@ val observe : histogram -> float -> unit
 
 val inc_c : ?m:t -> ?labels:labels -> ?by:int -> string -> unit
 val set_g : ?m:t -> ?labels:labels -> string -> float -> unit
-val max_g : ?m:t -> ?labels:labels -> string -> float -> unit
 val observe_h : ?m:t -> ?labels:labels -> string -> float -> unit
 
 (** {1 Reads} *)

@@ -311,15 +311,11 @@ let start_gossip t =
       schedule_gossip t d
     end
 
-let stop_gossip t = t.gossip_on <- false
-
 let rejoining t = t.rejoining
 
 let retries t = t.retries
 
 let completed_rounds t = t.completed
-
-let gave_up_rounds t = t.gave_up
 
 let bad_payloads t = t.bad_payloads
 

@@ -92,8 +92,6 @@ val push_now : t -> unit
     process ships its matrix so no suspicion it uniquely holds is lost with
     its removal. *)
 
-val stop_gossip : t -> unit
-
 val set_delta :
   t -> Qs_core.Delta.t -> on_merge:(unit -> unit) -> full_every:int -> unit
 (** Switch gossip to delta-state mode: each tick ships every peer only the
@@ -116,13 +114,6 @@ val retries : t -> int
 (** Rebroadcasts in the current/last round. *)
 
 val completed_rounds : t -> int
-
-val gave_up_rounds : t -> int
-(** Rejoin rounds that exhausted the retry bound without completing: the
-    process went dormant for good unless revived by an unsolicited push or
-    a fresh {!start}. Each such round journals [Rejoin_gave_up] and bumps
-    the [rec_gave_up_total] counter (attempt counts live in
-    [rec_retries_total] and the [rec_round_attempts] gauge). *)
 
 val bad_payloads : t -> int
 (** Responses rejected by the codec. *)

@@ -24,13 +24,10 @@ type t = {
   payload : string;
 }
 
-val max_frame_bytes : int
-(** Upper bound on an encoded body; longer length prefixes are rejected as
-    corrupt before allocation. *)
-
 val encode : t -> string
-(** Length prefix + framed body. [Invalid_argument] if over
-    {!max_frame_bytes}. *)
+(** Length prefix + framed body. [Invalid_argument] if the body is over
+    8 MiB, the bound above which {!read} rejects a length prefix as corrupt
+    before allocating. *)
 
 val decode_body : string -> t
 (** Decode a body ({!encode} output {e without} its 4-byte prefix). Raises

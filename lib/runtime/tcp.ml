@@ -59,7 +59,6 @@ module Make (M : WIRE) = struct
     wheel : Sim.t;  (* private timer wheel, advanced to the wall clock *)
     inbox : (unit -> unit) Mailbox.t;
     mutable handler : (src:int -> msg -> unit) option;
-    mutable on_keepalive : (src:int -> unit) option;
     links : link option array;  (* [None] at index [me] *)
     (* receiver-side dedup: src -> (incarnation, seq high-watermark) *)
     dedup : (int, int * int) Hashtbl.t;
@@ -129,8 +128,6 @@ module Make (M : WIRE) = struct
   let sim t ~me = (endpoint t me).wheel
 
   let set_handler t i f = (endpoint t i).handler <- Some (fun ~src m -> f ~src m)
-
-  let set_keepalive t i f = (endpoint t i).on_keepalive <- Some (fun ~src -> f ~src)
 
   let post t i f = ignore (Mailbox.push (endpoint t i).inbox f : bool)
 
@@ -295,10 +292,7 @@ module Make (M : WIRE) = struct
          | Frame.Keepalive ->
            ignore
              (Mailbox.push ep.inbox (fun () ->
-                  ep.keepalives_seen <- ep.keepalives_seen + 1;
-                  match ep.on_keepalive with
-                  | Some h -> h ~src:f.Frame.src
-                  | None -> ())
+                  ep.keepalives_seen <- ep.keepalives_seen + 1)
                : bool)
          | Frame.Data ->
            ignore
@@ -389,7 +383,6 @@ module Make (M : WIRE) = struct
            wheel = Sim.create ~seed:(Int64.add t.seed (Int64.of_int (me + 7919))) ();
            inbox = Mailbox.create ~capacity:t.inbox_capacity;
            handler = None;
-           on_keepalive = None;
            links = Array.make t.n None;
            dedup = Hashtbl.create 16;
            listen_fd = None;

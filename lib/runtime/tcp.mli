@@ -75,10 +75,6 @@ module Make (M : WIRE) : sig
   val clock : t -> Wallclock.t
   (** The fabric's shared wall clock (tick 0 = fabric creation). *)
 
-  val set_keepalive : t -> int -> (src:int -> unit) -> unit
-  (** Observe keepalive arrivals at endpoint [i] (driver context) — the
-      hook a liveness layer uses to track last-heard times per peer. *)
-
   (** {2 Nemesis controls} — the live-fault counterpart of the simulated
       network's filter chain. *)
 

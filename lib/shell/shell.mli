@@ -1,7 +1,9 @@
 (** The per-process stack below a protocol's rules (paper, Fig. 1 and
     Section IV): signed links, the expectation-based failure detector and,
     optionally, Algorithm 1 — written once for the five replicas (XPaxos,
-    PBFT, MinBFT, chain, star), which keep only their protocol logic.
+    PBFT, MinBFT, chain, star), which keep only their protocol logic, and
+    for the heartbeat stack ([Qs_harness.Heartbeat]), which keeps only its
+    rounds and its timed faults.
 
     A replica builds its shell first ({!create}), then its own state, then
     ties the detector's outputs to that state ({!start}). The creation order

@@ -195,8 +195,6 @@ let broadcast t ~src ?(include_self = true) m =
     if dst <> src || include_self then send t ~src ~dst m
   done
 
-let send_to t ~src ~dsts m = List.iter (fun dst -> send t ~src ~dst m) dsts
-
 let sent_count t = t.sent
 
 let delivered_count t = t.delivered

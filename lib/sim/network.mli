@@ -103,8 +103,6 @@ val send : 'm t -> src:int -> dst:int -> 'm -> unit
 val broadcast : 'm t -> src:int -> ?include_self:bool -> 'm -> unit
 (** Send to every endpoint; [include_self] defaults to [true]. *)
 
-val send_to : 'm t -> src:int -> dsts:int list -> 'm -> unit
-
 (** {2 Accounting} — message-complexity experiment E6. *)
 
 val sent_count : _ t -> int

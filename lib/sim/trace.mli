@@ -27,7 +27,5 @@ val deliveries : t -> entry list
 
 val clear : t -> unit
 
-val pp_entry : Format.formatter -> entry -> unit
-
 val render : t -> string
 (** Multi-line "time src->dst label [kind]" listing. *)

@@ -10,10 +10,6 @@ val choose : int -> int -> int
 
 exception Overflow
 
-val first_subset : int -> int list
-(** [first_subset k] is [\[0; 1; …; k-1\]] — the lexicographically first
-    k-subset. *)
-
 val next_subset : int -> int list -> int list option
 (** [next_subset n s] is the successor of sorted k-subset [s] of [\[0, n)] in
     lexicographic order, or [None] when [s] is the last one. *)

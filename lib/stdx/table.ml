@@ -1,11 +1,9 @@
 type align = Left | Right
 
-type row = Cells of string list | Rule
-
 type t = {
   title : string;
   columns : (string * align) list;
-  mutable rows : row list;  (* reversed *)
+  mutable rows : string list list;  (* reversed *)
 }
 
 let create ~title ~columns = { title; columns; rows = [] }
@@ -13,21 +11,17 @@ let create ~title ~columns = { title; columns; rows = [] }
 let add_row t cells =
   if List.length cells <> List.length t.columns then
     invalid_arg "Table.add_row: cell count mismatch";
-  t.rows <- Cells cells :: t.rows
-
-let add_rule t = t.rows <- Rule :: t.rows
+  t.rows <- cells :: t.rows
 
 let render t =
   let headers = List.map fst t.columns in
-  let cell_rows =
-    List.filter_map (function Cells c -> Some c | Rule -> None) (List.rev t.rows)
-  in
+  let rows = List.rev t.rows in
   let widths =
     List.mapi
       (fun i h ->
         List.fold_left
           (fun acc row -> max acc (String.length (List.nth row i)))
-          (String.length h) cell_rows)
+          (String.length h) rows)
       headers
   in
   let pad align width s =
@@ -49,12 +43,7 @@ let render t =
   Buffer.add_string buf (rule ^ "\n");
   Buffer.add_string buf (render_cells headers ^ "\n");
   Buffer.add_string buf (rule ^ "\n");
-  List.iter
-    (fun row ->
-      match row with
-      | Cells cells -> Buffer.add_string buf (render_cells cells ^ "\n")
-      | Rule -> Buffer.add_string buf (rule ^ "\n"))
-    (List.rev t.rows);
+  List.iter (fun cells -> Buffer.add_string buf (render_cells cells ^ "\n")) rows;
   Buffer.add_string buf rule;
   Buffer.contents buf
 

@@ -13,9 +13,6 @@ val create : title:string -> columns:(string * align) list -> t
 val add_row : t -> string list -> unit
 (** Row cells must match the number of columns. *)
 
-val add_rule : t -> unit
-(** Insert a horizontal separator before the next row. *)
-
 val render : t -> string
 (** Render with a header, column rules, and the title on top. *)
 

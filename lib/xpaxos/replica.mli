@@ -49,8 +49,6 @@ type config = {
   timeout_strategy : Qs_fd.Timeout.strategy;
 }
 
-val quorum_size : config -> int
-
 type fault =
   | Honest
   | Mute  (** sends nothing at all (omission of every message) *)
@@ -91,8 +89,6 @@ val group : t -> Qs_core.Pid.t list
 val leader : t -> Qs_core.Pid.t
 
 val is_leader : t -> bool
-
-val in_group : t -> bool
 
 val executed : t -> Xmsg.request list
 (** Executed prefix, in order — the replicated state machine's history. *)

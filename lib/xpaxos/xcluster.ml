@@ -116,14 +116,6 @@ let omit_link t ~src ~dst = Hashtbl.replace t.omitted (src, dst) ()
 
 let delay_link t ~src ~dst ~by = Hashtbl.replace t.delayed (src, dst) by
 
-let heal_link t ~src ~dst =
-  Hashtbl.remove t.omitted (src, dst);
-  Hashtbl.remove t.delayed (src, dst)
-
-let heal_all t =
-  Hashtbl.reset t.omitted;
-  Hashtbl.reset t.delayed
-
 let max_view t = Array.fold_left (fun acc r -> max acc (Replica.view r)) 0 (replicas t)
 
 (* ------------------------------------------------------------------ *)

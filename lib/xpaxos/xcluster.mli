@@ -18,10 +18,6 @@ val omit_link : t -> src:Qs_core.Pid.t -> dst:Qs_core.Pid.t -> unit
 val delay_link : t -> src:Qs_core.Pid.t -> dst:Qs_core.Pid.t -> by:Qs_sim.Stime.t -> unit
 (** Add fixed extra latency on a link (timing failure). *)
 
-val heal_link : t -> src:Qs_core.Pid.t -> dst:Qs_core.Pid.t -> unit
-
-val heal_all : t -> unit
-
 val max_view : t -> int
 (** Largest view any replica installed — the E5 metric. *)
 

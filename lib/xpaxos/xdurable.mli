@@ -47,9 +47,6 @@ val decode_entries : string -> Xmsg.entry list
 (** Raises {!Qs_recovery.Codec.Corrupt}, also when the entry count exceeds
     what the payload's length can hold. *)
 
-val empty_matrix_payload : int -> string
-(** Encoded empty [n * n] suspicion matrix. *)
-
 val persist : Replica.t -> Qs_recovery.Store.t -> unit
 (** Write the replica's durable state (view, committed log, selector matrix
     and epoch, adapted timeouts) and fsync — the per-execute durability
