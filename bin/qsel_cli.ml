@@ -187,24 +187,13 @@ let bounds_cmd =
 (* ------------------------------------------------------------------ *)
 (* simulate: run one protocol integration under a fault scenario *)
 
+let stack_names = List.concat_map (fun (names, _, _) -> names) Qs_harness.Stack.variants
+
 let simulate_cmd =
-  let protocols =
-    Qs_harness.Stack.
-      [
-        ("xpaxos-enum", (xpaxos, Baseline));
-        ("xpaxos-qs", (xpaxos, Selecting));
-        ("pbft-full", (pbft, Baseline));
-        ("pbft-selected", (pbft, Selecting));
-        ("minbft-full", (minbft, Baseline));
-        ("minbft-selected", (minbft, Selecting));
-        ("chain", (chain, Selecting));
-        ("star", (star, Selecting));
-      ]
-  in
   let protocol =
     Arg.(
       value
-      & opt (enum (List.map (fun (name, _) -> (name, name)) protocols)) "xpaxos-qs"
+      & opt (enum (List.map (fun n -> (n, n)) stack_names)) "xpaxos-qs"
       & info [ "protocol" ] ~doc:"Which integration to run.")
   in
   let f = Arg.(value & opt int 2 & info [ "f" ] ~doc:"Failure budget.") in
@@ -220,7 +209,9 @@ let simulate_cmd =
   let run protocol f mute requests until seed verbose metrics =
     with_metrics metrics @@ fun () ->
     if verbose then Qs_stdx.Debug.enable ();
-    let (module S : Qs_harness.Stack.STACK), variant = List.assoc protocol protocols in
+    let _, (module S : Qs_harness.Stack.STACK), variant =
+      Option.get (Qs_harness.Stack.find protocol)
+    in
     let c = S.create ~n:(S.default_n ~f) ~f ~seed:(Int64.of_int seed) variant in
     List.iter (fun p -> S.set_mute c p true) mute;
     let ms = Qs_sim.Stime.of_ms in
@@ -746,11 +737,16 @@ let mc_cmd =
       & opt string "xpaxos"
       & info [ "protocol" ] ~docv:"PROTO"
           ~doc:
-            "System to explore: $(b,quorum) (bare Algorithm 1), $(b,follower) \
-             (Algorithm 2 with an emulated failure detector), $(b,xpaxos) or \
-             $(b,xpaxos-enum) (the full replica stack).")
+            ("System to explore: $(b,quorum) (bare Algorithm 1), $(b,follower) \
+              (Algorithm 2 with an emulated failure detector), or a replica \
+              stack as $(b,simulate) runs it: "
+            ^ String.concat ", " stack_names ^ "."))
   in
-  let n = Arg.(value & opt int 4 & info [ "n" ] ~doc:"Processes (keep small: 4 or 5).") in
+  let n =
+    Arg.(
+      value & opt (some int) None
+      & info [ "n" ] ~doc:"Processes (keep small: 4 or 5). Default 4; minbft runs 2f+1.")
+  in
   let f = Arg.(value & opt int 1 & info [ "f" ] ~doc:"Failure budget.") in
   let depth =
     Arg.(
@@ -782,7 +778,8 @@ let mc_cmd =
   let requests =
     Arg.(
       value & opt int (-1)
-      & info [ "requests" ] ~doc:"Client requests submitted up front (xpaxos; default 1).")
+      & info [ "requests" ]
+          ~doc:"Client requests submitted up front (replica stacks; default 1).")
   in
   let seeded_bug =
     Arg.(
@@ -844,22 +841,14 @@ let mc_cmd =
           | exception Invalid_argument msg -> Error (Printf.sprintf "--inject: %s" msg)
           | Some fault -> Ok (inj, fault :: faults)
           | None -> (
-            match String.index_opt s ':' with
+            match MC.injection_of_string s with
+            | Some i -> Ok (i :: inj, faults)
             | None ->
               Error
                 (Printf.sprintf
                    "bad --inject %S (want P:S1,S2, amnesia:P, equivocate:P, churn:P or \
                     region:M1,M2)"
-                   s)
-            | Some i -> (
-              match
-                ( int_of_string_opt (String.sub s 0 i),
-                  List.map int_of_string_opt
-                    (String.split_on_char ',' (String.sub s (i + 1) (String.length s - i - 1))) )
-              with
-              | Some p, suspects when List.for_all Option.is_some suspects ->
-                Ok ((p, List.map Option.get suspects) :: inj, faults)
-              | _ -> Error (Printf.sprintf "bad --inject %S (want P:S1,S2)" s)))))
+                   s))))
       (Ok ([], [])) specs
   in
   let run protocol n f depth inject crash requests seeded_bug random seed iters no_por json
@@ -875,7 +864,7 @@ let mc_cmd =
         let spec =
           {
             d with
-            MC.n;
+            MC.n = Option.value n ~default:d.MC.n;
             f;
             injections =
               (if injections = [] && faults = [] && crash = [] then d.MC.injections
@@ -936,7 +925,7 @@ let mc_cmd =
                    Qs_obs.Json.Obj (("protocol", Qs_obs.Json.String (MC.protocol_name proto)) :: fields)
                  | other -> other))
           else begin
-            Printf.printf "mc %s  n=%d f=%d%s%s\n" (MC.protocol_name proto) n f
+            Printf.printf "mc %s  n=%d f=%d%s%s\n" (MC.protocol_name proto) spec.MC.n f
               (if spec.MC.crashes = [] then ""
                else
                  " crash={"

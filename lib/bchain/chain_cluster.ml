@@ -25,6 +25,11 @@ include Qs_sim.Smr_cluster.Make (struct
   let executed = Chain_node.executed
 
   let set_fault = Chain_node.set_fault
+
+  let fingerprint = Chain_node.fingerprint
+
+  let encode (m : Chain_msg.t) =
+    string_of_int m.sender ^ "|" ^ Chain_msg.encode_body m.body
 end)
 
 let current_chain t = Chain_node.chain (replica t 0)

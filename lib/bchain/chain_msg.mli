@@ -31,6 +31,9 @@ val sign_head : Qs_crypto.Auth.t -> head:int -> slot:int -> cepoch:int -> reques
 val verify_head :
   Qs_crypto.Auth.t -> head:int -> forward -> bool
 
+val encode_body : body -> string
+(** A body's canonical bytes, as signed. *)
+
 val seal : Qs_crypto.Auth.t -> sender:int -> body -> t
 
 val verify : Qs_crypto.Auth.t -> t -> bool

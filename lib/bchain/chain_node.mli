@@ -66,3 +66,8 @@ val executed : t -> Chain_msg.request list
 val detector : t -> Chain_msg.t Qs_fd.Detector.t
 
 val quorum_selector : t -> Qs_core.Quorum_select.t
+
+val fingerprint : t -> string
+(** The model-checker key of the node: its protocol state (chain, chain
+    epoch, executed requests, slots, proposal and wait tables), then
+    {!Qs_shell.Shell.fingerprint}. *)

@@ -51,8 +51,8 @@ let fd_suspect t ~at suspects =
 let deliver_row t ~owner ~row ~to_ =
   Queue.add (to_, Msg.seal t.auth { Msg.owner; row }) t.queue
 
-let run_until_quiet ?(max_messages = 1_000_000) t =
-  let budget = ref max_messages in
+let run_until_quiet t =
+  let budget = ref 1_000_000 in
   while not (Queue.is_empty t.queue) do
     if !budget = 0 then raise Bus_saturated;
     decr budget;

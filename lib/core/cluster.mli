@@ -36,9 +36,9 @@ val fd_suspect : t -> at:Pid.t -> Pid.t list -> unit
 val deliver_row : t -> owner:Pid.t -> row:int array -> to_:Pid.t -> unit
 (** Enqueue a signed UPDATE for [owner]'s row to a single destination. *)
 
-val run_until_quiet : ?max_messages:int -> t -> unit
-(** Drain the bus ([max_messages] defaults to one million; exceeding it
-    raises [Bus_saturated] — it would indicate non-termination). *)
+val run_until_quiet : t -> unit
+(** Drain the bus. More than a million deliveries raise [Bus_saturated] —
+    it would indicate non-termination. *)
 
 exception Bus_saturated
 

@@ -307,11 +307,11 @@ let handle t entry =
     ignore claimed
   | _ -> ()
 
-let create ?(journal = Journal.default ()) config =
+let create config =
   let t =
     {
       config;
-      journal;
+      journal = Journal.default ();
       subscription = -1;
       suspicions = Hashtbl.create 64;
       issued = Hashtbl.create 64;
@@ -337,7 +337,7 @@ let create ?(journal = Journal.default ()) config =
       reconfigs = 0;
     }
   in
-  t.subscription <- Journal.subscribe ~j:journal (fun entry -> handle t entry);
+  t.subscription <- Journal.subscribe ~j:t.journal (fun entry -> handle t entry);
   t
 
 let detach t = Journal.unsubscribe ~j:t.journal t.subscription

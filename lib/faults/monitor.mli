@@ -102,9 +102,9 @@ val theorem9 : f:int -> int
 
 type t
 
-val create : ?journal:Qs_obs.Journal.t -> config -> t
-(** Subscribes to the journal (default: the process-wide one, which must be
-    enabled for events to flow). Call {!detach} when done. *)
+val create : config -> t
+(** Subscribes to the process-wide journal, which must be enabled for
+    events to flow. Call {!detach} when done. *)
 
 val detach : t -> unit
 
@@ -123,6 +123,9 @@ val attach_history_probe :
 (** Check the supplied [(process, executed (client, rid) list)] histories for
     pairwise prefix consistency and per-history exactly-once every [every]
     ticks, and cross-check the bound gauges. Call before the run starts. *)
+
+val check_histories : t -> at:float -> (int * (int * int) list) list -> unit
+(** One tick of that probe, on the given histories. *)
 
 val check_recovered : t -> at:float -> unit
 (** Flag every rejoin still in flight as [rejoin-stuck]. Recovery liveness

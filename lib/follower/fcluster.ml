@@ -96,8 +96,8 @@ let fire_timeout t ~at =
 
 let deliver t ~to_ msg = Queue.add (to_, msg) t.queue
 
-let run_until_quiet ?(max_messages = 1_000_000) t =
-  let budget = ref max_messages in
+let run_until_quiet t =
+  let budget = ref 1_000_000 in
   while not (Queue.is_empty t.queue) do
     if !budget = 0 then raise Bus_saturated;
     decr budget;

@@ -35,7 +35,7 @@ val fire_timeout : t -> at:Qs_core.Pid.t -> unit
 val deliver : t -> to_:Qs_core.Pid.t -> Fmsg.t -> unit
 (** Enqueue an arbitrary message for one destination (adversary use). *)
 
-val run_until_quiet : ?max_messages:int -> t -> unit
+val run_until_quiet : t -> unit
 
 exception Bus_saturated
 

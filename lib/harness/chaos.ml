@@ -391,11 +391,6 @@ let make_instance stack ~params ~seed =
     evidence;
   }
 
-let bound_for stack ~f =
-  match stack with
-  | Star -> (Monitor.theorem9 ~f, Some "fs_quorums_per_epoch_max")
-  | _ -> (Monitor.theorem3 ~f, Some "qs_quorums_per_epoch_max")
-
 (* Run one schedule on one stack with the online monitor attached. Pure in
    (seed, schedule): the same pair always yields the same outcome, which the
    campaign's replay and shrinking rely on. *)
@@ -416,7 +411,10 @@ let execute_with_evidence stack ?(params = default_params stack) ~seed ~model
      request fires; the default keeps the historical byte-exact path. *)
   if not (Qs_core.Selection_policy.is_default params.policy) then
     inst.set_policy params.policy;
-  let bound, gauge = bound_for stack ~f in
+  let bound, gauge =
+    let (module S : Stack.STACK), _ = descriptor stack in
+    S.quorum_bound ~f
+  in
   let monitor =
     Monitor.create
       {
@@ -427,7 +425,7 @@ let execute_with_evidence stack ?(params = default_params stack) ~seed ~model
            model's failure budget; out-of-model schedules only owe core
            SMR safety (prefix consistency, exactly-once). *)
         quorum_bound = (if in_model then Some bound else None);
-        bound_gauge = (if in_model then gauge else None);
+        bound_gauge = (if in_model then Some gauge else None);
         settle = ms 50;
         (* In-model there is always a correct reachable peer, so a rejoin
            must finish within the engine's own retry budget. *)

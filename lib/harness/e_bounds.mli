@@ -10,8 +10,8 @@
     cluster and check it forces exactly [C(f+2,2)] quorums (counting the
     initial default). *)
 
-val e2_upper_bound : ?fs:int list -> ?random_seeds:int -> unit -> Qs_stdx.Table.t * Verdict.t list
-(** Defaults: [fs = [1;2;3;4]], 20 random strategies per f. *)
+val e2_upper_bound : ?fs:int list -> unit -> Qs_stdx.Table.t * Verdict.t list
+(** Defaults: [fs = [1;2;3;4;5;6]]; 20 random strategies per f. *)
 
 val e3_lower_bound : ?fs:int list -> unit -> Qs_stdx.Table.t * Verdict.t list
 (** Defaults: [fs = [1;2;3;4]]. Includes the Fig. 5 instance (f = 3). *)

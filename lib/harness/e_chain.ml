@@ -14,52 +14,14 @@ let chain_config ~n ~f ~timeout =
     timeout_strategy = Stack.timeout_strategy;
   }
 
-let chain_messages_per_request ~n ~f =
-  let c = Chain_cluster.create (chain_config ~n ~f ~timeout:(ms 1000)) in
-  let requests = List.init 5 (fun i -> Chain_cluster.submit c (Printf.sprintf "op%d" i)) in
-  Chain_cluster.run c;
-  if not (List.for_all (Chain_cluster.is_committed c) requests) then
-    invalid_arg "chain happy run failed";
-  Chain_cluster.message_count c / List.length requests
+let chain_cluster ~n ~f = Chain_cluster.create (chain_config ~n ~f ~timeout:(ms 1000))
 
-(* Commit latency of one request over 1ms links: hop counts, measured. *)
-let chain_latency ~n ~f =
-  let c = Chain_cluster.create (chain_config ~n ~f ~timeout:(ms 1000)) in
-  let r = Chain_cluster.submit c "lat" in
-  Chain_cluster.run c;
-  Option.get (Chain_cluster.commit_latency c r)
+let star_cluster ~n ~f =
+  Qs_star.Star_cluster.create
+    { Qs_star.Star_node.n; f; initial_timeout = ms 1000; timeout_strategy = Timeout.Fixed }
 
-let star_latency ~n ~f =
-  let c =
-    Qs_star.Star_cluster.create
-      {
-        Qs_star.Star_node.n;
-        f;
-        initial_timeout = ms 1000;
-        timeout_strategy = Timeout.Fixed;
-      }
-  in
-  let r = Qs_star.Star_cluster.submit c "lat" in
-  Qs_star.Star_cluster.run c;
-  Option.get (Qs_star.Star_cluster.commit_latency c r)
-
-let xpaxos_latency ~n ~f =
-  let c =
-    Qs_xpaxos.Xcluster.create
-      {
-        Qs_xpaxos.Replica.n;
-        f;
-        mode = Qs_xpaxos.Replica.Enumeration;
-        initial_timeout = ms 1000;
-        timeout_strategy = Timeout.Fixed;
-      }
-  in
-  let r = Qs_xpaxos.Xcluster.submit c "lat" in
-  Qs_xpaxos.Xcluster.run c;
-  Option.get (Qs_xpaxos.Xcluster.commit_latency c r)
-
-let xpaxos_messages_per_request ~n ~f =
-  let config =
+let xpaxos_cluster ~n ~f =
+  Qs_xpaxos.Xcluster.create
     {
       Qs_xpaxos.Replica.n;
       f;
@@ -67,13 +29,6 @@ let xpaxos_messages_per_request ~n ~f =
       initial_timeout = ms 1000;
       timeout_strategy = Timeout.Fixed;
     }
-  in
-  let c = Qs_xpaxos.Xcluster.create config in
-  let requests =
-    List.init 5 (fun i -> Qs_xpaxos.Xcluster.submit c (Printf.sprintf "op%d" i))
-  in
-  Qs_xpaxos.Xcluster.run c;
-  Qs_xpaxos.Xcluster.message_count c / List.length requests
 
 let run () =
   let t =
@@ -96,12 +51,14 @@ let run () =
     (fun f ->
       let n = (3 * f) + 1 in
       let q = n - f in
-      let chain = chain_messages_per_request ~n ~f in
-      let quorum = xpaxos_messages_per_request ~n ~f in
-      let full = xpaxos_messages_per_request ~n ~f:0 in
-      let lat_chain = chain_latency ~n ~f in
-      let lat_star = star_latency ~n ~f in
-      let lat_x = xpaxos_latency ~n ~f in
+      let per_request = Stack.messages_per_request and latency = Stack.commit_latency in
+      let chain = per_request (module Chain_cluster) (chain_cluster ~n ~f) in
+      let quorum = per_request (module Qs_xpaxos.Xcluster) (xpaxos_cluster ~n ~f) in
+      let full = per_request (module Qs_xpaxos.Xcluster) (xpaxos_cluster ~n ~f:0) in
+      (* Commit latency of one request over 1ms links: hop counts, measured. *)
+      let lat_chain = latency (module Chain_cluster) (chain_cluster ~n ~f) in
+      let lat_star = latency (module Qs_star.Star_cluster) (star_cluster ~n ~f) in
+      let lat_x = latency (module Qs_xpaxos.Xcluster) (xpaxos_cluster ~n ~f) in
       Table.add_row t
         [
           string_of_int n;

@@ -84,52 +84,27 @@ let e5_viewchanges ?(fs = [ 1; 2; 3; 4 ]) () =
 
 (* Messages per committed request in a happy run. *)
 let messages_per_request ~n ~f =
-  let c = Xcluster.create (config ~mode:Replica.Enumeration ~n ~f ~timeout:(ms 1000)) in
-  let requests = List.init 5 (fun i -> Xcluster.submit c (Printf.sprintf "op%d" i)) in
-  Xcluster.run c;
-  let all_committed = List.for_all (Xcluster.is_committed c) requests in
-  if not all_committed then invalid_arg "messages_per_request: happy run failed";
-  Xcluster.message_count c / List.length requests
+  Stack.messages_per_request
+    (module Xcluster)
+    (Xcluster.create (config ~mode:Replica.Enumeration ~n ~f ~timeout:(ms 1000)))
 
 (* Same measurement on the two-phase trusted-component protocol (n=2f+1). *)
 let minbft_messages_per_request ~f ~participation =
-  let module M = Qs_minbft.Mreplica in
-  let module MC = Qs_minbft.Mcluster in
-  let c =
-    MC.create
-      {
-        M.n = (2 * f) + 1;
-        f;
-        participation;
-        initial_timeout = ms 1000;
-        timeout_strategy = Timeout.Fixed;
-      }
-  in
-  let requests = List.init 5 (fun i -> MC.submit c (Printf.sprintf "op%d" i)) in
-  MC.run c;
-  if not (List.for_all (MC.is_committed c) requests) then
-    invalid_arg "minbft happy run failed";
-  MC.message_count c / List.length requests
+  let n = (2 * f) + 1 and initial_timeout = ms 1000 in
+  let timeout_strategy = Timeout.Fixed in
+  Stack.messages_per_request
+    (module Qs_minbft.Mcluster)
+    (Qs_minbft.Mcluster.create
+       { Qs_minbft.Mreplica.n; f; participation; initial_timeout; timeout_strategy })
 
 (* Same measurement on the real three-phase PBFT. *)
 let pbft_messages_per_request ~f ~participation =
-  let module P = Qs_pbft.Preplica in
-  let module PC = Qs_pbft.Pcluster in
-  let c =
-    PC.create
-      {
-        P.n = (3 * f) + 1;
-        f;
-        participation;
-        initial_timeout = ms 1000;
-        timeout_strategy = Timeout.Fixed;
-      }
-  in
-  let requests = List.init 5 (fun i -> PC.submit c (Printf.sprintf "op%d" i)) in
-  PC.run c;
-  if not (List.for_all (PC.is_committed c) requests) then
-    invalid_arg "pbft happy run failed";
-  PC.message_count c / List.length requests
+  let n = (3 * f) + 1 and initial_timeout = ms 1000 in
+  let timeout_strategy = Timeout.Fixed in
+  Stack.messages_per_request
+    (module Qs_pbft.Pcluster)
+    (Qs_pbft.Pcluster.create
+       { Qs_pbft.Preplica.n; f; participation; initial_timeout; timeout_strategy })
 
 let e6_messages () =
   let t =

@@ -1,7 +1,7 @@
 (** Protocol bindings for the small-scope model checker.
 
-    Builds {!Qs_mc.Engine.system} values for the three simulated stacks the
-    checker knows how to drive:
+    Builds {!Qs_mc.Engine.system} values for the bare selection algorithms
+    and for every replica stack:
 
     - [quorum] — bare Algorithm-1 instances over an unordered controlled
       network. Suspicions are injected as initial ⟨SUSPECTED⟩ events; every
@@ -26,32 +26,29 @@
       expectations become [Fire p] choices. Checks: |Q| = q, Theorem 9's
       [3f+1] bound, leader membership, quiescent agreement on
       (leader, quorum). Snapshot fast path included.
-    - [xpaxos] / [xpaxos-enum] — a full {!Qs_xpaxos.Xcluster} (quorum
-      selection vs. view enumeration) with requests submitted directly to
-      every replica. Timers (detector deadlines) surface as [Step] choices
-      popping the simulator queue. Checks: the PR-2 {!Qs_faults.Monitor}
-      invariants (quorum-bound via the journal; no-suspicion is disabled —
-      under frozen virtual time the settle window is meaningless, so the
-      instantaneous independence check replaces it), prefix-consistency and
-      exactly-once over executed histories, and the embedded Algorithm-1
-      assertions in quorum-selection mode. Replay-only (no snapshot): the
-      simulator queue and the monitor's accumulated state cannot be rolled
-      back in place.
+    - every {!Stack.variants} row ([xpaxos], [pbft-selected], [star], …)
+      — the stack built from its descriptor as [simulate] builds it, with
+      requests handed to every replica up front. Timers (detector
+      deadlines) surface as [Step] choices popping the simulator queue.
+      Checks: the {!Qs_faults.Monitor} invariants under the descriptor's
+      Theorem-3/9 bound (no-suspicion is off — under frozen virtual time
+      the settle window is meaningless — and the instantaneous independence
+      check replaces it), its exactly-once and prefix-consistency history
+      checks, and the Algorithm-1 assertions wherever the stack selects by
+      Algorithm 1. Replay-only (no snapshot): the simulator queue and the
+      monitor's accumulated state cannot be rolled back in place.
 
     Also home to the [test/regressions/] corpus format: plain-text
     [key=value] files replayed either through {!Qs_mc.Engine.replay}
     ([kind=mc]) or through a monitored {!Chaos.execute} run
     ([kind=chaos]). *)
 
-type protocol = Quorum | Follower | Xpaxos | Xpaxos_enum
+type protocol = Quorum | Follower | Stack of string  (** by its first name *)
 
 val protocol_name : protocol -> string
 
 val protocol_of_name : string -> protocol option
-(** ["quorum"], ["follower"], ["xpaxos"] (alias ["xpaxos-qs"]),
-    ["xpaxos-enum"]. *)
-
-val all : protocol list
+(** ["quorum"], ["follower"] or a {!Stack.variants} name or alias. *)
 
 (** A one-shot fault of the [quorum] instance. Each backs one choice that
     may fire at any explored point, once; its targets are faulty and draw
@@ -88,6 +85,10 @@ val fault_of_string : string -> fault option
     fault kind;
     [Invalid_argument] when it names one with a malformed argument. *)
 
+val injection_of_string : string -> (int * int list) option
+(** ["P:S1,S2"] as [(P, [S1; S2])] (the [mc --inject] and corpus
+    [inject=] syntax); [None] when malformed. *)
+
 type spec = {
   protocol : protocol;
   n : int;
@@ -95,31 +96,32 @@ type spec = {
   injections : (int * int list) list;
       (** Initial ⟨SUSPECTED, S⟩ events: [(p, S)] feeds [S] to process [p]'s
           selection instance before exploration starts. Ignored by the
-          XPaxos instances (suspicions there come from timer [Step]s). *)
+          stack instances (suspicions there come from timer [Step]s). *)
   crashes : int list;
       (** Processes crashed from the start: sends and deliveries dropped,
           excluded from every correctness check. At most [f]. *)
   faults : fault list;
       (** One-shot faults ([quorum] protocol only), explored at every point
           of every schedule. *)
-  requests : int;  (** Client requests submitted up front (XPaxos only). *)
+  requests : int;  (** Client requests submitted up front (stacks only). *)
   seeded_bug : bool;
       (** Arm {!Qs_core.Quorum_select.test_buggy_quorum_size} inside
           [reset], so the checker hunts a known undersized-quorum bug.
-          Only meaningful for [quorum] and [xpaxos]. *)
+          Only meaningful where Algorithm 1 runs: [quorum] and the stacks
+          that select by it. *)
 }
 
 val default_spec : protocol -> spec
 (** n = 4, f = 1. [quorum]: process 0 initially suspects 3; [follower]:
-    process 1 initially suspects the default leader 0; XPaxos: one
-    request, no injections. *)
+    process 1 initially suspects the default leader 0; a stack: one
+    request, no injections, n = 3 where its replicas refuse 4 (MinBFT). *)
 
 val validate : spec -> unit
 (** Raises [Invalid_argument] on out-of-range pids, more than [f] faulty
     processes (crashes and fault targets combined), a fault outside the
     [quorum] protocol, targeting a crashed process or declared twice, an
-    empty or duplicate-member region, or a [seeded_bug] on a protocol that
-    has no embedded Algorithm 1. *)
+    empty or duplicate-member region, an [n] the stack's replicas refuse,
+    or a [seeded_bug] on a protocol that has no embedded Algorithm 1. *)
 
 val make : spec -> Qs_mc.Engine.system
 (** The system is self-contained: [reset] rebuilds the cluster, re-arms
@@ -162,8 +164,8 @@ val make_with_canon_search : spec -> Qs_mc.Engine.system * canon_search
     [kind=mc] — replay a model-checker schedule:
     {v
     kind=mc
-    protocol=quorum          # quorum|follower|xpaxos|xpaxos-enum
-    n=4                      # optional, default 4
+    protocol=quorum          # quorum|follower or a Stack.variants name
+    n=4                      # optional, default from default_spec
     f=1                      # optional, default 1
     inject=0:3               # repeatable, "p:s1,s2"
     crash=2                  # repeatable
@@ -172,7 +174,7 @@ val make_with_canon_search : spec -> Qs_mc.Engine.system * canon_search
     churn=2                  # repeatable, quorum only
     region=4,5               # repeatable, quorum only: one fault domain's
                              # members per line, in region-id order
-    requests=1               # optional (xpaxos)
+    requests=1               # optional (stacks; default 1)
     seeded-bug=quorum-size   # optional, arms the test bug
     schedule=d0;d2;t
     expect=ok                # or violation:<check>

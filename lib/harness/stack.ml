@@ -1,5 +1,5 @@
 (* One descriptor per protocol stack: everything the harnesses (chaos
-   campaigns, the recovery experiment, the CLI's [simulate]) need to build,
+   campaigns, the recovery experiment, the model checker, [simulate]) need to build,
    fault and inspect a stack, so each of them is one generic function over
    a list of descriptors. Only what genuinely differs between stacks lives
    here; the simulated cluster itself is {!Qs_sim.Smr_cluster}. Like
@@ -15,12 +15,27 @@ module Fmsg = Qs_follower.Fmsg
 module Auth = Qs_crypto.Auth
 module Rejoin = Qs_recovery.Rejoin
 module Suspicion_matrix = Qs_core.Suspicion_matrix
+module Monitor = Qs_faults.Monitor
 
 (** The failure-detector timeouts every stack runs with unless an
     experiment sweeps them: 25 ms, doubling up to 2 s. *)
 let initial_timeout = Stime.of_ms 25
 
 let timeout_strategy = Qs_fd.Timeout.Exponential { factor = 2.0; max = Stime.of_ms 2000 }
+
+(** Five requests submitted at once to a fresh cluster, run until quiet:
+    the messages sent per request. [Invalid_argument] unless all commit. *)
+let messages_per_request (type c) (module C : Qs_sim.Smr_cluster.S with type t = c) c =
+  let requests = List.init 5 (fun i -> C.submit c (Printf.sprintf "op%d" i)) in
+  C.run c;
+  if not (List.for_all (C.is_committed c) requests) then invalid_arg "happy run failed";
+  C.message_count c / List.length requests
+
+(** One request on a fresh cluster, run until quiet: its commit latency. *)
+let commit_latency (type c) (module C : Qs_sim.Smr_cluster.S with type t = c) c =
+  let r = C.submit c "lat" in
+  C.run c;
+  Option.get (C.commit_latency c r)
 
 (** [Baseline] is the stack without quorum selection where one exists:
     XPaxos's enumeration of all groups, PBFT's and MinBFT's full
@@ -40,6 +55,9 @@ type selector = {
   reconfigure : QS.config -> me:Pid.t -> cepoch:int -> unit;
       (** width-preserving: identity slot remap *)
   set_policy : Qs_core.Selection_policy.t -> unit;
+  algorithm1 : QS.t option;
+      (** the instance itself under Algorithm 1, for the model checker's
+          per-state selector checks *)
 }
 
 let of_qs s =
@@ -53,6 +71,7 @@ let of_qs s =
     reconfigure =
       (fun config ~me ~cepoch -> QS.reconfigure s config ~me ~cepoch ~of_new:Fun.id);
     set_policy = QS.set_policy s;
+    algorithm1 = Some s;
   }
 
 let of_fs s =
@@ -66,6 +85,7 @@ let of_fs s =
     reconfigure =
       (fun config ~me ~cepoch -> FS.reconfigure s config ~me ~cepoch ~of_new:Fun.id);
     set_policy = FS.set_policy s;
+    algorithm1 = None;
   }
 
 (** Durable state beyond the selector, restored across an amnesia crash
@@ -90,13 +110,18 @@ type 'm commission = {
 }
 
 module type STACK = sig
-  module C : Qs_sim.Smr_cluster.S
+  module C : Qs_sim.Smr_cluster.S with type request = Qs_sim.Smr_cluster.request
 
   val name : string
   (** The family name [simulate] reports under. *)
 
   val default_n : f:int -> int
   (** The smallest cluster the protocol tolerates [f] faults with. *)
+
+  val quorum_bound : f:int -> int * string
+  (** The per-epoch bound on issued quorums — Theorem 3's [f(f+1)] for
+      Algorithm 1, Theorem 9's [3f+1] for Follower Selection — and the
+      gauge that carries the live maximum. *)
 
   val create : n:int -> f:int -> seed:int64 -> variant -> C.t
   (** Default 1 ms links and {!initial_timeout}/{!timeout_strategy}. *)
@@ -183,6 +208,9 @@ let xpaxos : t =
 
     let default_n ~f = (2 * f) + 1
 
+
+    let quorum_bound ~f = (Monitor.theorem3 ~f, "qs_quorums_per_epoch_max")
+
     let create ~n ~f ~seed variant =
       let mode =
         if variant = Baseline then Replica.Enumeration else Replica.Quorum_selection
@@ -232,6 +260,9 @@ let pbft : t =
 
     let default_n ~f = (3 * f) + 1
 
+
+    let quorum_bound ~f = (Monitor.theorem3 ~f, "qs_quorums_per_epoch_max")
+
     let create ~n ~f ~seed variant =
       let participation =
         if variant = Baseline then Preplica.Full else Preplica.Selected
@@ -270,6 +301,9 @@ let minbft : t =
     let name = "minbft"
 
     let default_n ~f = (2 * f) + 1
+
+
+    let quorum_bound ~f = (Monitor.theorem3 ~f, "qs_quorums_per_epoch_max")
 
     let create ~n ~f ~seed variant =
       let participation =
@@ -312,6 +346,9 @@ let chain : t =
 
     let default_n ~f = (3 * f) + 1
 
+
+    let quorum_bound ~f = (Monitor.theorem3 ~f, "qs_quorums_per_epoch_max")
+
     let create ~n ~f ~seed _ =
       C.create ~seed { Chain_node.n; f; initial_timeout; timeout_strategy }
 
@@ -346,6 +383,9 @@ let star : t =
     let name = "star"
 
     let default_n ~f = (3 * f) + 1
+
+
+    let quorum_bound ~f = (Monitor.theorem9 ~f, "fs_quorums_per_epoch_max")
 
     let create ~n ~f ~seed _ =
       C.create ~seed { Star_node.n; f; initial_timeout; timeout_strategy }
@@ -406,3 +446,24 @@ let star : t =
         (Pid.to_string (Star_node.leader node))
         (Pid.set_to_string (Star_node.quorum node))
   end)
+
+(** Every stack variant [simulate] and [mc --protocol] run, by name; a row's
+    first name is the one reports print, the others are aliases. *)
+let variants =
+  [
+    ([ "xpaxos-enum" ], xpaxos, Baseline);
+    ([ "xpaxos"; "xpaxos-qs" ], xpaxos, Selecting);
+    ([ "pbft-full" ], pbft, Baseline);
+    ([ "pbft-selected" ], pbft, Selecting);
+    ([ "minbft-full" ], minbft, Baseline);
+    ([ "minbft-selected" ], minbft, Selecting);
+    ([ "chain" ], chain, Selecting);
+    ([ "star" ], star, Selecting);
+  ]
+
+(** The row a name or alias picks, under its first name. *)
+let find name =
+  List.find_map
+    (fun (names, stack, variant) ->
+      if List.mem name names then Some (List.hd names, stack, variant) else None)
+    variants

@@ -339,8 +339,9 @@ let explore ?(por = true) ?(shrink = true) ?(sym = false) ~depth
 (* ------------------------------------------------------------------ *)
 (* Randomized walks *)
 
-let random ?(max_steps = 200) ?(shrink = true) ~seed ~iters (system : system) =
-  if max_steps < 1 then invalid_arg "Engine.random: max_steps must be >= 1";
+let max_steps = 200
+
+let random ?(shrink = true) ~seed ~iters (system : system) =
   let rng = Prng.of_int seed in
   let fps = Hashtbl.create 1024 in
   let transitions = ref 0 in

@@ -103,9 +103,12 @@ val explore :
     Stats are those of the deepest iteration run; a violation keeps the
     shortest schedule that reaches it. *)
 
-val random : ?max_steps:int -> ?shrink:bool -> seed:int -> iters:int -> system -> report
-(** Seeded random walks ([max_steps] each, default 200), stopping at the
-    first violation. Same seed, same walks, same verdict. *)
+val max_steps : int
+(** Choices per random walk: 200. *)
+
+val random : ?shrink:bool -> seed:int -> iters:int -> system -> report
+(** Seeded random walks ({!max_steps} each), stopping at the first
+    violation. Same seed, same walks, same verdict. *)
 
 val replay : system -> Schedule.t -> (string * string) list
 (** Reset, apply every choice (unknown ids skip), and return every (check,

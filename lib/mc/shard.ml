@@ -54,7 +54,7 @@ type walk = {
    only when neither quiescence nor a hit stopped it), except the generator
    is the walk's own substream so the trajectory is a function of
    (seed, index) alone. *)
-let run_walk (system : Engine.system) ~rng ~max_steps index =
+let run_walk (system : Engine.system) ~rng index =
   system.Engine.reset ();
   let fps = Hashtbl.create 64 in
   let path = ref [] in
@@ -73,7 +73,7 @@ let run_walk (system : Engine.system) ~rng ~max_steps index =
   let stop = ref false in
   let transitions = ref 0 in
   let quiescent = ref false in
-  while (not !stop) && (not !hit) && !steps < max_steps do
+  while (not !stop) && (not !hit) && !steps < Engine.max_steps do
     let fp = Sha256.digest_string (system.Engine.fingerprint ()) in
     if not (Hashtbl.mem fps fp) then Hashtbl.replace fps fp ();
     match system.Engine.enabled () with
@@ -98,9 +98,8 @@ let run_walk (system : Engine.system) ~rng ~max_steps index =
     w_viols = !viols;
   }
 
-let random ~jobs ?(max_steps = 200) ?(shrink = true) ~seed ~iters mk =
+let random ~jobs ?(shrink = true) ~seed ~iters mk =
   if jobs < 1 then invalid_arg "Shard.random: jobs must be >= 1";
-  if max_steps < 1 then invalid_arg "Shard.random: max_steps must be >= 1";
   if iters < 0 then invalid_arg "Shard.random: iters must be >= 0";
   let root = Prng.of_int seed in
   let sys_main = mk () in
@@ -124,7 +123,7 @@ let random ~jobs ?(max_steps = 200) ?(shrink = true) ~seed ~iters mk =
       let i = Atomic.fetch_and_add next 1 in
       if i >= iters then continue := false
       else if i < Atomic.get best then begin
-        let w = run_walk system ~rng:(Prng.substream root i) ~max_steps i in
+        let w = run_walk system ~rng:(Prng.substream root i) i in
         incr executed;
         if w.w_viols <> [] then lower_best i;
         walks := w :: !walks

@@ -74,7 +74,6 @@ val explore :
 
 val random :
   jobs:int ->
-  ?max_steps:int ->
   ?shrink:bool ->
   seed:int ->
   iters:int ->

@@ -27,4 +27,8 @@ include Qs_sim.Smr_cluster.Make (struct
   let executed = Mreplica.executed
 
   let set_fault = Mreplica.set_fault
+
+  let fingerprint = Mreplica.fingerprint
+
+  let encode (m : Mmsg.t) = string_of_int m.sender ^ "|" ^ Mmsg.encode_body m.body
 end)

@@ -31,6 +31,9 @@ type t = {
 val commit_digest : prepare -> committer:Qs_core.Pid.t -> string
 (** What a committer's UI certifies: the primary certificate it answers. *)
 
+val encode_body : body -> string
+(** A body's canonical bytes, as signed. *)
+
 val seal : Qs_crypto.Auth.t -> sender:int -> body -> t
 
 val verify : Qs_crypto.Auth.t -> t -> bool

@@ -73,3 +73,8 @@ val quorum_selector : t -> Qs_core.Quorum_select.t option
 val usig_gaps : t -> int
 (** Certificates this replica refused for arriving out of counter order —
     omission evidence from the trusted component. *)
+
+val fingerprint : t -> string
+(** The model-checker key of the replica: its protocol state (active set,
+    config epoch, USIG counters, executed requests, slots, proposal and
+    wait tables), then {!Qs_shell.Shell.fingerprint}. *)

@@ -27,6 +27,10 @@ include Qs_sim.Smr_cluster.Make (struct
   let executed = Preplica.executed
 
   let set_fault = Preplica.set_fault
+
+  let fingerprint = Preplica.fingerprint
+
+  let encode (m : Pmsg.t) = string_of_int m.sender ^ "|" ^ Pmsg.encode_body m.body
 end)
 
 let max_view t = Array.fold_left (fun acc r -> max acc (Preplica.view r)) 0 (replicas t)

@@ -47,6 +47,9 @@ val sign_pre_prepare :
 val verify_pre_prepare :
   Qs_crypto.Auth.t -> primary:int -> signed_pre_prepare -> bool
 
+val encode_body : body -> string
+(** A body's canonical bytes, as signed. *)
+
 val seal : Qs_crypto.Auth.t -> sender:int -> body -> t
 
 val verify : Qs_crypto.Auth.t -> t -> bool

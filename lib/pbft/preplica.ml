@@ -503,6 +503,52 @@ let executed t =
   in
   loop 0 []
 
+(* The model checker's key for this replica: view, participants, rotation
+   watermark, execution cursor and phase, every slot's binding, votes and
+   marks, the proposal and wait tables and the stashed VIEW-CHANGEs, then
+   the shell's part. *)
+let fingerprint t =
+  let pids l = String.concat "," (List.map string_of_int l) in
+  let sorted l = String.concat "," (List.sort compare l) in
+  let keys tbl f = sorted (Hashtbl.fold (fun k v acc -> f k v :: acc) tbl []) in
+  let id (r : Pmsg.request) = Printf.sprintf "%d.%d" r.Pmsg.client r.Pmsg.rid in
+  let entries es =
+    String.concat ";"
+      (List.map
+         (fun (e : Pmsg.entry) ->
+           Printf.sprintf "%d:%d:%s%s" e.Pmsg.eview e.Pmsg.eslot (id e.Pmsg.erequest)
+             (if e.Pmsg.ecommitted then "c" else ""))
+         es)
+  in
+  let b = Buffer.create 256 in
+  Printf.bprintf b "v%d|a%s|r%d|x%d|" t.view (pids t.active) t.last_vc_view t.exec_cursor;
+  (match t.phase with
+   | Normal -> Buffer.add_string b "N"
+   | Awaiting_nv -> Buffer.add_string b "A"
+   | Collecting tbl ->
+     let vc src es = Printf.sprintf "%d=%s" src (entries es) in
+     Buffer.add_string b ("C" ^ keys tbl vc));
+  for slot = 0 to t.max_slot do
+    match Hashtbl.find_opt t.slots slot with
+    | None -> ()
+    | Some s ->
+      Printf.bprintf b "|s%d=%s/%s/%s%s%s%s" slot
+        (match s.spp with
+         | None -> "-"
+         | Some { Pmsg.pp; _ } -> Printf.sprintf "%d:%s" pp.Pmsg.view (id pp.Pmsg.request))
+        (pids (List.sort compare s.prepares))
+        (pids (List.sort compare s.commits))
+        (if s.prepared then "p" else "")
+        (if s.committed then "c" else "")
+        (if s.executed then "x" else "")
+  done;
+  Printf.bprintf b "|pr%s|w%s|vc%s"
+    (keys t.proposed (fun (c, r) slot -> Printf.sprintf "%d.%d@%d" c r slot))
+    (keys t.awaiting_pp (fun (c, r) () -> Printf.sprintf "%d.%d" c r))
+    (keys t.pending_vcs (fun (v, src) es -> Printf.sprintf "%d/%d=%s" v src (entries es)));
+  Buffer.add_string b (Shell.fingerprint t.sh);
+  Buffer.contents b
+
 let create config ~me ~auth ~sim ~net_send ?(on_execute = fun ~slot:_ _ -> ()) () =
   if config.n <> (3 * config.f) + 1 then invalid_arg "Preplica.create: need n = 3f+1";
   let sh =

@@ -70,8 +70,7 @@ let loopback_addrs ~n ?base_port () =
 
 
 let run ?(seed = 1L) ?base_port ?(mode = Replica.Quorum_selection) ?(requests = 5)
-    ?(request_timeout_ms = 4000) ?(duration_ms = 0) ?(schedule = [])
-    ?(settle_ms = 300) ?(probe_every_ms = 100) ~n ~f () =
+    ?(request_timeout_ms = 4000) ?(duration_ms = 0) ?(schedule = []) ~n ~f () =
   if n < 2 || f < 0 || n <= 2 * f then
     invalid_arg "Cluster.run: need n > 2f >= 0 and n >= 2";
   let addrs = loopback_addrs ~n ?base_port () in
@@ -160,7 +159,7 @@ let run ?(seed = 1L) ?base_port ?(mode = Replica.Quorum_selection) ?(requests = 
      phase transitions. *)
   let coord = Sim.create ~seed:(Int64.add seed 104729L) () in
   Monitor.attach_history_probe monitor ~sim:coord
-    ~every:(Stime.of_ms probe_every_ms) (fun () ->
+    ~every:(Stime.of_ms 100) (fun () ->
       List.map
         (fun p ->
           ( p,
@@ -231,9 +230,10 @@ let run ?(seed = 1L) ?base_port ?(mode = Replica.Quorum_selection) ?(requests = 
         Stime.max acc (Stime.max ph.Fault.start stop))
       0 schedule
   in
+  let settle = Stime.of_ms 300 in
   let end_at =
-    Stime.max (Wallclock.now clock + Stime.of_ms settle_ms)
-      (Stime.max horizon (Stime.of_ms duration_ms) + Stime.of_ms settle_ms)
+    Stime.max (Wallclock.now clock + settle)
+      (Stime.max horizon (Stime.of_ms duration_ms) + settle)
   in
   ignore (wait_until ~deadline:end_at (fun () -> false) : bool);
   let report =

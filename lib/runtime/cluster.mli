@@ -43,8 +43,6 @@ val run :
   ?request_timeout_ms:int ->
   ?duration_ms:int ->
   ?schedule:Qs_faults.Fault.schedule ->
-  ?settle_ms:int ->
-  ?probe_every_ms:int ->
   n:int ->
   f:int ->
   unit ->

@@ -23,7 +23,7 @@ module Make (T : Transport.TRANSPORT with type msg = Envelope.t) = struct
   }
 
   let create ~config ~me ~auth ~transport ?store
-      ?(rejoin_config : Rejoin.config option) ?on_execute ?on_view_change () =
+      ?(rejoin_config : Rejoin.config option) ?on_execute () =
     let sim = T.sim transport ~me in
     let node = ref None in
     let replica =
@@ -35,7 +35,7 @@ module Make (T : Transport.TRANSPORT with type msg = Envelope.t) = struct
            | Some n, Some s -> Xdurable.persist n.replica s
            | _ -> ());
           match on_execute with Some f -> f ~slot request | None -> ())
-        ?on_view_change ()
+        ()
     in
     let rejoin =
       Rejoin.create ~sim

@@ -19,7 +19,6 @@ module Make (T : Transport.TRANSPORT with type msg = Envelope.t) : sig
     ?store:Qs_recovery.Store.t ->
     ?rejoin_config:Qs_recovery.Rejoin.config ->
     ?on_execute:(slot:int -> Qs_xpaxos.Xmsg.request -> unit) ->
-    ?on_view_change:(view:int -> group:int list -> unit) ->
     unit ->
     t
   (** Installs the transport handler for [me]. With a [store], every

@@ -126,3 +126,10 @@ let execute_once t r =
   first
 
 let executed t = List.rev t.executed
+
+let fingerprint t =
+  let pids l = String.concat "," (List.map string_of_int l) in
+  Printf.sprintf "|su%s|oe%d%s"
+    (pids (Detector.suspected t.detector))
+    (Detector.open_expectations t.detector)
+    (match t.selector with Some qs -> "|qs:" ^ QS.fingerprint qs | None -> "")

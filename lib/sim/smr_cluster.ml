@@ -40,6 +40,16 @@ let rec prefix_consistent = function
   | [] -> true
   | h :: rest -> List.for_all (prefix_compatible h) rest && prefix_consistent rest
 
+(** A parked message's id-free key, [src>dst#digest]. *)
+let parked_key digest src dst payload = Printf.sprintf "%d>%d#%s" src dst (digest payload)
+
+(** The multiset of messages parked on a controlled network, as sorted
+    {!parked_key}s. *)
+let parked net digest =
+  Network.pending net
+  |> List.map (fun (_, src, dst, payload) -> parked_key digest src dst payload)
+  |> List.sort compare |> String.concat ","
+
 (** When a request counts as committed. *)
 type 'r commit_rule =
   | At_least of int  (** executed by at least this many replicas *)
@@ -84,6 +94,12 @@ module type REPLICA = sig
   val executed : t -> request list
 
   val set_fault : t -> fault -> unit
+
+  val fingerprint : t -> string
+  (** The model-checker key: protocol state, then the shell's. *)
+
+  val encode : msg -> string
+  (** A message's canonical bytes: its sender and body, not its tag. *)
 end
 
 module type S = sig
@@ -126,6 +142,9 @@ module type S = sig
       simulation time; redelivered every [resubmit_every] until
       [is_committed], when given. Returns the request for querying. *)
 
+  val handoff : t -> request -> unit
+  (** Give a request to every replica now (what {!submit} schedules). *)
+
   val run : ?until:Stime.t -> ?max_events:int -> t -> unit
 
   val executed_by : t -> request -> int list
@@ -146,6 +165,14 @@ module type S = sig
   val commit_latency : t -> request -> Stime.t option
   (** Time from submission until [stamp_threshold] replicas executed the
       request. *)
+
+  val digest : msg -> string
+  (** Hex SHA-256 of a message's canonical bytes. *)
+
+  val fingerprint : t -> string
+  (** The model-checker key: a line per replica, the {!parked} messages,
+      and [@time/pending-events] — a weak proxy for the opaque simulator
+      queue (see DESIGN.md). *)
 end
 
 module Make (R : REPLICA) :
@@ -252,12 +279,14 @@ module Make (R : REPLICA) :
           g <> [] && List.for_all (fun p -> List.mem p executed) g)
         t.replicas
 
+  let handoff t request = Array.iter (fun r -> R.submit r request) t.replicas
+
   let submit t ?(client = 0) ?resubmit_every op =
     let rid = t.next_rid in
     t.next_rid <- t.next_rid + 1;
     let request = { client; rid; op } in
     Hashtbl.replace t.submit_times (client, rid) (Sim.now t.sim);
-    let deliver () = Array.iter (fun r -> R.submit r request) t.replicas in
+    let deliver () = handoff t request in
     Sim.schedule t.sim ~delay:0 deliver;
     (match resubmit_every with
      | None -> ()
@@ -279,6 +308,16 @@ module Make (R : REPLICA) :
     prefix_consistent (List.map (fun p -> R.executed t.replicas.(p)) correct)
 
   let message_count t = Network.sent_count t.net
+
+  let digest m = Qs_crypto.Sha256.digest_hex (R.encode m)
+
+  let fingerprint t =
+    let buf = Buffer.create 512 in
+    Array.iter (fun r -> Buffer.add_string buf (R.fingerprint r ^ "\n")) t.replicas;
+    Buffer.add_string buf ("[" ^ parked t.net digest ^ "]");
+    Buffer.add_string buf
+      (Printf.sprintf "@%.3f/%d" (Stime.to_ms (Sim.now t.sim)) (Sim.pending_events t.sim));
+    Buffer.contents buf
 
   let commit_latency t request =
     let key = request_id request in

@@ -25,6 +25,10 @@ include Qs_sim.Smr_cluster.Make (struct
   let executed = Star_node.executed
 
   let set_fault = Star_node.set_fault
+
+  let fingerprint = Star_node.fingerprint
+
+  let encode (m : Star_msg.t) = string_of_int m.sender ^ "|" ^ Star_msg.encode_body m.body
 end)
 
 let max_quorum_epoch t =

@@ -32,6 +32,9 @@ val sign_lead :
 
 val verify_lead : Qs_crypto.Auth.t -> leader:int -> lead -> bool
 
+val encode_body : body -> string
+(** A body's canonical bytes, as signed. *)
+
 val seal : Qs_crypto.Auth.t -> sender:int -> body -> t
 
 val verify : Qs_crypto.Auth.t -> t -> bool

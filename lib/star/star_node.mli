@@ -66,3 +66,9 @@ val executed : t -> Star_msg.request list
 val detector : t -> Star_msg.t Qs_fd.Detector.t
 
 val selector : t -> Qs_follower.Follower_select.t
+
+val fingerprint : t -> string
+(** The model-checker key of the node: its protocol state (leader, quorum,
+    quorum epoch, executed requests, slots with acks, proposal and wait
+    tables, the Follower Selection instance), then
+    {!Qs_shell.Shell.fingerprint}. *)

@@ -31,7 +31,6 @@ type t = {
   config : config;
   sh : (Xmsg.body, Xmsg.t) Shell.t;
   on_execute : slot:int -> Xmsg.request -> unit;
-  on_view_change : view:int -> group:Pid.t list -> unit;
   log : Xlog.t;
   mutable view : int;
   mutable grp : Pid.t list;
@@ -357,7 +356,6 @@ let rec move_to_view t v =
     Detector.cancel_all (fd t); (* Section V-B: expectations no longer valid *)
     Logs.debug ~src:Qs_stdx.Debug.xpaxos (fun m ->
         m "p%d VIEW %d group %s" (me t + 1) v (Pid.set_to_string t.grp));
-    t.on_view_change ~view:v ~group:t.grp;
     (match t.config.mode with
      | Enumeration ->
        (* Gossip the move: re-broadcasting the SUSPECT that justifies view v
@@ -444,8 +442,7 @@ let receive t = Shell.receive t.sh
 
 (* ------------------------------------------------------------------ *)
 
-let create config ~me ~auth ~sim ~net_send ?(on_execute = fun ~slot:_ _ -> ())
-    ?(on_view_change = fun ~view:_ ~group:_ -> ()) () =
+let create config ~me ~auth ~sim ~net_send ?(on_execute = fun ~slot:_ _ -> ()) () =
   if config.n <= 0 || config.f < 0 || config.n - config.f <= config.f then
     invalid_arg "Replica.create: need n - f > f";
   let sh =
@@ -459,7 +456,6 @@ let create config ~me ~auth ~sim ~net_send ?(on_execute = fun ~slot:_ _ -> ())
       config;
       sh;
       on_execute;
-      on_view_change;
       log = Xlog.create ();
       view = 0;
       grp = Enumeration.group ~n:config.n ~q:(quorum_size config) ~view:0;
@@ -539,14 +535,9 @@ let amnesia_restart t ~view =
   Detector.amnesia (fd t);
   match quorum_selector t with Some qsel -> QS.amnesia qsel | None -> ()
 
-(* Canonical encoding of the replica's protocol-visible state for the model
-   checker's fingerprints. Covers the view/group/phase machine, the log
-   (prepares, votes, commit/execute marks), the execution cursor, permanent
-   detections, the detector's suspect set and open-expectation count, and
-   the quorum-selection instance. Not covered: adapted timeout values and
-   expectation deadlines (pure timing state — two states differing only
-   there can produce different Step-choice orders, a deliberate small-scope
-   approximation documented in DESIGN.md). *)
+(* The model checker's key for this replica: the view/group/phase machine,
+   the log (prepares, votes, commit/execute marks), the execution cursor
+   and the permanent detections, then the shell's part. *)
 let fingerprint t =
   let b = Buffer.create 256 in
   Buffer.add_string b
@@ -580,11 +571,7 @@ let fingerprint t =
            (if e.Xlog.executed then "x" else ""))
   done;
   Buffer.add_string b
-    (Printf.sprintf "|d%s|su%s|oe%d"
-       (String.concat "," (List.map string_of_int (List.sort_uniq compare t.detections)))
-       (String.concat "," (List.map string_of_int (Detector.suspected (fd t))))
-       (Detector.open_expectations (fd t)));
-  (match quorum_selector t with
-   | None -> ()
-   | Some qsel -> Buffer.add_string b ("|qs:" ^ QS.fingerprint qsel));
+    (Printf.sprintf "|d%s"
+       (String.concat "," (List.map string_of_int (List.sort_uniq compare t.detections))));
+  Buffer.add_string b (Shell.fingerprint t.sh);
   Buffer.contents b

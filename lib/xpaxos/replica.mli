@@ -65,7 +65,6 @@ val create :
   sim:Qs_sim.Sim.t ->
   net_send:(dst:Qs_core.Pid.t -> Xmsg.t -> unit) ->
   ?on_execute:(slot:int -> Xmsg.request -> unit) ->
-  ?on_view_change:(view:int -> group:Qs_core.Pid.t list -> unit) ->
   unit ->
   t
 
@@ -138,9 +137,6 @@ val amnesia_restart : t -> view:int -> unit
     state awaiting a {!Qs_core.Quorum_select.absorb}. *)
 
 val fingerprint : t -> string
-(** Canonical encoding of the replica's protocol-visible state (view, group,
+(** The model-checker key of the replica: its protocol state (view, group,
     phase, log with votes and commit/execute marks, execution cursor,
-    detections, detector suspect set and open-expectation count, embedded
-    quorum selector) for model-checker state hashing. Timeout adaptation
-    state and expectation deadlines are deliberately excluded — see
-    DESIGN.md, "Model checking", for the soundness caveat. *)
+    detections), then {!Qs_shell.Shell.fingerprint}. *)

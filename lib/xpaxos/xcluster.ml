@@ -32,6 +32,10 @@ module C = Qs_sim.Smr_cluster.Make (struct
   let executed = Replica.executed
 
   let set_fault = Replica.set_fault
+
+  let fingerprint = Replica.fingerprint
+
+  let encode (m : Xmsg.t) = string_of_int m.sender ^ "|" ^ Xmsg.encode_body m.body
 end)
 
 type replica = C.replica
@@ -98,6 +102,8 @@ let set_fault t = C.set_fault t.c
 
 let submit t = C.submit t.c
 
+let handoff t = C.handoff t.c
+
 let run ?until ?max_events t = C.run ?until ?max_events t.c
 
 let executed_by t = C.executed_by t.c
@@ -111,6 +117,10 @@ let consistent t = C.consistent t.c
 let message_count t = C.message_count t.c
 
 let commit_latency t = C.commit_latency t.c
+
+let digest = C.digest
+
+let fingerprint t = C.fingerprint t.c
 
 let omit_link t ~src ~dst = Hashtbl.replace t.omitted (src, dst) ()
 

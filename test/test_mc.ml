@@ -170,7 +170,7 @@ let test_follower_bounded_clean () =
   check_bool "explored something" true (r.Engine.visited > 100)
 
 let test_xpaxos_bounded_clean () =
-  let r = Engine.explore ~depth:4 (MC.make (MC.default_spec MC.Xpaxos)) in
+  let r = Engine.explore ~depth:4 (MC.make (MC.default_spec (MC.Stack "xpaxos"))) in
   check_int "no violations" 0 (List.length r.Engine.violations);
   check_bool "explored something" true (r.Engine.visited > 50);
   check_bool "bounded" false r.Engine.complete
@@ -262,10 +262,11 @@ let test_fault_of_string () =
 let seeded_spec = { (MC.default_spec MC.Quorum) with MC.seeded_bug = true }
 
 (* Quorum: a single delivery of the suspicion UPDATE already issues the
-   undersized quorum, so the shrunk counterexample is one choice. XPaxos: a
-   timer pop (the detector suspects) and one delivery; the replica there
-   rejects the undersized quorum by raising, which the checker reports as
-   an "exception" violation next to quorum-size instead of crashing. *)
+   undersized quorum, so the shrunk counterexample is one choice. Every
+   stack that selects by Algorithm 1: a timer pop (the detector suspects)
+   and one delivery; the XPaxos replica rejects the undersized quorum by
+   raising, which the checker reports as an "exception" violation next to
+   quorum-size instead of crashing. *)
 let test_seeded_bug_found (protocol, depth, shrunk) () =
   let spec = { (MC.default_spec protocol) with MC.seeded_bug = true } in
   let r = Engine.explore ~depth (MC.make spec) in
@@ -421,7 +422,13 @@ let () =
           Alcotest.test_case "found, shrunk, replayed" `Quick
             (test_seeded_bug_found (MC.Quorum, 3, 1));
           Alcotest.test_case "xpaxos found, shrunk, replayed" `Quick
-            (test_seeded_bug_found (MC.Xpaxos, 4, 2));
+            (test_seeded_bug_found (MC.Stack "xpaxos", 4, 2));
+          Alcotest.test_case "pbft-selected found, shrunk, replayed" `Quick
+            (test_seeded_bug_found (MC.Stack "pbft-selected", 4, 2));
+          Alcotest.test_case "minbft-selected found, shrunk, replayed" `Quick
+            (test_seeded_bug_found (MC.Stack "minbft-selected", 4, 2));
+          Alcotest.test_case "chain found, shrunk, replayed" `Quick
+            (test_seeded_bug_found (MC.Stack "chain", 4, 2));
           Alcotest.test_case "random mode finds it" `Quick test_random_finds_seeded_bug;
         ] );
       ( "random",

@@ -34,8 +34,14 @@ let test_random_jobs_byte_identical () =
     [
       ("quorum", MC.default_spec MC.Quorum, 20);
       ("follower", MC.default_spec MC.Follower, 20);
-      ("xpaxos", MC.default_spec MC.Xpaxos, 8);
-      ("xpaxos-enum", MC.default_spec MC.Xpaxos_enum, 8);
+      ("xpaxos", MC.default_spec (MC.Stack "xpaxos"), 8);
+      ("xpaxos-enum", MC.default_spec (MC.Stack "xpaxos-enum"), 8);
+      ("pbft-full", MC.default_spec (MC.Stack "pbft-full"), 8);
+      ("pbft-selected", MC.default_spec (MC.Stack "pbft-selected"), 8);
+      ("minbft-full", MC.default_spec (MC.Stack "minbft-full"), 8);
+      ("minbft-selected", MC.default_spec (MC.Stack "minbft-selected"), 8);
+      ("chain", MC.default_spec (MC.Stack "chain"), 8);
+      ("star", MC.default_spec (MC.Stack "star"), 8);
       ("quorum-amnesia", amnesia_gossip_spec, 20);
     ]
   in

@@ -552,6 +552,10 @@ module Toy = struct
   let executed t = t.log
 
   let set_fault t muted = t.muted <- muted
+
+  let fingerprint t = String.concat "," (List.map Smr_cluster.encode_request t.log)
+
+  let encode () = ""
 end
 
 module Toy_cluster = Smr_cluster.Make (Toy)
