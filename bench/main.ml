@@ -585,6 +585,35 @@ let durability_section () =
       ("level", Json.Bool (2 * later <= 3 * first));
     ]
 
+(* Signing work per commit: one fault-free happy run per row of
+   Stack.variants at f = 1, the protocol's smallest n and a fixed seed.
+   Signs, verifies and SHA-256 compressions are the domain-local counts of
+   Qs_crypto.Counters, so they are properties of the code, and the gate
+   pins them. PBFT and MinBFT full vs selected show the paper's saving in
+   verifies. *)
+let crypto_section () =
+  let module Json = Qs_obs.Json in
+  let module Stack = Qs_harness.Stack in
+  Json.List
+    (List.map
+       (fun (names, (module S : Stack.STACK), variant) ->
+         let f = 1 in
+         let n = S.default_n ~f in
+         let work, commits =
+           Stack.signing_per_request (module S.C) (S.create ~n ~f ~seed:1L variant)
+         in
+         let per x = Json.Float (float_of_int x /. float_of_int commits) in
+         Json.Obj
+           [
+             ("variant", Json.String (List.hd names));
+             ("n", Json.Int n);
+             ("commits", Json.Int commits);
+             ("signs_per_commit", per work.Qs_crypto.Counters.signs);
+             ("verifies_per_commit", per work.Qs_crypto.Counters.verifies);
+             ("compressions_per_commit", per work.Qs_crypto.Counters.compressions);
+           ])
+       Stack.variants)
+
 (* The sections Qs_obs.Bench_gate gates, in summary order. They run before
    the metrics reset that precedes the tables: the commission smoke's
    Chaos.execute resets the default registry itself, so running it later
@@ -597,6 +626,7 @@ let gated_sections ~quick () =
   let policy = policy_json (policy_sweep ()) in
   let runtime = runtime_section ~quick () in
   let durability = durability_section () in
+  let crypto = crypto_section () in
   [
     ("commission", commission);
     ("scaling", scaling);
@@ -605,6 +635,7 @@ let gated_sections ~quick () =
     ("policy", policy);
     ("runtime", runtime);
     ("durability", durability);
+    ("crypto", crypto);
   ]
 
 (* A BENCH_*.json summary: per-benchmark ns/run, the experiment verdict

@@ -759,7 +759,9 @@ let mc_cmd =
       & info [ "inject" ] ~docv:"P:S1,S2"
           ~doc:
             "Initial ⟨SUSPECTED⟩ event: process $(i,P) starts out suspecting \
-             $(i,S1,S2,...). The form $(b,amnesia:P) instead grants process \
+             $(i,S1,S2,...) (quorum and follower protocols only; a replica \
+             stack has no hook to seed one). The form $(b,amnesia:P) instead \
+             grants process \
              $(i,P) one amnesia crash, $(b,equivocate:P) one equivocation \
              (two conflicting validly-signed rows to two peers), and \
              $(b,churn:P) one atomic leave-and-rejoin membership change \

@@ -1,12 +1,14 @@
 type signature = string
 
-type t = { keys : string array }
+(* Per-key HMAC midstates, computed once here and never mutated after:
+   sharing one directory between domains is safe. *)
+type t = { keys : Hmac.midstates array }
 
 let derive master i = Hmac.mac ~key:master (Printf.sprintf "process-key:%d" i)
 
 let create ?(master = "qsel-reproduction-master-secret") n =
   if n <= 0 then invalid_arg "Auth.create: need at least one process";
-  { keys = Array.init n (derive master) }
+  { keys = Array.init n (fun i -> Hmac.midstates (derive master i)) }
 
 let universe t = Array.length t.keys
 
@@ -14,10 +16,16 @@ let key t i =
   if i < 0 || i >= Array.length t.keys then invalid_arg "Auth: unknown process";
   t.keys.(i)
 
-let sign t ~signer payload = Hmac.mac ~key:(key t signer) payload
+let sign t ~signer payload =
+  let k = key t signer in
+  Counters.signed ();
+  Hmac.mac_with k payload
 
 let verify t ~signer payload tag =
-  signer >= 0 && signer < Array.length t.keys && Hmac.verify ~key:t.keys.(signer) payload ~tag
+  Counters.verified ();
+  signer >= 0
+  && signer < Array.length t.keys
+  && Hmac.verify_with t.keys.(signer) payload ~tag
 
 type signed = { signer : int; payload : string; signature : signature }
 

@@ -9,21 +9,32 @@ let normalize_key key =
 let xor_with s byte =
   String.map (fun c -> Char.chr (Char.code c lxor byte)) s
 
-let mac ~key msg =
+(* Each pad fills exactly one block, so each midstate is one compression
+   past [Sha256.init] with an empty buffer. *)
+type midstates = { inner : Sha256.ctx; outer : Sha256.ctx }
+
+let absorbed pad =
+  let ctx = Sha256.init () in
+  Sha256.feed ctx pad;
+  ctx
+
+let midstates key =
   let key = normalize_key key in
-  let inner = Sha256.init () in
-  Sha256.feed inner (xor_with key 0x36);
+  { inner = absorbed (xor_with key 0x36); outer = absorbed (xor_with key 0x5c) }
+
+let mac_with m msg =
+  let inner = Sha256.copy m.inner in
   Sha256.feed inner msg;
-  let inner_digest = Sha256.finalize inner in
-  let outer = Sha256.init () in
-  Sha256.feed outer (xor_with key 0x5c);
-  Sha256.feed outer inner_digest;
+  let outer = Sha256.copy m.outer in
+  Sha256.feed outer (Sha256.finalize inner);
   Sha256.finalize outer
+
+let mac ~key msg = mac_with (midstates key) msg
 
 let mac_hex ~key msg = Sha256.hex (mac ~key msg)
 
-let verify ~key msg ~tag =
-  let expected = mac ~key msg in
+let verify_with m msg ~tag =
+  let expected = mac_with m msg in
   if String.length expected <> String.length tag then false
   else begin
     (* Fold over all bytes regardless of mismatches. *)
@@ -31,3 +42,5 @@ let verify ~key msg ~tag =
     String.iteri (fun i c -> diff := !diff lor (Char.code c lxor Char.code tag.[i])) expected;
     !diff = 0
   end
+
+let verify ~key msg ~tag = verify_with (midstates key) msg ~tag

@@ -1,91 +1,113 @@
-(* FIPS 180-4 SHA-256 over Int32 arithmetic. Straightforward, allocation-light
-   implementation: one 64-entry message schedule per block. *)
+(* FIPS 180-4 SHA-256 over native ints masked to 32 bits. A block
+   compression allocates nothing: the message schedule lives in the
+   context, and the working variables are int refs the compiler keeps
+   unboxed. Like [Qs_stdx.Bitset] it assumes 63-bit native ints: a sum of
+   five 32-bit words, and [dup] below, must fit before they are masked. *)
 
 type digest = string
 
 let k =
-  [| 0x428a2f98l; 0x71374491l; 0xb5c0fbcfl; 0xe9b5dba5l; 0x3956c25bl; 0x59f111f1l;
-     0x923f82a4l; 0xab1c5ed5l; 0xd807aa98l; 0x12835b01l; 0x243185bel; 0x550c7dc3l;
-     0x72be5d74l; 0x80deb1fel; 0x9bdc06a7l; 0xc19bf174l; 0xe49b69c1l; 0xefbe4786l;
-     0x0fc19dc6l; 0x240ca1ccl; 0x2de92c6fl; 0x4a7484aal; 0x5cb0a9dcl; 0x76f988dal;
-     0x983e5152l; 0xa831c66dl; 0xb00327c8l; 0xbf597fc7l; 0xc6e00bf3l; 0xd5a79147l;
-     0x06ca6351l; 0x14292967l; 0x27b70a85l; 0x2e1b2138l; 0x4d2c6dfcl; 0x53380d13l;
-     0x650a7354l; 0x766a0abbl; 0x81c2c92el; 0x92722c85l; 0xa2bfe8a1l; 0xa81a664bl;
-     0xc24b8b70l; 0xc76c51a3l; 0xd192e819l; 0xd6990624l; 0xf40e3585l; 0x106aa070l;
-     0x19a4c116l; 0x1e376c08l; 0x2748774cl; 0x34b0bcb5l; 0x391c0cb3l; 0x4ed8aa4al;
-     0x5b9cca4fl; 0x682e6ff3l; 0x748f82eel; 0x78a5636fl; 0x84c87814l; 0x8cc70208l;
-     0x90befffal; 0xa4506cebl; 0xbef9a3f7l; 0xc67178f2l |]
+  [| 0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b; 0x59f111f1;
+     0x923f82a4; 0xab1c5ed5; 0xd807aa98; 0x12835b01; 0x243185be; 0x550c7dc3;
+     0x72be5d74; 0x80deb1fe; 0x9bdc06a7; 0xc19bf174; 0xe49b69c1; 0xefbe4786;
+     0x0fc19dc6; 0x240ca1cc; 0x2de92c6f; 0x4a7484aa; 0x5cb0a9dc; 0x76f988da;
+     0x983e5152; 0xa831c66d; 0xb00327c8; 0xbf597fc7; 0xc6e00bf3; 0xd5a79147;
+     0x06ca6351; 0x14292967; 0x27b70a85; 0x2e1b2138; 0x4d2c6dfc; 0x53380d13;
+     0x650a7354; 0x766a0abb; 0x81c2c92e; 0x92722c85; 0xa2bfe8a1; 0xa81a664b;
+     0xc24b8b70; 0xc76c51a3; 0xd192e819; 0xd6990624; 0xf40e3585; 0x106aa070;
+     0x19a4c116; 0x1e376c08; 0x2748774c; 0x34b0bcb5; 0x391c0cb3; 0x4ed8aa4a;
+     0x5b9cca4f; 0x682e6ff3; 0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208;
+     0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2 |]
 
 type ctx = {
-  h : int32 array;             (* 8 state words *)
+  h : int array;               (* 8 state words *)
   buf : Bytes.t;               (* 64-byte block buffer *)
   mutable buf_len : int;
-  mutable total : int64;       (* total bytes absorbed *)
-  w : int32 array;             (* message schedule scratch *)
+  mutable total : int;         (* total bytes absorbed *)
+  w : int array;               (* message schedule scratch *)
 }
 
 let init () =
   {
     h =
-      [| 0x6a09e667l; 0xbb67ae85l; 0x3c6ef372l; 0xa54ff53al; 0x510e527fl;
-         0x9b05688cl; 0x1f83d9abl; 0x5be0cd19l |];
+      [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f;
+         0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |];
     buf = Bytes.create 64;
     buf_len = 0;
-    total = 0L;
-    w = Array.make 64 0l;
+    total = 0;
+    w = Array.make 64 0;
   }
 
-let rotr x n = Int32.logor (Int32.shift_right_logical x n) (Int32.shift_left x (32 - n))
+let copy ctx =
+  let buf = Bytes.create 64 in
+  Bytes.blit ctx.buf 0 buf 0 ctx.buf_len;
+  {
+    h = Array.copy ctx.h;
+    buf;
+    buf_len = ctx.buf_len;
+    total = ctx.total;
+    w = Array.make 64 0;
+  }
 
-let ( ^^ ) = Int32.logxor
-let ( &&& ) = Int32.logand
-let ( +% ) = Int32.add
+let mask = 0xFFFF_FFFF
+
+(* [dup x] holds the 32-bit word [x] twice, at bits 0-31 and 32-62, so
+   [(dup x lsr n) land mask] rotates [x] right by any [n] in 1..31: result
+   bit [i] is [x]'s bit [(i + n) mod 32], and the highest bit read,
+   [i + n - 32 <= 30], survived the shift into the 63-bit int. One [dup]
+   serves all three rotations of a sigma function. *)
+let dup x = x lor (x lsl 32)
 
 let process_block ctx block off =
+  Counters.compressed ();
   let w = ctx.w in
   for t = 0 to 15 do
-    let b i = Int32.of_int (Char.code (Bytes.get block (off + (4 * t) + i))) in
+    let i = off + (4 * t) in
     w.(t) <-
-      Int32.logor
-        (Int32.shift_left (b 0) 24)
-        (Int32.logor (Int32.shift_left (b 1) 16)
-           (Int32.logor (Int32.shift_left (b 2) 8) (b 3)))
+      (Char.code (Bytes.get block i) lsl 24)
+      lor (Char.code (Bytes.get block (i + 1)) lsl 16)
+      lor (Char.code (Bytes.get block (i + 2)) lsl 8)
+      lor Char.code (Bytes.get block (i + 3))
   done;
   for t = 16 to 63 do
-    let s0 = rotr w.(t - 15) 7 ^^ rotr w.(t - 15) 18 ^^ Int32.shift_right_logical w.(t - 15) 3 in
-    let s1 = rotr w.(t - 2) 17 ^^ rotr w.(t - 2) 19 ^^ Int32.shift_right_logical w.(t - 2) 10 in
-    w.(t) <- w.(t - 16) +% s0 +% w.(t - 7) +% s1
+    let x = w.(t - 15) and y = w.(t - 2) in
+    let xx = dup x and yy = dup y in
+    let s0 = ((xx lsr 7) lxor (xx lsr 18)) land mask lxor (x lsr 3) in
+    let s1 = ((yy lsr 17) lxor (yy lsr 19)) land mask lxor (y lsr 10) in
+    w.(t) <- (w.(t - 16) + s0 + w.(t - 7) + s1) land mask
   done;
-  let a = ref ctx.h.(0) and b = ref ctx.h.(1) and c = ref ctx.h.(2) and d = ref ctx.h.(3) in
-  let e = ref ctx.h.(4) and f = ref ctx.h.(5) and g = ref ctx.h.(6) and hh = ref ctx.h.(7) in
+  let h = ctx.h in
+  let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
+  let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
   for t = 0 to 63 do
-    let s1 = rotr !e 6 ^^ rotr !e 11 ^^ rotr !e 25 in
-    let ch = (!e &&& !f) ^^ (Int32.lognot !e &&& !g) in
-    let t1 = !hh +% s1 +% ch +% k.(t) +% w.(t) in
-    let s0 = rotr !a 2 ^^ rotr !a 13 ^^ rotr !a 22 in
-    let maj = (!a &&& !b) ^^ (!a &&& !c) ^^ (!b &&& !c) in
-    let t2 = s0 +% maj in
+    let e' = !e and a' = !a in
+    let ee = dup e' and aa = dup a' in
+    let s1 = ((ee lsr 6) lxor (ee lsr 11) lxor (ee lsr 25)) land mask in
+    let ch = !g lxor (e' land (!f lxor !g)) in
+    let t1 = !hh + s1 + ch + k.(t) + w.(t) in
+    let s0 = ((aa lsr 2) lxor (aa lsr 13) lxor (aa lsr 22)) land mask in
+    let maj = (a' land !b) lor (!c land (a' lor !b)) in
     hh := !g;
     g := !f;
-    f := !e;
-    e := !d +% t1;
+    f := e';
+    e := (!d + t1) land mask;
     d := !c;
     c := !b;
-    b := !a;
-    a := t1 +% t2
+    b := a';
+    a := (t1 + s0 + maj) land mask
   done;
-  ctx.h.(0) <- ctx.h.(0) +% !a;
-  ctx.h.(1) <- ctx.h.(1) +% !b;
-  ctx.h.(2) <- ctx.h.(2) +% !c;
-  ctx.h.(3) <- ctx.h.(3) +% !d;
-  ctx.h.(4) <- ctx.h.(4) +% !e;
-  ctx.h.(5) <- ctx.h.(5) +% !f;
-  ctx.h.(6) <- ctx.h.(6) +% !g;
-  ctx.h.(7) <- ctx.h.(7) +% !hh
+  h.(0) <- (h.(0) + !a) land mask;
+  h.(1) <- (h.(1) + !b) land mask;
+  h.(2) <- (h.(2) + !c) land mask;
+  h.(3) <- (h.(3) + !d) land mask;
+  h.(4) <- (h.(4) + !e) land mask;
+  h.(5) <- (h.(5) + !f) land mask;
+  h.(6) <- (h.(6) + !g) land mask;
+  h.(7) <- (h.(7) + !hh) land mask
 
 let feed ctx s =
   let len = String.length s in
-  ctx.total <- Int64.add ctx.total (Int64.of_int len);
+  ctx.total <- ctx.total + len;
   let pos = ref 0 in
   (* Fill a partial buffer first. *)
   if ctx.buf_len > 0 then begin
@@ -109,7 +131,7 @@ let feed ctx s =
   end
 
 let finalize ctx =
-  let bit_len = Int64.mul ctx.total 8L in
+  let bit_len = ctx.total * 8 in
   (* Append 0x80, pad with zeros to 56 mod 64, then 64-bit big-endian length. *)
   Bytes.set ctx.buf ctx.buf_len '\x80';
   ctx.buf_len <- ctx.buf_len + 1;
@@ -120,30 +142,33 @@ let finalize ctx =
   end;
   Bytes.fill ctx.buf ctx.buf_len (56 - ctx.buf_len) '\x00';
   for i = 0 to 7 do
-    Bytes.set ctx.buf (56 + i)
-      (Char.chr
-         (Int64.to_int (Int64.logand (Int64.shift_right_logical bit_len (8 * (7 - i))) 0xFFL)))
+    Bytes.set ctx.buf (56 + i) (Char.unsafe_chr ((bit_len lsr (8 * (7 - i))) land 0xFF))
   done;
   process_block ctx ctx.buf 0;
   let out = Bytes.create 32 in
   for i = 0 to 7 do
     let word = ctx.h.(i) in
     for j = 0 to 3 do
-      Bytes.set out ((4 * i) + j)
-        (Char.chr
-           (Int32.to_int (Int32.logand (Int32.shift_right_logical word (8 * (3 - j))) 0xFFl)))
+      Bytes.set out ((4 * i) + j) (Char.unsafe_chr ((word lsr (8 * (3 - j))) land 0xFF))
     done
   done;
-  Bytes.to_string out
+  Bytes.unsafe_to_string out
 
 let digest_string s =
   let ctx = init () in
   feed ctx s;
   finalize ctx
 
+let hex_digits = "0123456789abcdef"
+
 let hex d =
-  let buf = Buffer.create (2 * String.length d) in
-  String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) d;
-  Buffer.contents buf
+  let out = Bytes.create (2 * String.length d) in
+  String.iteri
+    (fun i c ->
+      let x = Char.code c in
+      Bytes.unsafe_set out (2 * i) hex_digits.[x lsr 4];
+      Bytes.unsafe_set out ((2 * i) + 1) hex_digits.[x land 0xF])
+    d;
+  Bytes.unsafe_to_string out
 
 let digest_hex s = hex (digest_string s)

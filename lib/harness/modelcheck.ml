@@ -151,6 +151,15 @@ let validate spec =
   if List.length faulty > spec.f then
     invalid_arg
       "Modelcheck: more than f faulty processes (crashes + fault targets) is out of model";
+  (* A stack instance has no hook that seeds a suspicion; accepting one
+     would explore the uninjected system under the injected one's name. *)
+  (match (spec.protocol, spec.injections) with
+  | Stack _, (p, s) :: _ ->
+    invalid_arg
+      (Printf.sprintf
+         "Modelcheck: inject %d:%s: initial suspicions are quorum/follower only" p
+         (String.concat "," (List.map string_of_int s)))
+  | _ -> ());
   List.iter
     (fun (p, s) ->
       pid "inject" p;

@@ -23,13 +23,27 @@ let initial_timeout = Stime.of_ms 25
 
 let timeout_strategy = Qs_fd.Timeout.Exponential { factor = 2.0; max = Stime.of_ms 2000 }
 
-(** Five requests submitted at once to a fresh cluster, run until quiet:
-    the messages sent per request. [Invalid_argument] unless all commit. *)
-let messages_per_request (type c) (module C : Qs_sim.Smr_cluster.S with type t = c) c =
+(* Five requests submitted at once to a fresh cluster, run until quiet:
+   how many committed. [Invalid_argument] unless all did. *)
+let happy_run (type c) (module C : Qs_sim.Smr_cluster.S with type t = c) c =
   let requests = List.init 5 (fun i -> C.submit c (Printf.sprintf "op%d" i)) in
   C.run c;
   if not (List.for_all (C.is_committed c) requests) then invalid_arg "happy run failed";
-  C.message_count c / List.length requests
+  List.length requests
+
+(** The messages sent per request in a happy run: five requests submitted
+    at once to a fresh cluster, run until quiet. [Invalid_argument] unless
+    all commit. *)
+let messages_per_request (type c) (module C : Qs_sim.Smr_cluster.S with type t = c) c =
+  let commits = happy_run (module C) c in
+  C.message_count c / commits
+
+(** The same happy run's signing work, counted on the calling domain, and
+    its number of commits. *)
+let signing_per_request (type c) (module C : Qs_sim.Smr_cluster.S with type t = c) c =
+  let before = Qs_crypto.Counters.read () in
+  let commits = happy_run (module C) c in
+  (Qs_crypto.Counters.since before, commits)
 
 (** One request on a fresh cluster, run until quiet: its commit latency. *)
 let commit_latency (type c) (module C : Qs_sim.Smr_cluster.S with type t = c) c =

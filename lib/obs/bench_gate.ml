@@ -396,6 +396,14 @@ let sections =
         chk "later_bytes_per_commit" Pinned ~label:"store bytes/commit, commits 301-400";
         chk "level" holds ~label:"commits 301-400 within 1.5x of commits 1-100";
       ];
+    (* Signing work per commit in one happy run per stack variant: signs,
+       verifies and SHA-256 compressions, all pinned. *)
+    section "crypto" [ "crypto" ] ~key:[ "variant" ]
+      [
+        chk "signs_per_commit" Pinned;
+        chk "verifies_per_commit" Pinned;
+        chk "compressions_per_commit" Pinned;
+      ];
     (* Absolute ns/run: the runner's, not the code's. *)
     section "ns" [ "results" ] ~key:[ "group"; "name" ] [ chk "ns_per_run" (Drift 1.5) ];
   ]

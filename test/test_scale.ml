@@ -366,9 +366,25 @@ let durability_section ?(first = 1011) ?(later = 1282) () =
       ("level", Json.Bool (2 * later <= 3 * first));
     ]
 
+(* One happy-run row of the crypto section, as bench/main.ml writes it. *)
+let crypto_section ?(compressions = 26.0) () =
+  Json.List
+    [
+      Json.Obj
+        [
+          ("variant", Json.String "xpaxos");
+          ("n", Json.Int 3);
+          ("commits", Json.Int 5);
+          ("signs_per_commit", Json.Float 4.0);
+          ("verifies_per_commit", Json.Float 6.0);
+          ("compressions_per_commit", Json.Float compressions);
+        ];
+    ]
+
 let bench ?(scaling = []) ?(churn = [ churn_point () ])
     ?(explore = explore_section ()) ?(policy = policy_section ())
-    ?(runtime = runtime_section ()) ?(durability = durability_section ()) () =
+    ?(runtime = runtime_section ()) ?(durability = durability_section ())
+    ?(crypto = crypto_section ()) () =
   Json.Obj
     [
       ("schema", Json.String "qsel-bench/1");
@@ -391,6 +407,7 @@ let bench ?(scaling = []) ?(churn = [ churn_point () ])
       ("policy", policy);
       ("runtime", runtime);
       ("durability", durability);
+      ("crypto", crypto);
       ("results", Json.List []);
     ]
 
@@ -592,6 +609,16 @@ let test_gate_fails_durability_regression () =
        (bench ~scaling:(scaling_healthy ()) ~durability:growing ())
        (Gate.derive_baseline (bench ~scaling:(scaling_healthy ()) ~durability:growing ())))
 
+(* Compressions per commit are pinned both ways: more is a regression,
+   and fewer is a change the baseline must be re-seeded to record. *)
+let test_gate_fails_crypto_drift () =
+  let b = Gate.derive_baseline (healthy ()) in
+  List.iter
+    (fun (label, compressions) ->
+      let crypto = crypto_section ~compressions () in
+      check_bool label false (gate (bench ~scaling:(scaling_healthy ()) ~crypto ()) b))
+    [ ("more compressions per commit fail", 46.0); ("fewer fail until re-seeded", 20.0) ]
+
 let test_gate_missing_field_malformed () =
   (* A gated field absent from the current run is an error, never a pass. *)
   let b = Gate.derive_baseline (healthy ()) in
@@ -687,6 +714,7 @@ let () =
             test_gate_fails_runtime_regression;
           Alcotest.test_case "durability regression fails" `Quick
             test_gate_fails_durability_regression;
+          Alcotest.test_case "crypto drift fails" `Quick test_gate_fails_crypto_drift;
           Alcotest.test_case "missing gated field is malformed" `Quick
             test_gate_missing_field_malformed;
           Alcotest.test_case "update-baseline ratchet" `Quick
