@@ -503,6 +503,8 @@ let explore_json (points, check) =
             ("sets_agree", Json.Bool check.E.sets_agree);
             ("sym_visited", Json.Int check.E.sym_visited);
             ("sym_collapses", Json.Bool check.E.sym_collapses);
+            ("sym_visited_n5", Json.Int check.E.sym_visited_n5);
+            ("sym_candidates_n5", Json.Int check.E.sym_candidates_n5);
           ] );
     ]
 

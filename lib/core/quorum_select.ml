@@ -175,6 +175,8 @@ let epochs_entered t = t.s.epochs_entered
 
 let max_issued_per_epoch t = t.s.max_issued_in_epoch
 
+let issued_in_epoch t = t.s.issued_in_epoch
+
 let matrix t = t.s.matrix
 
 let suspecting t = t.s.suspecting
@@ -220,27 +222,24 @@ let absorb t ~matrix ~epoch =
   S.absorb t.s ~matrix ~epoch ~on_advance:(fun () -> epoch_advanced t epoch);
   update_quorum t
 
-(* [last_quorum] is rendered VERBATIM under [perm]: it is the lex-first
-   independent set of the suspect graph, and lex-first is not
+let fingerprint t =
+  let pids l = String.concat "," (List.map string_of_int l) in
+  S.fingerprint t.s (pids t.last_quorum ^ "|" ^ pids t.s.suspecting)
+
+(* [last_quorum] is written VERBATIM under a permutation: it is the
+   lex-first independent set of the suspect graph, and lex-first is not
    permutation-covariant — its output is a function of the graph, not a
    label. The model checker only enables symmetry when every suspicion edge
    endpoint is fixed by the permutation group, so the graph (and hence the
-   lex-first choice) is invariant and the verbatim render is exactly what
-   the relabeled execution would store. [suspecting] is mapped and
-   re-sorted (it is maintained sorted). The policy tag is rendered verbatim
-   too: symmetry reduction is only ever enabled under the default policy. *)
-let render ?perm t =
-  let pids l = String.concat "," (List.map string_of_int l) in
-  let suspecting =
-    match perm with
-    | None -> t.s.suspecting
-    | Some perm -> List.sort compare (List.map perm t.s.suspecting)
-  in
-  S.fingerprint ?perm t.s (pids t.last_quorum ^ "|" ^ pids suspecting)
+   lex-first choice) is invariant and the verbatim quorum is exactly what
+   the relabeled execution would store. [suspecting] is a set: relabeled
+   and written sorted. *)
+let write_body t key =
+  Qs_stdx.State_key.add key (List.length t.last_quorum);
+  List.iter (Qs_stdx.State_key.add key) t.last_quorum;
+  Qs_stdx.State_key.add_pids_sorted key t.s.suspecting
 
-let fingerprint t = render t
-
-let fingerprint_perm t ~perm = render ~perm t
+let write_key t key = S.write_key t.s key (write_body t)
 
 type snapshot = { shared : Pid.t list S.snapshot; s_last_quorum : Pid.t list }
 

@@ -76,6 +76,9 @@ val max_issued_per_epoch : t -> int
     at most [C(f+2,2)]). Also published live as the
     [qs_quorums_per_epoch_max] gauge. *)
 
+val issued_in_epoch : t -> int
+(** ⟨QUORUM⟩ events issued so far in the current epoch. *)
+
 val matrix : t -> Suspicion_matrix.t
 (** The live matrix — treat as read-only. *)
 
@@ -193,13 +196,13 @@ val fingerprint : t -> string
     (the latter so states differing only in proximity to the Theorem-3 bound
     are never merged). Callbacks and metrics handles are excluded. *)
 
-val fingerprint_perm : t -> perm:(int -> int) -> string
-(** {!fingerprint} of the state relabeled through the pid bijection [perm]
-    (old pid -> new pid): matrix conjugated, pid lists mapped. [last_quorum]
-    is rendered verbatim — lex-first selection is a function of the suspect
+val write_key : t -> Qs_stdx.State_key.t -> unit
+(** {!fingerprint}'s fields as a state key, relabeled through the key's
+    permutation: matrix conjugated, pid sets mapped. [last_quorum] is
+    written verbatim — lex-first selection is a function of the suspect
     graph, not of labels, so the caller (the model checker's symmetry
     reduction) must only use permutations that fix every pid incident to a
-    suspicion edge. Equal to {!fingerprint} when [perm] is the identity. *)
+    suspicion edge. *)
 
 type snapshot
 

@@ -303,24 +303,34 @@ let restore t s =
    identical up to them could still diverge on whether a later quorum
    overshoots a per-epoch bound, so merging them would be unsound for that
    check. *)
-let fingerprint ?perm t body =
-  let matrix, excluded =
-    match perm with
-    | None -> (t.matrix, t.excluded)
-    | Some perm ->
-      let inv = Array.make t.config.n 0 in
-      for p = 0 to t.config.n - 1 do
-        inv.(perm p) <- p
-      done;
-      ( Suspicion_matrix.remap t.matrix ~n:t.config.n ~of_new:(fun i -> inv.(i)),
-        List.map perm t.excluded )
-  in
+let fingerprint t body =
   let policy_tag =
     if Selection_policy.is_default t.policy then ""
     else "|" ^ Selection_policy.to_string t.policy
   in
   Format.asprintf "%d,%d,%d|%d|%a|%s|%d|%d|%b|%s%s" t.config.n t.config.f t.cepoch
-    t.epoch Suspicion_matrix.pp matrix body t.issued_in_epoch t.max_issued_in_epoch
+    t.epoch Suspicion_matrix.pp t.matrix body t.issued_in_epoch t.max_issued_in_epoch
     t.dormant
-    (String.concat "," (List.map string_of_int excluded))
+    (String.concat "," (List.map string_of_int t.excluded))
     policy_tag
+
+(* The same fields as [fingerprint], as a key. Convictions keep their
+   order (it decides which f apply); the policy is written verbatim, since
+   symmetry reduction only runs under the default one. *)
+let write_key t key body =
+  let module K = Qs_stdx.State_key in
+  K.add key t.config.n;
+  K.add key t.config.f;
+  K.add key t.cepoch;
+  K.add key t.epoch;
+  Suspicion_matrix.write_key t.matrix key;
+  body key;
+  K.add key t.issued_in_epoch;
+  K.add key t.max_issued_in_epoch;
+  K.add_bool key t.dormant;
+  K.add_pids key t.excluded;
+  if Selection_policy.is_default t.policy then K.add key 0
+  else begin
+    K.add key 1;
+    K.add_string key (Selection_policy.to_string t.policy)
+  end

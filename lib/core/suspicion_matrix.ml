@@ -1,4 +1,5 @@
 module Bitset = Qs_stdx.Bitset
+module State_key = Qs_stdx.State_key
 
 (* Row storage: one flat row-major Bigarray of native ints (unboxed, no
    write barrier, one bounds check per access) plus, per row, a bitset of
@@ -233,6 +234,17 @@ let of_rows rows =
     done
   done;
   t
+
+(* Sparse: a matrix here holds a few nonzero cells, each packed into one
+   int over its labels, written as a sorted set with a -1 terminator. *)
+let write_key t key =
+  State_key.add key t.size;
+  let from = State_key.length key in
+  for l = 0 to t.size - 1 do
+    Bitset.iter (fun k -> State_key.add key (State_key.pack key l k (cell t l k))) t.nonzero.(l)
+  done;
+  State_key.sort_from key from;
+  State_key.add key (-1)
 
 let pp ppf t =
   for l = 0 to t.size - 1 do

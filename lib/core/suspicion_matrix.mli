@@ -101,4 +101,9 @@ val of_rows : int array array -> t
     array is empty, not square, has a negative cell or a non-zero
     diagonal (a self-suspicion can never have been recorded). *)
 
+val write_key : t -> Qs_stdx.State_key.t -> unit
+(** Append the width and the set of nonzero cells, each as (suspector,
+    suspect, epoch) with both pids written through the key's labelling.
+    The labelling may map pids to classes in [\[-2, n)]. *)
+
 val pp : Format.formatter -> t -> unit

@@ -1,8 +1,11 @@
 (* FIPS 180-4 SHA-256 over native ints masked to 32 bits. A block
-   compression allocates nothing: the message schedule lives in the
-   context, and the working variables are int refs the compiler keeps
-   unboxed. Like [Qs_stdx.Bitset] it assumes 63-bit native ints: a sum of
-   five 32-bit words, and [dup] below, must fit before they are masked. *)
+   compression allocates nothing: the message schedule is a 16-word
+   rolling window in the context (word t lives at t mod 16 and is
+   computed in the round that reads it), and the working variables are
+   int refs the compiler keeps unboxed. The window is per context, never
+   per domain: runtime threads share a domain and may hash at once. Like
+   [Qs_stdx.Bitset] it assumes 63-bit native ints: a sum of five 32-bit
+   words, and [dup] below, must fit before they are masked. *)
 
 type digest = string
 
@@ -24,7 +27,7 @@ type ctx = {
   buf : Bytes.t;               (* 64-byte block buffer *)
   mutable buf_len : int;
   mutable total : int;         (* total bytes absorbed *)
-  w : int array;               (* message schedule scratch *)
+  w : int array;               (* message schedule window, 16 words *)
 }
 
 let init () =
@@ -35,7 +38,7 @@ let init () =
     buf = Bytes.create 64;
     buf_len = 0;
     total = 0;
-    w = Array.make 64 0;
+    w = Array.make 16 0;
   }
 
 let copy ctx =
@@ -46,7 +49,7 @@ let copy ctx =
     buf;
     buf_len = ctx.buf_len;
     total = ctx.total;
-    w = Array.make 64 0;
+    w = Array.make 16 0;
   }
 
 let mask = 0xFFFF_FFFF
@@ -69,22 +72,28 @@ let process_block ctx block off =
       lor (Char.code (Bytes.get block (i + 2)) lsl 8)
       lor Char.code (Bytes.get block (i + 3))
   done;
-  for t = 16 to 63 do
-    let x = w.(t - 15) and y = w.(t - 2) in
-    let xx = dup x and yy = dup y in
-    let s0 = ((xx lsr 7) lxor (xx lsr 18)) land mask lxor (x lsr 3) in
-    let s1 = ((yy lsr 17) lxor (yy lsr 19)) land mask lxor (y lsr 10) in
-    w.(t) <- (w.(t - 16) + s0 + w.(t - 7) + s1) land mask
-  done;
   let h = ctx.h in
   let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
   let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
   for t = 0 to 63 do
+    (* Word t overwrites word t - 16, the oldest in the window. *)
+    let wt =
+      if t < 16 then w.(t)
+      else begin
+        let x = w.((t - 15) land 15) and y = w.((t - 2) land 15) in
+        let xx = dup x and yy = dup y in
+        let s0 = ((xx lsr 7) lxor (xx lsr 18)) land mask lxor (x lsr 3) in
+        let s1 = ((yy lsr 17) lxor (yy lsr 19)) land mask lxor (y lsr 10) in
+        let v = (w.(t land 15) + s0 + w.((t - 7) land 15) + s1) land mask in
+        w.(t land 15) <- v;
+        v
+      end
+    in
     let e' = !e and a' = !a in
     let ee = dup e' and aa = dup a' in
     let s1 = ((ee lsr 6) lxor (ee lsr 11) lxor (ee lsr 25)) land mask in
     let ch = !g lxor (e' land (!f lxor !g)) in
-    let t1 = !hh + s1 + ch + k.(t) + w.(t) in
+    let t1 = !hh + s1 + ch + k.(t) + wt in
     let s0 = ((aa lsr 2) lxor (aa lsr 13) lxor (aa lsr 22)) land mask in
     let maj = (a' land !b) lor (!c land (a' lor !b)) in
     hh := !g;

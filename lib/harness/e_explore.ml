@@ -20,6 +20,8 @@ type explore_check = {
   sets_agree : bool;
   sym_visited : int;
   sym_collapses : bool;
+  sym_visited_n5 : int;
+  sym_candidates_n5 : int;
 }
 
 let default_jobs = [ 1; 2; 4; 8 ]
@@ -72,6 +74,24 @@ let measure ?(quick = false) ?(jobs = default_jobs) () =
   let par = Shard.explore ~jobs:2 ~depth mk in
   let sym = Engine.explore ~sym:true ~depth (mk ()) in
   let seq_digest = (Shard.explore ~jobs:1 ~depth mk).Shard.states_digest in
+  (* The n=5 instance under symmetry, counting the candidate labellings
+     every canonical call keys: how well the signatures split the free
+     pids, as a count no host changes. *)
+  let sym5, candidates =
+    let system, search =
+      Modelcheck.make_with_canon_search { (spec ()) with Modelcheck.n = 5 }
+    in
+    let candidates = ref 0 in
+    let counting canon () =
+      candidates := !candidates + search.Modelcheck.candidates ();
+      canon ()
+    in
+    let r =
+      Engine.explore ~sym:true ~depth
+        { system with Engine.symmetry = Option.map counting system.Engine.symmetry }
+    in
+    (r, !candidates)
+  in
   let check =
     {
       seq_visited = seq.Engine.visited;
@@ -81,6 +101,8 @@ let measure ?(quick = false) ?(jobs = default_jobs) () =
         && String.equal seq_digest par.Shard.states_digest;
       sym_visited = sym.Engine.visited;
       sym_collapses = sym.Engine.visited < seq.Engine.visited;
+      sym_visited_n5 = sym5.Engine.visited;
+      sym_candidates_n5 = candidates;
     }
   in
   (points, check)

@@ -36,6 +36,9 @@ type explore_check = {
   sets_agree : bool;  (** same visited-fingerprint set *)
   sym_visited : int;  (** with symmetry-canonical fingerprints *)
   sym_collapses : bool;  (** sym_visited < seq_visited *)
+  sym_visited_n5 : int;  (** the n = 5 instance under symmetry, same depth *)
+  sym_candidates_n5 : int;
+      (** labellings keyed over that exploration's canonical calls *)
 }
 
 val measure :

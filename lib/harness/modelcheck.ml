@@ -236,7 +236,15 @@ type qwire = Q_update of Qs_core.Msg.t | Q_rejoin of Rejoin.msg
    and its effect on the current state ([false]: nothing to fire). *)
 type fault_row = { info : Engine.choice_info; blamed : int list; fire : unit -> bool }
 
-type canon_search = { full_canon : unit -> string; candidates : unit -> int }
+type canon_search = {
+  full_canon : unit -> string;
+  candidates : unit -> int;
+  free : int list;
+  selectors : unit -> QS.t array;
+  rejoins : unit -> Rejoin.t array;
+  in_flight : unit -> (int * int * qwire) list;
+  fired : unit -> bool list;
+}
 
 let make_quorum spec =
   let cfg = { QS.n = spec.n; f = spec.f } in
@@ -359,9 +367,6 @@ let make_quorum spec =
     |> Array.of_list
   in
   let fired = Array.make (Array.length rows) false in
-  let fired_part () =
-    String.init (Array.length fired) (fun i -> if fired.(i) then '1' else '0')
-  in
   let rec fire i choice =
     if i = Array.length rows then false
     else if fired.(i) || rows.(i).info.Engine.choice <> choice then fire (i + 1) choice
@@ -485,7 +490,7 @@ let make_quorum spec =
     | first :: rest ->
       let node p = (nodes ()).(p) in
       let q0 = QS.last_quorum (node first) in
-      let m0 = Format.asprintf "%a" Qs_core.Suspicion_matrix.pp (QS.matrix (node first)) in
+      let m0 = QS.matrix (node first) in
       let disagree =
         List.filter_map
           (fun p -> if QS.last_quorum (node p) <> q0 then Some p else None)
@@ -493,10 +498,7 @@ let make_quorum spec =
       in
       let diverged =
         List.filter_map
-          (fun p ->
-            if Format.asprintf "%a" Qs_core.Suspicion_matrix.pp (QS.matrix (node p)) <> m0 then
-              Some p
-            else None)
+          (fun p -> if Qs_core.Suspicion_matrix.equal (QS.matrix (node p)) m0 then None else Some p)
           rest
       in
       (if disagree = [] then []
@@ -513,6 +515,73 @@ let make_quorum spec =
               (String.concat ",p" (List.map string_of_int diverged))
               first ) ]
   in
+  (* ---- state keys --------------------------------------------------
+     A state is keyed by the ints its components write into a reusable
+     [State_key] buffer (see DESIGN.md, "Parallel exploration &
+     symmetry"): slot i holds the selector, then the rejoin state, of the
+     pid the key's permutation sends to i; then the fired bits; then the
+     in-flight multiset, each message's pids and payload relabeled as it
+     is written. The plain fingerprint is the key under the identity. *)
+  let module K = Qs_stdx.State_key in
+  (* Decoded payload matrices: keys and signatures write the same few
+     encoded matrices over and over. Per system, not global, because
+     [Shard.explore] runs one system per domain; never cleared: one entry
+     per distinct matrix this instance can send. *)
+  let decoded : (string, Qs_core.Suspicion_matrix.t) Hashtbl.t = Hashtbl.create 16 in
+  let decode enc =
+    match Hashtbl.find_opt decoded enc with
+    | Some m -> m
+    | None ->
+      let m = Codec.decode_matrix enc in
+      Hashtbl.add decoded enc m;
+      m
+  in
+  let write_matrix key enc = Qs_core.Suspicion_matrix.write_key (decode enc) key in
+  (* One in-flight message: its ends and kind in one int, then its payload.
+     An UPDATE is keyed by its update alone, as its encoding was: the seal
+     is a function of it under the instance's one directory. *)
+  let write_message key src dst = function
+    | Q_update (m : Qs_core.Msg.t) ->
+      K.add key (K.pack key src dst 0);
+      K.add_pid key m.update.owner;
+      K.add_row key m.update.row
+    | Q_rejoin rm ->
+      K.add key (K.pack key src dst 1);
+      Rejoin.write_msg key ~matrix:write_matrix rm
+  in
+  (* The pending messages, as a multiset. *)
+  let write_messages key pending =
+    K.add key (List.length pending);
+    K.sort_records key
+      (List.map
+         (fun (_, src, dst, payload) ->
+           let start = K.length key in
+           write_message key src dst payload;
+           start)
+         pending)
+  in
+  let write_state key =
+    for i = 0 to spec.n - 1 do
+      QS.write_key (nodes ()).(K.old key i) key
+    done;
+    for i = 0 to spec.n - 1 do
+      Rejoin.write_key (rejoins ()).(K.old key i) key ~matrix:write_matrix
+    done;
+    (* Fault targets are all distinguished, so every permutation fixes
+       them and the fired bits copy over unpermuted. *)
+    Array.iter (K.add_bool key) fired;
+    write_messages key (Network.pending (net ()))
+  in
+  (* Two buffers, made on first use: the candidate being written and the
+     least one so far. *)
+  let buffers = lazy (ref (K.create ()), ref (K.create ())) in
+  let identity = lazy (Array.init spec.n Fun.id) in
+  let plain_key () =
+    let cur, _ = Lazy.force buffers in
+    K.reset !cur (Lazy.force identity);
+    write_state !cur;
+    K.to_string !cur
+  in
   (* ---- symmetry ----------------------------------------------------
      Free pids are those no fault row or injection distinguishes. The
      instance's dynamics never put a free pid at either end of a suspicion
@@ -522,22 +591,22 @@ let make_quorum spec =
      selection (a function of the invariant suspect graph) picks the same
      set in the relabeled execution. Sibling states differing only in which
      free process played a role form one orbit, and the canonical
-     fingerprint picks one relabeled render per orbit.
+     fingerprint picks one relabeled key per orbit.
 
      It is found by signature refinement (one round of McKay & Piperno's
-     individualisation-refinement) rather than by rendering every
+     individualisation-refinement) rather than by keying every
      permutation: each free pid gets a label-free signature, and the
      candidate labellings are those that lay the free pids into the free
      slots in non-decreasing signature order — only arrangements within
      ties are enumerated. The canonical fingerprint is the least relabeled
-     render over the candidates. A signature writes every pid as its class
-     (see [cls]), so sig(σ·s)(σp) = sig(s)(p) for every σ in the group: the
-     candidates of σ·s are those of s composed with σ⁻¹, both sets yield
-     the same relabeled renders, and the minimum is an orbit invariant.
-     Distinct orbits share no render, so the partition into orbits — and
-     every state count — is the full group's; only the representative, and
-     hence the canon string, may differ from the full-group minimum. A
-     signature need not be complete: a field left out only widens ties. *)
+     key over the candidates. A signature writes every pid as its class
+     (see [classes]), so sig(σ·s)(σp) = sig(s)(p) for every σ in the group:
+     the candidates of σ·s are those of s composed with σ⁻¹, both sets
+     yield the same relabeled keys, and the minimum is an orbit invariant.
+     Distinct orbits share no key, so the partition into orbits — and
+     every state count — is the full group's; only the representative may
+     differ from the full-group minimum. A signature need not be complete:
+     a field left out only widens ties. *)
   let distinguished =
     List.sort_uniq compare
       (spec.crashes @ blamed @ List.concat_map (fun (p, s) -> p :: s) spec.injections)
@@ -545,7 +614,6 @@ let make_quorum spec =
   let free =
     List.filter (fun p -> not (List.mem p distinguished)) (List.init spec.n Fun.id)
   in
-  let is_free = Array.init spec.n (fun p -> List.mem p free) in
   let rec permutations = function
     | [] -> [ [] ]
     | l ->
@@ -559,146 +627,88 @@ let make_quorum spec =
      new pid = perm.(old pid), identity on distinguished pids. One group
      holding every free pid yields the whole group. *)
   let labellings groups =
-    let rec go slots = function
-      | [] -> [ [] ]
+    let slots = Array.of_list free and perm = Array.init spec.n Fun.id in
+    let out = ref [] in
+    let rec place at = function
+      | [] -> out := Array.copy perm :: !out
       | g :: rest ->
-        let k = List.length g in
-        let mine = List.filteri (fun i _ -> i < k) slots in
-        let tails = go (List.filteri (fun i _ -> i >= k) slots) rest in
-        List.concat_map
-          (fun order -> List.map (fun t -> List.combine order mine @ t) tails)
+        List.iter
+          (fun order ->
+            List.iteri (fun i p -> perm.(p) <- slots.(at + i)) order;
+            place (at + List.length g) rest)
           (permutations g)
     in
-    List.map
-      (fun pairs ->
-        let a = Array.init spec.n Fun.id in
-        List.iter (fun (old, img) -> a.(old) <- img) pairs;
-        a)
-      (go free groups)
+    place 0 groups;
+    !out
   in
-  (* Rejoin state carries pids only inside encoded matrices; req carries
-     none and delta gossip is off in this instance. *)
-  let map_rejoin_matrix matrix = function
-    | Rejoin.State_resp { rid; payload } ->
-      Rejoin.State_resp { rid; payload = { payload with matrix = matrix payload.matrix } }
-    | Rejoin.State_push { payload } ->
-      Rejoin.State_push { payload = { payload with matrix = matrix payload.matrix } }
-    | (Rejoin.State_req _ | Rejoin.State_delta _ | Rejoin.Delta_ack _) as rm -> rm
+  (* The one search: the least key over the given candidates. *)
+  let canonical candidates =
+    let cur, best = Lazy.force buffers in
+    List.iteri
+      (fun i perm ->
+        K.reset !cur perm;
+        write_state !cur;
+        if i = 0 || K.compare !cur !best < 0 then begin
+          let b = !best in
+          best := !cur;
+          cur := b
+        end)
+      candidates;
+    K.to_string !best
   in
-  let render_perm perm =
-    let inv = Array.make spec.n 0 in
-    Array.iteri (fun old img -> inv.(img) <- old) perm;
-    let pmatrix enc =
-      Codec.encode_matrix
-        (Qs_core.Suspicion_matrix.remap (Codec.decode_matrix enc) ~n:spec.n
-           ~of_new:(fun i -> inv.(i)))
-    in
-    let pencode = function
-      | Q_update (m : Qs_core.Msg.t) ->
-        "u"
-        ^ Qs_core.Msg.encode
-            {
-              Qs_core.Msg.owner = perm.(m.update.owner);
-              row = Array.init spec.n (fun j -> m.update.row.(inv.(j)));
-            }
-      | Q_rejoin rm -> "r" ^ Rejoin.encode_msg (map_rejoin_matrix pmatrix rm)
-    in
-    (* Mirrors the plain fingerprint layout exactly: line i holds the
-       relabeled render of the node the permutation sends to slot i, so the
-       identity permutation reproduces [fingerprint ()] byte for byte. *)
-    let buf = Buffer.create 256 in
-    for i = 0 to spec.n - 1 do
-      Buffer.add_string buf
-        (QS.fingerprint_perm (nodes ()).(inv.(i)) ~perm:(fun p -> perm.(p)));
-      Buffer.add_char buf '\n'
-    done;
-    for i = 0 to spec.n - 1 do
-      Buffer.add_string buf
-        (Rejoin.fingerprint_perm (rejoins ()).(inv.(i))
-           ~perm:(fun p -> perm.(p))
-           ~matrix:pmatrix);
-      Buffer.add_char buf '\n'
-    done;
-    (* Fault targets are all distinguished, so every permutation fixes
-       them and the fired bits copy over unpermuted. *)
-    Buffer.add_string buf ("F" ^ fired_part ());
-    let pend =
-      Network.pending (net ())
-      |> List.map (fun (_, src, dst, payload) ->
-             Printf.sprintf "%d>%d#%s" perm.(src) perm.(dst) (digest_of (pencode payload)))
-      |> List.sort compare |> String.concat ","
-    in
-    Buffer.add_string buf ("[" ^ pend ^ "]");
-    Buffer.contents buf
-  in
-  (* How [self]'s signature writes pid [q]: [self] as -1, any other free
+  (* How [self]'s signature labels pid [q]: [self] as -1, any other free
      pid as -2, a distinguished pid as itself — its class, never a free
-     label. Each field below is written the way [render_perm] treats it:
-     what the render relabels, the signature writes by class; what the
-     render keeps verbatim (the quorum, epochs, counters), it keeps too. *)
-  let cls self q = if q = self then -1 else if is_free.(q) then -2 else q in
-  let sorted l = String.concat "," (List.sort compare l) in
-  let pids_sig self l = sorted (List.map (fun q -> string_of_int (cls self q)) l) in
-  let matrix_sig self m =
-    let cells = ref [] in
-    Qs_core.Suspicion_matrix.iter_nonzero m (fun ~suspector ~suspect ~epoch ->
-        cells :=
-          Printf.sprintf "%d>%d=%d" (cls self suspector) (cls self suspect) epoch :: !cells);
-    sorted !cells
+     label. Every writer above takes such a labelling: what a key relabels,
+     the signature writes by class; what it keeps verbatim (the quorum,
+     epochs, counters), the signature keeps too. *)
+  let is_free = lazy (Array.init spec.n (fun q -> List.mem q free)) in
+  let classes =
+    lazy
+      (let is_free = Lazy.force is_free in
+       Array.init spec.n (fun self ->
+           Array.init spec.n (fun q -> if q = self then -1 else if is_free.(q) then -2 else q)))
   in
-  let encoded_matrix_sig self enc = matrix_sig self (Codec.decode_matrix enc) in
-  let payload_sig self = function
-    | Q_update (m : Qs_core.Msg.t) ->
-      let cells = ref [] in
-      Array.iteri
-        (fun j v -> if v <> 0 then cells := Printf.sprintf "%d=%d" (cls self j) v :: !cells)
-        m.update.row;
-      Printf.sprintf "u%d:%s" (cls self m.update.owner) (sorted !cells)
-    | Q_rejoin rm -> "r" ^ Rejoin.encode_msg (map_rejoin_matrix (encoded_matrix_sig self) rm)
-  in
-  (* The free pids grouped by signature — selector, rejoin state, and the
-     multiset of pending messages sent and received — in signature order. *)
+  (* One signature buffer and hash per pid, made on first use. *)
+  let signatures = lazy (Array.init spec.n (fun _ -> K.create ()), Array.make spec.n 0) in
+  (* [p]'s signature hashes its own selector and rejoin state, plus the
+     multiset of pending messages it sent or receives: each written under
+     its class labelling and hashed on its own, and the hashes summed, so
+     their order does not count. The free pids are grouped by signature,
+     in the order of the hashes. A collision would only merge two groups:
+     a wider tie, never a wrong canonical form. *)
   let tie_groups () =
-    let msgs = Array.make spec.n [] in
+    let sigs, hashes = Lazy.force signatures
+    and classes = Lazy.force classes
+    and is_free = Lazy.force is_free in
+    List.iter
+      (fun p ->
+        let key = sigs.(p) in
+        K.reset key classes.(p);
+        QS.write_key (nodes ()).(p) key;
+        Rejoin.write_key (rejoins ()).(p) key ~matrix:write_matrix;
+        hashes.(p) <- K.hash key)
+      free;
+    let add p src dst payload =
+      let key = sigs.(p) in
+      let start = K.length key in
+      write_message key src dst payload;
+      hashes.(p) <- hashes.(p) + K.hash_from key start;
+      K.truncate key start
+    in
     List.iter
       (fun (_, src, dst, payload) ->
-        let add self dir peer =
-          msgs.(self) <-
-            Printf.sprintf "%s%d#%s" dir (cls self peer) (payload_sig self payload) :: msgs.(self)
-        in
-        if is_free.(src) then add src "o" dst;
-        if is_free.(dst) then add dst "i" src)
+        if is_free.(src) then add src src dst payload;
+        if is_free.(dst) && dst <> src then add dst src dst payload)
       (Network.pending (net ()));
-    let signature p =
-      let node = (nodes ()).(p) in
-      Printf.sprintf "%d|%d|%s|%s|%s|%d|%b|%s\n%s\n%s" (QS.cepoch node) (QS.epoch node)
-        (matrix_sig p (QS.matrix node))
-        (String.concat "," (List.map string_of_int (QS.last_quorum node)))
-        (pids_sig p (QS.suspecting node))
-        (QS.max_issued_per_epoch node) (QS.dormant node)
-        (pids_sig p (QS.excluded node))
-        (Rejoin.fingerprint_perm (rejoins ()).(p) ~perm:(cls p)
-           ~matrix:(encoded_matrix_sig p))
-        (sorted msgs.(p))
-    in
-    List.map (fun p -> (signature p, p)) free
-    |> List.sort compare
+    List.map (fun p -> (hashes.(p), p)) free
+    |> List.stable_sort (fun (a, _) (b, _) -> Int.compare a b)
     |> List.fold_left
-         (fun acc (s, p) ->
+         (fun acc (h, p) ->
            match acc with
-           | (s', g) :: rest when String.equal s s' -> (s, p :: g) :: rest
-           | _ -> (s, [ p ]) :: acc)
+           | (h', g) :: rest when h = h' -> (h, p :: g) :: rest
+           | _ -> (h, [ p ]) :: acc)
          []
     |> List.rev_map snd
-  in
-  (* The one search: the least render over the given candidates. *)
-  let canonical candidates =
-    List.fold_left
-      (fun best perm ->
-        let r = render_perm perm in
-        match best with Some b when b <= r -> best | _ -> Some r)
-      None candidates
-    |> Option.get
   in
   let symmetry =
     if List.compare_length_with free 2 < 0 then None
@@ -713,22 +723,7 @@ let make_quorum spec =
           @ List.filteri (fun i _ -> not fired.(i)) (Array.to_list (Array.map (fun r -> r.info) rows)));
       apply =
         (function Schedule.Deliver id -> Network.deliver_now (net ()) id | choice -> fire 0 choice);
-      fingerprint =
-        (fun () ->
-          let buf = Buffer.create 256 in
-          Array.iter
-            (fun node ->
-              Buffer.add_string buf (QS.fingerprint node);
-              Buffer.add_char buf '\n')
-            (nodes ());
-          Array.iter
-            (fun rj ->
-              Buffer.add_string buf (Rejoin.fingerprint rj);
-              Buffer.add_char buf '\n')
-            (rejoins ());
-          Buffer.add_string buf ("F" ^ fired_part ());
-          Buffer.add_string buf ("[" ^ Smr.parked (net ()) digest ^ "]");
-          Buffer.contents buf);
+      fingerprint = plain_key;
       violations;
       quiescent_violations;
       snapshot =
@@ -752,6 +747,12 @@ let make_quorum spec =
     {
       full_canon = (fun () -> canonical (labellings [ free ]));
       candidates = (fun () -> List.length (labellings (tie_groups ())));
+      free;
+      selectors = nodes;
+      rejoins;
+      in_flight =
+        (fun () -> List.map (fun (_, src, dst, m) -> (src, dst, m)) (Network.pending (net ())));
+      fired = (fun () -> Array.to_list fired);
     } )
 
 (* -------------------------------------------------------------- follower *)

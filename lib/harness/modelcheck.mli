@@ -134,22 +134,35 @@ val make : spec -> Qs_mc.Engine.system
 
 (** {2 Symmetry canonicalisation}
 
-    Under [explore ~sym] the quorum instance prunes on a canonical
-    fingerprint found by signature refinement: every free pid (one no
-    crash, fault or injection names) gets a label-free signature, and only
-    the labellings that order the free pids by signature — permuting
-    within ties — are rendered. The search below is the same one over the
-    whole permutation group, so a test can check that both induce the same
-    partition of states. *)
+    Every state of the quorum instance is keyed by a {!Qs_stdx.State_key}
+    its components write, relabeling pids as they go; the plain
+    fingerprint is the key under the identity. Under [explore ~sym] the
+    instance prunes on a canonical key found by signature refinement:
+    every free pid (one no crash, fault or injection names) gets a
+    label-free signature, and only the labellings that order the free pids
+    by signature — permuting within ties — are keyed. The search below is
+    the same one over the whole permutation group, so a test can check
+    that both induce the same partition of states. *)
+
+type qwire = Q_update of Qs_core.Msg.t | Q_rejoin of Qs_recovery.Rejoin.msg
+(** A message on the quorum instance's controlled network: Algorithm-1
+    UPDATE gossip or rejoin traffic. *)
 
 type canon_search = {
   full_canon : unit -> string;
-      (** The least relabeled render of the current state over every
+      (** The least relabeled key of the current state over every
           permutation of the free pids. *)
   candidates : unit -> int;
-      (** The number of labellings [symmetry] renders for the current
-          state (computed afresh on each call; nothing is counted). *)
+      (** The number of labellings [symmetry] keys for the current state
+          (computed afresh on each call; nothing is counted). *)
+  free : int list;  (** The free pids, in increasing order. *)
+  selectors : unit -> Qs_core.Quorum_select.t array;
+  rejoins : unit -> Qs_recovery.Rejoin.t array;
+  in_flight : unit -> (int * int * qwire) list;  (** [(src, dst, payload)] *)
+  fired : unit -> bool list;  (** Per fault row: fired yet. *)
 }
+(** With the current state's parts, read-only, so a test can key or
+    render it independently. *)
 
 val make_with_canon_search : spec -> Qs_mc.Engine.system * canon_search
 (** [make spec] together with the full-group search over its state.

@@ -53,8 +53,8 @@ type system = {
           the choice prefix from [reset]. *)
   symmetry : (unit -> string) option;
       (** Optional symmetry-canonical fingerprint of the current state: the
-          lexicographic minimum of {!system.fingerprint}-equivalent renders
-          over every process-identity permutation that fixes the instance's
+          least {!system.fingerprint}-equivalent key over the
+          process-identity permutations that fix the instance's
           distinguished pids (fault injection sources/targets). Two states
           related by such a permutation canonicalize identically, so the
           explorer prunes whole orbits; [None] where the instance has no

@@ -351,6 +351,8 @@ let sections =
         chk "sym_collapses" holds ~label:"symmetry collapses states";
         chk "seq_visited" Pinned;
         chk "sym_visited" Pinned;
+        chk "sym_visited_n5" Pinned;
+        chk "sym_candidates_n5" Pinned;
       ];
     (* E18 policy sweep: fully deterministic, so every point is pinned; the
        intersection verdicts hold from the current run alone. *)

@@ -319,6 +319,14 @@ let completed_rounds t = t.completed
 
 let bad_payloads t = t.bad_payloads
 
+let rid t = t.rid
+
+let responded t = t.responded
+
+let buffered t = t.pending
+
+let gave_up t = t.gave_up
+
 (* ------------------------------------------------------------------ *)
 (* Model-checker hooks *)
 
@@ -338,26 +346,49 @@ let encode_msg = function
       (String.concat ","
          (List.map (fun (l, v) -> Printf.sprintf "%d=%d" l v) acks))
 
-let fingerprint t =
-  Printf.sprintf "%d|%b|%s|%d|%d|%d|%d|%s" t.rid t.rejoining
-    (String.concat "," (List.map string_of_int (List.sort compare t.responded)))
-    t.retries t.completed t.bad_payloads t.gave_up
-    (String.concat ";" (List.map encode_payload (List.rev t.pending)))
+module State_key = Qs_stdx.State_key
 
-(* [fingerprint] after relabeling process identities through [perm]
-   (old pid -> new pid): responders are mapped (the list is rendered sorted,
-   so the result is canonical), and each buffered payload's encoded matrix
-   is rewritten by the caller-supplied [matrix] transform — the codec lives
-   above this module, so conjugating an encoded matrix does too. Buffer
-   order is preserved: arrival positions are schedule positions, which the
-   relabeled execution shares. *)
-let fingerprint_perm t ~perm ~matrix =
-  let permuted p = { p with matrix = matrix p.matrix } in
-  Printf.sprintf "%d|%b|%s|%d|%d|%d|%d|%s" t.rid t.rejoining
-    (String.concat ","
-       (List.map string_of_int (List.sort compare (List.map perm t.responded))))
-    t.retries t.completed t.bad_payloads t.gave_up
-    (String.concat ";" (List.map (fun p -> encode_payload (permuted p)) (List.rev t.pending)))
+let write_payload key ~matrix p =
+  matrix key p.matrix;
+  State_key.add key p.epoch;
+  State_key.add_string key p.extra
+
+(* Responders are a set (relabeled, written sorted). The buffer keeps its
+   order: arrival positions are schedule positions, which the relabeled
+   execution shares. *)
+let write_key t key ~matrix =
+  State_key.add key t.rid;
+  State_key.add_bool key t.rejoining;
+  State_key.add_pids_sorted key t.responded;
+  State_key.add key t.retries;
+  State_key.add key t.completed;
+  State_key.add key t.bad_payloads;
+  State_key.add key t.gave_up;
+  State_key.add key (List.length t.pending);
+  List.iter (write_payload key ~matrix) t.pending
+
+let write_msg key ~matrix = function
+  | State_req { rid } ->
+    State_key.add key 0;
+    State_key.add key rid
+  | State_resp { rid; payload } ->
+    State_key.add key 1;
+    State_key.add key rid;
+    write_payload key ~matrix payload
+  | State_push { payload } ->
+    State_key.add key 2;
+    write_payload key ~matrix payload
+  | State_delta { delta } ->
+    State_key.add key 3;
+    State_key.add_string key delta
+  | Delta_ack { acks } ->
+    State_key.add key 4;
+    State_key.add key (List.length acks);
+    List.iter
+      (fun (l, v) ->
+        State_key.add key l;
+        State_key.add key v)
+      acks
 
 type snapshot = {
   s_rid : int;

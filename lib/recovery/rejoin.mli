@@ -118,21 +118,36 @@ val completed_rounds : t -> int
 val bad_payloads : t -> int
 (** Responses rejected by the codec. *)
 
+val rid : t -> int
+(** Id of the current/last round (0 before the first). *)
+
+val responded : t -> int list
+(** Pids whose valid response the current round has counted. *)
+
+val buffered : t -> payload list
+(** Valid payloads received in the current round, newest first. *)
+
+val gave_up : t -> int
+(** Rounds abandoned after [max_retries]. *)
+
 (** {2 Model-checker hooks} *)
 
 val encode_msg : msg -> string
 (** Canonical bytes for choice-point fingerprints. *)
 
-val fingerprint : t -> string
+val write_key :
+  t -> Qs_stdx.State_key.t -> matrix:(Qs_stdx.State_key.t -> string -> unit) -> unit
+(** The state as a model-checker key: round id, flags, counters, the
+    responders relabeled through the key's labelling (a set, written
+    sorted), and each buffered payload, whose encoded matrix [matrix]
+    writes (conjugating it is the caller's: it may decode once and
+    cache). The labelling need not be injective. *)
 
-val fingerprint_perm :
-  t -> perm:(int -> int) -> matrix:(string -> string) -> string
-(** {!fingerprint} of the state relabeled through [perm] (old pid to new pid):
-    responders mapped (rendered sorted, hence canonical), each buffered
-    payload's encoded matrix rewritten by [matrix] (the codec-level
-    conjugation lives with the caller). Supports the model checker's
-    symmetry-canonical fingerprints; [perm] need not be injective (its
-    signatures pass a map from pids to classes). *)
+val write_msg :
+  Qs_stdx.State_key.t -> matrix:(Qs_stdx.State_key.t -> string -> unit) -> msg -> unit
+(** A message as a key, its payload written as in {!write_key}. The delta
+    messages are written verbatim, pids included: a caller that relabels
+    keys must keep delta gossip off. *)
 
 type snapshot
 

@@ -504,6 +504,32 @@ let test_auth_tags_across_domains () =
       Alcotest.(check int) (Printf.sprintf "domain %d counted its own signs" k) 400 signs)
     shards
 
+(* Runtime threads share a domain and may hash at once, and the tick can
+   switch threads in the middle of a block: two threads signing for a
+   few hundred ms, long enough to be switched many times, must still
+   produce every tag the single-threaded pass does. *)
+let test_auth_tags_across_threads () =
+  let dir = Auth.create 4 in
+  let work =
+    Array.init 64 (fun i -> (i mod 4, Printf.sprintf "t%d-%s" i (String.make (i * 3) 'y')))
+  in
+  let expected = Array.map (fun (signer, p) -> Auth.sign dir ~signer p) work in
+  let wrong = Atomic.make 0 and passes = Atomic.make 0 in
+  let sign_for seconds () =
+    let stop = Unix.gettimeofday () +. seconds in
+    while Unix.gettimeofday () < stop do
+      Array.iteri
+        (fun i (signer, p) ->
+          if not (String.equal (Auth.sign dir ~signer p) expected.(i)) then Atomic.incr wrong)
+        work;
+      Atomic.incr passes
+    done
+  in
+  let threads = List.init 2 (fun _ -> Thread.create (sign_for 0.3) ()) in
+  List.iter Thread.join threads;
+  check_bool "both threads signed" true (Atomic.get passes >= 2);
+  Alcotest.(check int) "tags that differ from the single-threaded ones" 0 (Atomic.get wrong)
+
 (* The midstates are the saving: a short message costs 2 compressions
    under a directory key, 4 under a raw key. *)
 let test_counters_count_the_work () =
@@ -572,6 +598,7 @@ let () =
           Alcotest.test_case "tags stable under interleaving" `Quick
             test_auth_sign_stable_under_interleaving;
           Alcotest.test_case "tags across domains" `Quick test_auth_tags_across_domains;
+          Alcotest.test_case "tags across threads" `Quick test_auth_tags_across_threads;
           Alcotest.test_case "counters" `Quick test_counters_count_the_work;
         ] );
       ( "reference",

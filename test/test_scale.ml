@@ -308,7 +308,7 @@ let policy_section ?points ?(ok = true) ?(pairs = 8) ?(sampled_ok = true)
 (* Mirrors the E17 shape: every worker count reproduces the jobs=1 report;
    speedup is the runner's. *)
 let explore_section ?(jobs = [ 1; 2; 4; 8 ]) ?(identical = true) ?(sym_visited = 272)
-    () =
+    ?(sym_candidates_n5 = 1574) () =
   Json.Obj
     [
       ( "points",
@@ -331,6 +331,8 @@ let explore_section ?(jobs = [ 1; 2; 4; 8 ]) ?(identical = true) ?(sym_visited =
             ("sets_agree", Json.Bool true);
             ("sym_visited", Json.Int sym_visited);
             ("sym_collapses", Json.Bool true);
+            ("sym_visited_n5", Json.Int 335);
+            ("sym_candidates_n5", Json.Int sym_candidates_n5);
           ] );
     ]
 
@@ -575,6 +577,12 @@ let test_gate_fails_explore_regression () =
     bench ~scaling:(scaling_healthy ()) ~explore:(explore_section ~sym_visited:335 ()) ()
   in
   check_bool "symmetry-reduced state count drift fails" false (gate drifted b);
+  let widened =
+    bench ~scaling:(scaling_healthy ())
+      ~explore:(explore_section ~sym_candidates_n5:1575 ())
+      ()
+  in
+  check_bool "symmetry candidate count drift fails" false (gate widened b);
   let missing =
     bench ~scaling:(scaling_healthy ()) ~explore:(explore_section ~jobs:[ 1; 2; 4 ] ()) ()
   in

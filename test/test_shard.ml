@@ -240,17 +240,39 @@ let prop_matrix_canon_perm_invariant =
       String.equal (canon_matrix pm) (canon_matrix m)
       && String.equal (render_matrix (SM.remap m ~n:4 ~of_new:Fun.id)) (render_matrix m))
 
+(* The key of a selector state under the identity, written into a fresh
+   buffer or into one reused after another permutation, is the same; a
+   permutation fixing both ends of the only suspicion edge leaves it
+   unchanged, and one moving an end does not. *)
 let test_fingerprint_perm_identity () =
   let module QS = Qs_core.Quorum_select in
+  let module K = Qs_stdx.State_key in
   let cfg = { QS.n = 4; f = 1 } in
   let auth = Qs_crypto.Auth.create 4 in
+  let self = ref None in
   let node =
-    QS.create cfg ~me:0 ~auth ~send:(fun _ -> ()) ~on_quorum:(fun _ -> ()) ()
+    QS.create cfg ~me:0 ~auth
+      ~send:(fun m -> QS.handle_update (Option.get !self) m)
+      ~on_quorum:(fun _ -> ()) ()
   in
+  self := Some node;
   QS.handle_suspected node [ 3 ];
-  check_string "identity perm reproduces the plain fingerprint"
-    (QS.fingerprint node)
-    (QS.fingerprint_perm node ~perm:Fun.id)
+  let key perm =
+    let k = K.create () in
+    K.reset k perm;
+    QS.write_key node k;
+    K.to_string k
+  in
+  let id = [| 0; 1; 2; 3 |] in
+  let reused = K.create () in
+  K.reset reused [| 3; 2; 1; 0 |];
+  QS.write_key node reused;
+  K.reset reused id;
+  QS.write_key node reused;
+  check_string "a reused buffer rewrites the identity key" (key id) (K.to_string reused);
+  check_string "a permutation fixing the edge keeps the key" (key id) (key [| 0; 2; 1; 3 |]);
+  check_bool "a permutation moving an edge end changes it" true
+    (not (String.equal (key id) (key [| 3; 1; 2; 0 |])))
 
 (* The distinguished pids of the default quorum instance are {0, 3}
    (injection source and target); 1 and 2 are interchangeable. Delivering
@@ -276,8 +298,8 @@ let test_sym_sibling_states_equal_canon () =
   check_bool "plain fingerprints differ" true (not (String.equal fp1 fp2));
   check_string "canonical fingerprints agree" c1 c2
 
-(* The shipped canonical form renders only the labellings that order the
-   free pids by signature; the full-group form renders every permutation.
+(* The shipped canonical form keys only the labellings that order the
+   free pids by signature; the full-group form keys every permutation.
    Over every state an exhaustive plain walk reaches (orbit-mates visited
    separately), the two must induce the same partition: the map between
    their canon strings is a bijection. *)
@@ -326,8 +348,300 @@ let test_sym_partition_matches_full_group () =
         4 );
     ]
 
+(* ------------------------------------------------------------------ *)
+(* Keys against the string renders they replaced *)
+
+(* The reference: a verbatim copy of the rendered fingerprints the quorum
+   instance keyed states by before it wrote structural keys, kept here
+   only to check that the keys draw the same distinctions. [perm] maps old
+   pid to new pid. *)
+module Old_render = struct
+  module QS = Qs_core.Quorum_select
+  module SM = Qs_core.Suspicion_matrix
+  module Rejoin = Qs_recovery.Rejoin
+  module Codec = Qs_recovery.Codec
+
+  let inverse n perm =
+    let inv = Array.make n 0 in
+    for p = 0 to n - 1 do
+      inv.(perm p) <- p
+    done;
+    inv
+
+  let selector ~n ~f ?perm node =
+    let matrix, excluded =
+      match perm with
+      | None -> (QS.matrix node, QS.excluded node)
+      | Some perm ->
+        let inv = inverse n perm in
+        (SM.remap (QS.matrix node) ~n ~of_new:(fun i -> inv.(i)), List.map perm (QS.excluded node))
+    in
+    let pids l = String.concat "," (List.map string_of_int l) in
+    let suspecting =
+      match perm with
+      | None -> QS.suspecting node
+      | Some perm -> List.sort compare (List.map perm (QS.suspecting node))
+    in
+    let policy_tag =
+      if Qs_core.Selection_policy.is_default (QS.policy node) then ""
+      else "|" ^ Qs_core.Selection_policy.to_string (QS.policy node)
+    in
+    Format.asprintf "%d,%d,%d|%d|%a|%s|%d|%d|%b|%s%s" n f (QS.cepoch node) (QS.epoch node)
+      SM.pp matrix
+      (pids (QS.last_quorum node) ^ "|" ^ pids suspecting)
+      (QS.issued_in_epoch node) (QS.max_issued_per_epoch node) (QS.dormant node)
+      (pids excluded) policy_tag
+
+  let encode_payload (p : Rejoin.payload) =
+    Printf.sprintf "%d|%d:%s|%d:%s" p.epoch (String.length p.matrix) p.matrix
+      (String.length p.extra) p.extra
+
+  let rejoin rj ~perm ~matrix =
+    let permuted (p : Rejoin.payload) = { p with matrix = matrix p.matrix } in
+    Printf.sprintf "%d|%b|%s|%d|%d|%d|%d|%s" (Rejoin.rid rj) (Rejoin.rejoining rj)
+      (String.concat ","
+         (List.map string_of_int (List.sort compare (List.map perm (Rejoin.responded rj)))))
+      (Rejoin.retries rj) (Rejoin.completed_rounds rj) (Rejoin.bad_payloads rj)
+      (Rejoin.gave_up rj)
+      (String.concat ";"
+         (List.map (fun p -> encode_payload (permuted p)) (List.rev (Rejoin.buffered rj))))
+
+  let map_rejoin_matrix matrix = function
+    | Rejoin.State_resp { rid; payload } ->
+      Rejoin.State_resp { rid; payload = { payload with matrix = matrix payload.matrix } }
+    | Rejoin.State_push { payload } ->
+      Rejoin.State_push { payload = { payload with matrix = matrix payload.matrix } }
+    | (Rejoin.State_req _ | Rejoin.State_delta _ | Rejoin.Delta_ack _) as rm -> rm
+
+  let encode = function
+    | MC.Q_update (m : Qs_core.Msg.t) -> "u" ^ Qs_core.Msg.encode m.update
+    | MC.Q_rejoin m -> "r" ^ Rejoin.encode_msg m
+
+  let digest s = Qs_crypto.Sha256.digest_hex s
+
+  let fired_part (search : MC.canon_search) =
+    String.concat "" (List.map (fun b -> if b then "1" else "0") (search.MC.fired ()))
+
+  let plain (spec : MC.spec) (search : MC.canon_search) =
+    let buf = Buffer.create 256 in
+    Array.iter
+      (fun node ->
+        Buffer.add_string buf (selector ~n:spec.MC.n ~f:spec.MC.f node);
+        Buffer.add_char buf '\n')
+      (search.MC.selectors ());
+    Array.iter
+      (fun rj ->
+        Buffer.add_string buf (rejoin rj ~perm:Fun.id ~matrix:Fun.id);
+        Buffer.add_char buf '\n')
+      (search.MC.rejoins ());
+    Buffer.add_string buf ("F" ^ fired_part search);
+    let parked =
+      search.MC.in_flight ()
+      |> List.map (fun (src, dst, payload) ->
+             Printf.sprintf "%d>%d#%s" src dst (digest (encode payload)))
+      |> List.sort compare |> String.concat ","
+    in
+    Buffer.add_string buf ("[" ^ parked ^ "]");
+    Buffer.contents buf
+
+  let render_perm (spec : MC.spec) (search : MC.canon_search) perm =
+    let n = spec.MC.n in
+    let inv = Array.make n 0 in
+    Array.iteri (fun old img -> inv.(img) <- old) perm;
+    let pmatrix enc =
+      Codec.encode_matrix (SM.remap (Codec.decode_matrix enc) ~n ~of_new:(fun i -> inv.(i)))
+    in
+    let pencode = function
+      | MC.Q_update (m : Qs_core.Msg.t) ->
+        "u"
+        ^ Qs_core.Msg.encode
+            {
+              Qs_core.Msg.owner = perm.(m.update.owner);
+              row = Array.init n (fun j -> m.update.row.(inv.(j)));
+            }
+      | MC.Q_rejoin rm -> "r" ^ Rejoin.encode_msg (map_rejoin_matrix pmatrix rm)
+    in
+    let buf = Buffer.create 256 in
+    for i = 0 to n - 1 do
+      Buffer.add_string buf
+        (selector ~n ~f:spec.MC.f ~perm:(fun p -> perm.(p)) (search.MC.selectors ()).(inv.(i)));
+      Buffer.add_char buf '\n'
+    done;
+    for i = 0 to n - 1 do
+      Buffer.add_string buf
+        (rejoin (search.MC.rejoins ()).(inv.(i)) ~perm:(fun p -> perm.(p)) ~matrix:pmatrix);
+      Buffer.add_char buf '\n'
+    done;
+    Buffer.add_string buf ("F" ^ fired_part search);
+    let pend =
+      search.MC.in_flight ()
+      |> List.map (fun (src, dst, payload) ->
+             Printf.sprintf "%d>%d#%s" perm.(src) perm.(dst) (digest (pencode payload)))
+      |> List.sort compare |> String.concat ","
+    in
+    Buffer.add_string buf ("[" ^ pend ^ "]");
+    Buffer.contents buf
+
+  let tie_groups (search : MC.canon_search) =
+    let free = search.MC.free in
+    let cls self q = if q = self then -1 else if List.mem q free then -2 else q in
+    let sorted l = String.concat "," (List.sort compare l) in
+    let pids_sig self l = sorted (List.map (fun q -> string_of_int (cls self q)) l) in
+    let matrix_sig self m =
+      let cells = ref [] in
+      SM.iter_nonzero m (fun ~suspector ~suspect ~epoch ->
+          cells :=
+            Printf.sprintf "%d>%d=%d" (cls self suspector) (cls self suspect) epoch :: !cells);
+      sorted !cells
+    in
+    let encoded_matrix_sig self enc = matrix_sig self (Codec.decode_matrix enc) in
+    let payload_sig self = function
+      | MC.Q_update (m : Qs_core.Msg.t) ->
+        let cells = ref [] in
+        Array.iteri
+          (fun j v -> if v <> 0 then cells := Printf.sprintf "%d=%d" (cls self j) v :: !cells)
+          m.update.row;
+        Printf.sprintf "u%d:%s" (cls self m.update.owner) (sorted !cells)
+      | MC.Q_rejoin rm -> "r" ^ Rejoin.encode_msg (map_rejoin_matrix (encoded_matrix_sig self) rm)
+    in
+    let n = Array.length (search.MC.selectors ()) in
+    let msgs = Array.make n [] in
+    List.iter
+      (fun (src, dst, payload) ->
+        let add self dir peer =
+          msgs.(self) <-
+            Printf.sprintf "%s%d#%s" dir (cls self peer) (payload_sig self payload) :: msgs.(self)
+        in
+        if List.mem src free then add src "o" dst;
+        if List.mem dst free then add dst "i" src)
+      (search.MC.in_flight ());
+    let signature p =
+      let node = (search.MC.selectors ()).(p) in
+      Printf.sprintf "%d|%d|%s|%s|%s|%d|%b|%s\n%s\n%s" (QS.cepoch node) (QS.epoch node)
+        (matrix_sig p (QS.matrix node))
+        (String.concat "," (List.map string_of_int (QS.last_quorum node)))
+        (pids_sig p (QS.suspecting node))
+        (QS.max_issued_per_epoch node) (QS.dormant node)
+        (pids_sig p (QS.excluded node))
+        (rejoin (search.MC.rejoins ()).(p) ~perm:(cls p) ~matrix:(encoded_matrix_sig p))
+        (sorted msgs.(p))
+    in
+    List.map (fun p -> (signature p, p)) free
+    |> List.sort compare
+    |> List.fold_left
+         (fun acc (s, p) ->
+           match acc with
+           | (s', g) :: rest when String.equal s s' -> (s, p :: g) :: rest
+           | _ -> (s, [ p ]) :: acc)
+         []
+    |> List.rev_map snd
+
+  let rec permutations = function
+    | [] -> [ [] ]
+    | l ->
+      List.concat_map
+        (fun x -> List.map (fun r -> x :: r) (permutations (List.filter (( <> ) x) l)))
+        l
+
+  let labellings n free groups =
+    let rec go slots = function
+      | [] -> [ [] ]
+      | g :: rest ->
+        let k = List.length g in
+        let mine = List.filteri (fun i _ -> i < k) slots in
+        let tails = go (List.filteri (fun i _ -> i >= k) slots) rest in
+        List.concat_map
+          (fun order -> List.map (fun t -> List.combine order mine @ t) tails)
+          (permutations g)
+    in
+    List.map
+      (fun pairs ->
+        let a = Array.init n Fun.id in
+        List.iter (fun (old, img) -> a.(old) <- img) pairs;
+        a)
+      (go free groups)
+
+  (* The least render over the signature-restricted labellings; the plain
+     render where fewer than two pids are free (no symmetry). *)
+  let canonical spec (search : MC.canon_search) =
+    if List.compare_length_with search.MC.free 2 < 0 then plain spec search
+    else
+      List.fold_left
+        (fun best perm ->
+          let r = render_perm spec search perm in
+          match best with Some b when b <= r -> best | _ -> Some r)
+        None
+        (labellings spec.MC.n search.MC.free (tie_groups search))
+      |> Option.get
+end
+
+(* Over every state an exhaustive plain walk reaches, the new keys and the
+   old renders induce the same partition, canonical and plain alike: the
+   maps between them are bijections. *)
+let keys_match_renders spec ~depth =
+  let system, search = MC.make_with_canon_search spec in
+  let canon = Option.value system.Engine.symmetry ~default:system.Engine.fingerprint in
+  let conflicts = ref 0 and faithful = ref true and states = ref 0 in
+  let bijection () = (Hashtbl.create 256, Hashtbl.create 256) in
+  let canon_maps = bijection () and plain_maps = bijection () in
+  let agree (fwd, back) k v =
+    let one table k v =
+      match Hashtbl.find_opt table k with
+      | None -> Hashtbl.replace table k v
+      | Some v' -> if not (String.equal v v') then incr conflicts
+    in
+    one fwd k v;
+    one back v k
+  in
+  let recording =
+    {
+      system with
+      Engine.violations =
+        (fun () ->
+          incr states;
+          agree canon_maps (canon ()) (Old_render.canonical spec search);
+          agree plain_maps (system.Engine.fingerprint ()) (Old_render.plain spec search);
+          Array.iter
+            (fun node ->
+              if
+                not
+                  (String.equal
+                     (Old_render.selector ~n:spec.MC.n ~f:spec.MC.f ~perm:Fun.id node)
+                     (Qs_core.Quorum_select.fingerprint node))
+              then faithful := false)
+            (search.MC.selectors ());
+          system.Engine.violations ());
+    }
+  in
+  let r = Engine.explore ~depth recording in
+  check_int "no violations" 0 (List.length r.Engine.violations);
+  check_bool "reference selector render is the shipped one" true !faithful;
+  check_int "keys and renders draw the same distinctions" 0 !conflicts;
+  (!states, Hashtbl.length (fst plain_maps), Hashtbl.length (fst canon_maps))
+
+let test_keys_match_renders () =
+  let q = MC.default_spec MC.Quorum in
+  List.iter
+    (fun (name, spec, depth) ->
+      let states, plain, canon = keys_match_renders spec ~depth in
+      check_bool (name ^ ": states walked") true (states > 0 && plain > 0);
+      check_bool (name ^ ": canon no finer than plain") true (canon <= plain))
+    [
+      ("n=4", q, 4);
+      ("n=5", { q with MC.n = 5 }, 4);
+      ( "n=5 f=2 0:4 amnesia:1",
+        { q with MC.n = 5; f = 2; injections = [ (0, [ 4 ]) ]; faults = [ MC.Amnesia 1 ] },
+        4 );
+      ("n=4 equivocate:0", { q with MC.injections = []; faults = [ MC.Equivocate 0 ] }, 5);
+      ("n=5 equivocate:0", { q with MC.n = 5; injections = []; faults = [ MC.Equivocate 0 ] }, 4);
+      ("n=3 churn:1", { q with MC.n = 3; injections = []; faults = [ MC.Churn 1 ] }, 9);
+      ( "n=5 f=2 0:4 region:2,3",
+        { q with MC.n = 5; f = 2; injections = [ (0, [ 4 ]) ]; faults = [ MC.Region [ 2; 3 ] ] },
+        4 );
+    ]
+
 (* Refinement pays: over the n=5 sym exploration (free pids {1,2,4},
-   3! = 6 labellings) a canonical call renders fewer candidates than the
+   3! = 6 labellings) a canonical call keys fewer candidates than the
    group on average. *)
 let test_sym_fewer_candidates_than_group () =
   let system, search = MC.make_with_canon_search { (MC.default_spec MC.Quorum) with MC.n = 5 } in
@@ -477,6 +791,7 @@ let () =
                test_sym_sibling_states_equal_canon;
              Alcotest.test_case "partition matches full group" `Quick
                test_sym_partition_matches_full_group;
+             Alcotest.test_case "keys match the old renders" `Quick test_keys_match_renders;
              Alcotest.test_case "fewer candidates than group" `Quick
                test_sym_fewer_candidates_than_group;
              Alcotest.test_case "n4 orbit collapse pins" `Quick
