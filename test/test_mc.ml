@@ -283,6 +283,64 @@ let test_seeded_bug_found (protocol, depth, shrunk) () =
     check_int "same schedule is clean without the bug" 0 (List.length clean)
 
 (* ------------------------------------------------------------------ *)
+(* State partition: which states each instance's keys merge, pinned
+   independently of the key format. The wrapper numbers every key the
+   engine asks for by its first occurrence; the SHA-256 of that class-id
+   sequence moves if and only if a key draws a distinction it did not
+   draw before (or stops drawing one), whatever bytes the keys are. *)
+
+let partition_digest spec =
+  let system = MC.make spec in
+  let ids = Hashtbl.create 4096 and seq = Buffer.create 4096 in
+  let fingerprint () =
+    let key = system.Engine.fingerprint () in
+    let id =
+      match Hashtbl.find_opt ids key with
+      | Some id -> id
+      | None ->
+        let id = Hashtbl.length ids in
+        Hashtbl.add ids key id;
+        id
+    in
+    Buffer.add_string seq (string_of_int id);
+    Buffer.add_char seq ',';
+    key
+  in
+  ignore (Engine.explore ~shrink:false ~depth:4 { system with Engine.fingerprint });
+  Qs_core.Quorum_select.test_buggy_quorum_size := false;
+  Qs_crypto.Sha256.digest_hex (Buffer.contents seq)
+
+let partition_pins =
+  [
+    ("follower", MC.Follower, false,
+     "9d81c0ff78592c0df77d71a964994fab583bad8a1e6bf5194d442aa8eca26e47");
+    ("xpaxos-enum", MC.Stack "xpaxos-enum", false,
+     "f5ff92c990c4f1827943b3a4ad156a192658948498c71f76f93570c1977ec793");
+    ("xpaxos", MC.Stack "xpaxos", false,
+     "0f9c301f68d83ac95cbdb6ba35492c4fde471935fe7d670d89fab869cbcde3ae");
+    ("pbft-full", MC.Stack "pbft-full", false,
+     "4680100209bfce2b9437fc0a4114d29bdeae6d5835f673e3b511cc054ca94aac");
+    ("pbft-selected", MC.Stack "pbft-selected", false,
+     "99dfacd093e4ae4db96b688ddfba32962667672579556c0faff4d7cafb52f47c");
+    ("minbft-full", MC.Stack "minbft-full", false,
+     "9d0c2a40ab2d1adc164fdae1132f7785e7847b38fab23aaf01f05845d6ff7471");
+    ("minbft-selected", MC.Stack "minbft-selected", false,
+     "ba51b801653b51c6d4d6e39f36165f914658c6bb9ee280ce3e086c7bc88ef4d5");
+    ("chain", MC.Stack "chain", false,
+     "dc0960af3b356437c40167d82cae087ed7810f33613f45abcc472fb2a4997a31");
+    ("star", MC.Stack "star", false,
+     "edd45641e42736d78fc1941538177f651d4ccf1aeb369664a8cfbedab478f9ce");
+    ("xpaxos --seeded-bug", MC.Stack "xpaxos", true,
+     "636c0a36f0675a788c8467a30eef8d45060e39fcf20fbfa3ef07a800e558d508");
+    ("pbft-selected --seeded-bug", MC.Stack "pbft-selected", true,
+     "ceac242ac3567a74d93e51422dab51b16e7675a440c2cb95c1a5aff712b8d7c4");
+  ]
+
+let test_partition (_, protocol, seeded_bug, pinned) () =
+  let spec = { (MC.default_spec protocol) with MC.seeded_bug } in
+  check_string "class-id sequence digest" pinned (partition_digest spec)
+
+(* ------------------------------------------------------------------ *)
 (* Random walker *)
 
 let test_random_deterministic () =
@@ -406,6 +464,11 @@ let () =
           Alcotest.test_case "follower bounded clean" `Quick test_follower_bounded_clean;
           Alcotest.test_case "xpaxos bounded clean" `Quick test_xpaxos_bounded_clean;
         ] );
+      ( "partition",
+        List.map
+          (fun ((name, _, _, _) as pin) ->
+            Alcotest.test_case (name ^ " depth 4") `Quick (test_partition pin))
+          partition_pins );
       ( "amnesia",
         [
           Alcotest.test_case "amnesia-only exhausts" `Quick test_amnesia_only_exhausts;
