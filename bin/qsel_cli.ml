@@ -816,11 +816,14 @@ let mc_cmd =
           ~doc:
             "Shard the exploration across $(docv) domains (sequential \
              fallback on OCaml 4.14). Random mode is byte-identical across \
-             any $(docv); exhaustive mode agrees with the sequential \
-             explorer on the visited state set and the violations found. \
-             Omitted: the legacy single-domain engine runs. A $(docv) above \
-             the host's recommended domain count is clamped to it, with a \
-             note on stderr (reports do not depend on $(docv)).")
+             any $(docv). Exhaustive mode agrees with the sequential \
+             explorer on the visited state set and the violations found \
+             where the state keys are exact ($(b,quorum), $(b,follower)); \
+             a protocol stack's key leaves out timers and the simulator \
+             queue, so its visited and quiescent counts may differ with \
+             the root partition. Omitted: the legacy single-domain engine \
+             runs. A $(docv) above the host's recommended domain count is \
+             clamped to it, with a note on stderr.")
   in
   let sym =
     Arg.(

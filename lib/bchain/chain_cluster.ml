@@ -26,7 +26,7 @@ include Qs_sim.Smr_cluster.Make (struct
 
   let set_fault = Chain_node.set_fault
 
-  let fingerprint = Chain_node.fingerprint
+  let write_key = Chain_node.write_key
 
   let encode (m : Chain_msg.t) =
     string_of_int m.sender ^ "|" ^ Chain_msg.encode_body m.body

@@ -223,25 +223,25 @@ let receive t = Shell.receive t.sh
 (* The model checker's key for this node: chain, chain epoch, next slot, the
    executed requests in order, every slot's forward and commit mark, the
    proposal and wait tables, then the shell's part. *)
-let fingerprint t =
-  let pids l = String.concat "," (List.map string_of_int l) in
-  let id r = Printf.sprintf "%d.%d" r.Chain_msg.client r.Chain_msg.rid in
-  let ids tbl =
-    Hashtbl.fold (fun (c, r) () acc -> Printf.sprintf "%d.%d" c r :: acc) tbl []
-    |> List.sort compare |> String.concat ","
-  in
-  let b = Buffer.create 256 in
-  Printf.bprintf b "ch%s|c%d|n%d|e%s" (pids t.chain) t.cepoch t.next_slot
-    (String.concat "," (List.map id (Shell.executed t.sh)));
-  Hashtbl.fold (fun key s acc -> (key, s) :: acc) t.slots []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-  |> List.iter (fun ((epoch, slot), s) ->
-         Printf.bprintf b "|s%d.%d=%s%s" epoch slot
-           (match s.forward with None -> "-" | Some f -> id f.Chain_msg.request)
-           (if s.committed then "c" else ""));
-  Printf.bprintf b "|pr%s|w%s" (ids t.proposed) (ids t.awaiting_forward);
-  Buffer.add_string b (Shell.fingerprint t.sh);
-  Buffer.contents b
+let write_key t key =
+  let module K = Qs_stdx.State_key in
+  let module Smr = Qs_sim.Smr_cluster in
+  K.add_pids key t.chain;
+  K.add key t.cepoch;
+  K.add key t.next_slot;
+  K.add_list key (Smr.write_id key) (Shell.executed t.sh);
+  K.add_table key t.slots (fun (epoch, slot) s ->
+      K.add key epoch;
+      K.add key slot;
+      (match s.forward with
+       | None -> K.add key 0
+       | Some f ->
+         K.add key 1;
+         Smr.write_id key f.Chain_msg.request);
+      K.add_bool key s.committed);
+  Smr.write_id_table key t.proposed ignore;
+  Smr.write_id_table key t.awaiting_forward ignore;
+  Shell.write_key t.sh key
 
 let create config ~me ~auth ~sim ~net_send ?(on_execute = fun _ -> ()) () =
   if config.n <= 0 || config.f < 0 || config.n - config.f <= config.f then

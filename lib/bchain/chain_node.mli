@@ -67,7 +67,7 @@ val detector : t -> Chain_msg.t Qs_fd.Detector.t
 
 val quorum_selector : t -> Qs_core.Quorum_select.t
 
-val fingerprint : t -> string
+val write_key : t -> Qs_stdx.State_key.t -> unit
 (** The model-checker key of the node: its protocol state (chain, chain
     epoch, executed requests, slots, proposal and wait tables), then
-    {!Qs_shell.Shell.fingerprint}. *)
+    {!Qs_shell.Shell.write_key}. *)

@@ -222,10 +222,6 @@ let absorb t ~matrix ~epoch =
   S.absorb t.s ~matrix ~epoch ~on_advance:(fun () -> epoch_advanced t epoch);
   update_quorum t
 
-let fingerprint t =
-  let pids l = String.concat "," (List.map string_of_int l) in
-  S.fingerprint t.s (pids t.last_quorum ^ "|" ^ pids t.s.suspecting)
-
 (* [last_quorum] is written VERBATIM under a permutation: it is the
    lex-first independent set of the suspect graph, and lex-first is not
    permutation-covariant — its output is a function of the graph, not a
@@ -234,12 +230,11 @@ let fingerprint t =
    lex-first choice) is invariant and the verbatim quorum is exactly what
    the relabeled execution would store. [suspecting] is a set: relabeled
    and written sorted. *)
-let write_body t key =
-  Qs_stdx.State_key.add key (List.length t.last_quorum);
-  List.iter (Qs_stdx.State_key.add key) t.last_quorum;
-  Qs_stdx.State_key.add_pids_sorted key t.s.suspecting
-
-let write_key t key = S.write_key t.s key (write_body t)
+let write_key t key =
+  let module K = Qs_stdx.State_key in
+  S.write_key t.s key (fun key ->
+      K.add_list key (K.add key) t.last_quorum;
+      K.add_pids_sorted key t.s.suspecting)
 
 type snapshot = { shared : Pid.t list S.snapshot; s_last_quorum : Pid.t list }
 

@@ -133,9 +133,8 @@ val set_policy : t -> Selection_policy.t -> unit
     ({!Selection_policy.validate}) and re-evaluates the standing quorum
     immediately.
 
-    {!Selection_policy.Lex_first} keeps the incremental fast path and the
-    historical byte-exact {!fingerprint}; a non-default policy appends its
-    tag to the fingerprint and selects through
+    {!Selection_policy.Lex_first} keeps the incremental fast path; a
+    non-default policy adds its tag to the {!write_key} and selects through
     {!Selection_policy.select} over the exclusion-starred selection
     graph. A {!Selection_policy.Diversity_capped} policy whose caps
     become unsatisfiable even at the aging endpoint (convictions crowding
@@ -153,7 +152,7 @@ val reconfigure :
     [i] inherits ([< 0] for a fresh joiner slot); removed slots are simply
     never mentioned, so their suspicions and convictions die with the
     config. [me] is this process's slot in the new config, [cepoch] the
-    strictly-increasing membership epoch (folded into {!fingerprint} so
+    strictly-increasing membership epoch (folded into {!write_key} so
     model-checker pruning never merges states across configs).
 
     The matrix is {!Suspicion_matrix.remap}ped (the incremental view is
@@ -190,15 +189,13 @@ val dormant : t -> bool
 
 (** {2 Model-checker hooks} *)
 
-val fingerprint : t -> string
-(** Canonical encoding of the instance's algorithm-visible state — epoch,
+val write_key : t -> Qs_stdx.State_key.t -> unit
+(** The instance's algorithm-visible state as a model-checker key — epoch,
     matrix, last quorum, current suspicions and the per-epoch issue counters
     (the latter so states differing only in proximity to the Theorem-3 bound
-    are never merged). Callbacks and metrics handles are excluded. *)
-
-val write_key : t -> Qs_stdx.State_key.t -> unit
-(** {!fingerprint}'s fields as a state key, relabeled through the key's
-    permutation: matrix conjugated, pid sets mapped. [last_quorum] is
+    are never merged); callbacks and metrics handles are excluded. Written
+    relabeled through the key's permutation: matrix conjugated, pid sets
+    mapped. [last_quorum] is
     written verbatim — lex-first selection is a function of the suspect
     graph, not of labels, so the caller (the model checker's symmetry
     reduction) must only use permutations that fix every pid incident to a

@@ -13,7 +13,7 @@
     Three policies:
 
     - {!Lex_first} — the paper's rule, the pinned default. Selectors keep
-      their incremental fast path and byte-identical fingerprints under
+      their incremental fast path and unchanged model-checker keys under
       it.
     - {!Seeded_lottery} — a deterministic lottery: every vertex draws a
       ticket from a {!Qs_stdx.Prng.substream} keyed on

@@ -299,24 +299,12 @@ let restore t s =
   t.excluded <- s.s_excluded;
   t.policy <- s.s_policy
 
-(* The issued-in-epoch counters are included deliberately: two states
-   identical up to them could still diverge on whether a later quorum
-   overshoots a per-epoch bound, so merging them would be unsound for that
-   check. *)
-let fingerprint t body =
-  let policy_tag =
-    if Selection_policy.is_default t.policy then ""
-    else "|" ^ Selection_policy.to_string t.policy
-  in
-  Format.asprintf "%d,%d,%d|%d|%a|%s|%d|%d|%b|%s%s" t.config.n t.config.f t.cepoch
-    t.epoch Suspicion_matrix.pp t.matrix body t.issued_in_epoch t.max_issued_in_epoch
-    t.dormant
-    (String.concat "," (List.map string_of_int t.excluded))
-    policy_tag
-
-(* The same fields as [fingerprint], as a key. Convictions keep their
-   order (it decides which f apply); the policy is written verbatim, since
-   symmetry reduction only runs under the default one. *)
+(* The model checker's key for the shared state. The issued-in-epoch
+   counters are included deliberately: two states identical up to them
+   could still diverge on whether a later quorum overshoots a per-epoch
+   bound, so merging them would be unsound for that check. Convictions keep
+   their order (it decides which f apply); the policy is written verbatim,
+   since symmetry reduction only runs under the default one. *)
 let write_key t key body =
   let module K = Qs_stdx.State_key in
   K.add key t.config.n;

@@ -157,13 +157,8 @@ val snapshot : 'h t -> 'h snapshot
 val restore : 'h t -> 'h snapshot -> unit
 (** A snapshot of another width adopts a copy and rebuilds the view. *)
 
-val fingerprint : 'h t -> string -> string
-(** [fingerprint t body] renders
-    [n,f,cepoch|epoch|matrix|body|issued|max|dormant|excluded], plus
-    [|policy] when the policy is not the default (so default-policy
-    fingerprints keep their historical bytes). [body] is the caller's. *)
-
 val write_key : 'h t -> Qs_stdx.State_key.t -> (Qs_stdx.State_key.t -> unit) -> unit
-(** [write_key t key body] appends {!fingerprint}'s fields to [key], the
-    caller's [body] in the middle, with the matrix and the convictions
-    relabeled through the key's permutation. *)
+(** [write_key t key body] appends the model checker's key of the shared
+    state to [key]: [n, f, cepoch, epoch, matrix, body, issued, max,
+    dormant, excluded, policy], the caller's [body] in the middle, with the
+    matrix and the convictions relabeled through the key's permutation. *)

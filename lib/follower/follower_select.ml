@@ -312,11 +312,14 @@ let absorb t ~matrix ~epoch =
   S.absorb t.s ~matrix ~epoch ~on_advance:(fun () -> to_default t);
   update_quorum t
 
-let fingerprint t =
-  let pids l = String.concat "," (List.map string_of_int l) in
-  S.fingerprint t.s
-    (Printf.sprintf "%d|%b|%s|%s|%s" t.leader t.stable (pids t.qlast)
-       (pids t.s.suspecting) (pids t.detections))
+let write_key t key =
+  let module K = Qs_stdx.State_key in
+  S.write_key t.s key (fun key ->
+      K.add_pid key t.leader;
+      K.add_bool key t.stable;
+      K.add_pids key t.qlast;
+      K.add_pids key t.s.suspecting;
+      K.add_pids key t.detections)
 
 type snapshot = {
   shared : (Pid.t * Pid.t list) S.snapshot;

@@ -147,7 +147,7 @@ val set_policy : t -> Qs_core.Selection_policy.t -> unit
     re-broadcasting a reshaped FOLLOWERS message would trip its receivers'
     equivocation check). Validates against the current width; carried
     across {!reconfigure} via {!Qs_core.Selection_policy.remap}; survives
-    {!amnesia}. The fingerprint gains a policy tag only when non-default. *)
+    {!amnesia}. The {!write_key} gains a policy tag only when non-default. *)
 
 (** {2 Reconfiguration (open membership)} — what carries across is
     {!Qs_core.Selector_state.reconfigure}'s. *)
@@ -164,7 +164,7 @@ val reconfigure :
     over through [of_new], the leader/stability machinery resets to the new
     config's defaults (cancelling any armed expectation — the old leader
     may no longer be a member), per-epoch issue counters restart and
-    [cepoch] is folded into {!fingerprint}. Requires [n > 3f] in the new
+    [cepoch] is folded into {!write_key}. Requires [n > 3f] in the new
     config. *)
 
 val cepoch : t -> int
@@ -189,12 +189,12 @@ val dormant : t -> bool
 (** [true] between {!amnesia} and the first {!absorb}. *)
 
 (** {2 Model-checker hooks} — the shared fields are snapshotted and
-    rendered by {!Qs_core.Selector_state}. *)
+    written by {!Qs_core.Selector_state}. *)
 
-val fingerprint : t -> string
-(** Canonical encoding of the algorithm-visible state (epoch, matrix,
+val write_key : t -> Qs_stdx.State_key.t -> unit
+(** The algorithm-visible state as a model-checker key (epoch, matrix,
     leader, stability, last quorum, suspicions, detections, per-epoch issue
-    counters). *)
+    counters), pids written through the key's labelling. *)
 
 type snapshot
 

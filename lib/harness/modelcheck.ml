@@ -14,6 +14,7 @@ module Codec = Qs_recovery.Codec
 module Metrics = Qs_obs.Metrics
 module Journal = Qs_obs.Journal
 module Indep = Qs_graph.Indep
+module K = Qs_stdx.State_key
 
 type protocol = Quorum | Follower | Stack of string
 
@@ -181,6 +182,15 @@ let validate spec =
 
 let correct_pids spec =
   List.filter (fun p -> not (List.mem p spec.crashes)) (List.init spec.n Fun.id)
+
+(* A plain fingerprint: the state [write] writes into one reused key under
+   the identity labelling. *)
+let identity_key ~n write =
+  let key = K.create () and identity = Array.init n Fun.id in
+  fun () ->
+    K.reset key identity;
+    write key;
+    K.to_string key
 
 (* A parked message's choice is keyed id-free; see Engine.choice_info. *)
 let deliver_choices net digest =
@@ -522,7 +532,6 @@ let make_quorum spec =
      pid the key's permutation sends to i; then the fired bits; then the
      in-flight multiset, each message's pids and payload relabeled as it
      is written. The plain fingerprint is the key under the identity. *)
-  let module K = Qs_stdx.State_key in
   (* Decoded payload matrices: keys and signatures write the same few
      encoded matrices over and over. Per system, not global, because
      [Shard.explore] runs one system per domain; never cleared: one entry
@@ -550,15 +559,8 @@ let make_quorum spec =
       Rejoin.write_msg key ~matrix:write_matrix rm
   in
   (* The pending messages, as a multiset. *)
-  let write_messages key pending =
-    K.add key (List.length pending);
-    K.sort_records key
-      (List.map
-         (fun (_, src, dst, payload) ->
-           let start = K.length key in
-           write_message key src dst payload;
-           start)
-         pending)
+  let write_messages key =
+    K.add_multiset key (fun (_, src, dst, payload) -> write_message key src dst payload)
   in
   let write_state key =
     for i = 0 to spec.n - 1 do
@@ -906,35 +908,27 @@ let make_follower spec =
             Printf.sprintf "quiescent but p%s's leader is outside its quorum"
               (String.concat ",p" (List.map string_of_int stray)) ) ]
   in
-  let fd_part () =
-    let buf = Buffer.create 64 in
-    Array.iteri
-      (fun p fd ->
-        Buffer.add_string buf
-          (Printf.sprintf "fd%d:t{%s}p{%s}e%s\n" p
-             (String.concat "," (List.map string_of_int (List.sort compare fd.transient)))
-             (String.concat "," (List.map string_of_int (List.sort compare fd.permanent)))
-             (match fd.expectation with
-             | None -> "-"
-             | Some (l, e) -> Printf.sprintf "%d@%d" l e)))
-      (fds ());
-    Buffer.contents buf
+  (* An emulated detector's part of the key: its suspicion sets and open
+     expectation. *)
+  let write_fd key fd =
+    K.add_pids_sorted key fd.transient;
+    K.add_pids_sorted key fd.permanent;
+    match fd.expectation with
+    | None -> K.add key 0
+    | Some (leader, epoch) ->
+      K.add key 1;
+      K.add_pid key leader;
+      K.add key epoch
   in
   {
     Engine.reset;
     enabled = (fun () -> deliver_choices (net ()) digest @ fire_choices ());
     apply;
     fingerprint =
-      (fun () ->
-        let buf = Buffer.create 256 in
-        Array.iter
-          (fun node ->
-            Buffer.add_string buf (FS.fingerprint node);
-            Buffer.add_char buf '\n')
-          (nodes ());
-        Buffer.add_string buf (fd_part ());
-        Buffer.add_string buf ("[" ^ Smr.parked (net ()) digest ^ "]");
-        Buffer.contents buf);
+      identity_key ~n:spec.n (fun key ->
+          Array.iter (fun node -> FS.write_key node key) (nodes ());
+          Array.iter (write_fd key) (fds ());
+          Smr.write_parked key (net ()) digest);
     violations;
     quiescent_violations;
     snapshot =
@@ -1030,7 +1024,7 @@ let make_stack (module S : Stack.STACK) variant spec =
       | Schedule.Deliver id -> Network.deliver_now (S.C.net (cluster ())) id
       | Schedule.Step -> Sim.step (S.C.sim (cluster ()))
       | _ -> false);
-    fingerprint = (fun () -> S.C.fingerprint (cluster ()));
+    fingerprint = identity_key ~n:spec.n (fun key -> S.C.write_key (cluster ()) key);
     violations =
       (fun () ->
         let c = cluster () in

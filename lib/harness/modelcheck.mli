@@ -134,10 +134,10 @@ val make : spec -> Qs_mc.Engine.system
 
 (** {2 Symmetry canonicalisation}
 
-    Every state of the quorum instance is keyed by a {!Qs_stdx.State_key}
-    its components write, relabeling pids as they go; the plain
-    fingerprint is the key under the identity. Under [explore ~sym] the
-    instance prunes on a canonical key found by signature refinement:
+    Every instance keys its states by a {!Qs_stdx.State_key} its
+    components write, relabeling pids as they go; the plain fingerprint is
+    the key under the identity. Under [explore ~sym] the quorum instance
+    prunes on a canonical key found by signature refinement:
     every free pid (one no crash, fault or injection names) gets a
     label-free signature, and only the labellings that order the free pids
     by signature — permuting within ties — are keyed. The search below is

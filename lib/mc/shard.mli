@@ -26,9 +26,18 @@
     explores its subtrees with {!Engine.Internal.visit} against a private
     fingerprint table seeded with the root entry, and tables merge at the
     depth barrier. Sleep-set reduction removes transitions, never states,
-    so the {e visited fingerprint set} (and the distinct-quiescent set) is
+    so where the fingerprint is exact (two states share one only if they
+    have the same future, as in the quorum and follower instances) the
+    {e visited fingerprint set} (and the distinct-quiescent set) is
     partition-independent: any [jobs] agrees with the sequential explorer
-    on [visited], [quiescent], and which checks are violated.
+    on [visited] and which checks are violated, and on [quiescent] when no
+    quiescent state is visited twice (the sequential explorer counts
+    quiescent visits, a shard distinct quiescent states). A protocol
+    stack's fingerprint deliberately merges states that differ only in
+    timers and the simulator queue; which of the merged states gets
+    expanded then depends on the partition, so there [visited] and
+    [quiescent] may differ between [jobs] values (xpaxos at depth 4: 196
+    states sequentially, 197 with [jobs = 2]).
     Order-dependent byproducts — [revisit_pruned], [sleep_pruned],
     [transitions], [truncated] and the pre-shrink counterexample schedules —
     depend on the partition (they are deterministic for a fixed [jobs]);

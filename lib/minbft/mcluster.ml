@@ -28,7 +28,7 @@ include Qs_sim.Smr_cluster.Make (struct
 
   let set_fault = Mreplica.set_fault
 
-  let fingerprint = Mreplica.fingerprint
+  let write_key = Mreplica.write_key
 
   let encode (m : Mmsg.t) = string_of_int m.sender ^ "|" ^ Mmsg.encode_body m.body
 end)

@@ -235,32 +235,30 @@ let receive t = Shell.receive t.sh
    the pending resyncs, the executed requests in order, every slot's
    PREPARE, committers and mark, the proposal and wait tables, then the
    shell's part. *)
-let fingerprint t =
-  let pids l = String.concat "," (List.map string_of_int l) in
-  let id r = Printf.sprintf "%d.%d" r.Mmsg.client r.Mmsg.rid in
-  let ids tbl =
-    Hashtbl.fold (fun (c, r) () acc -> Printf.sprintf "%d.%d" c r :: acc) tbl []
-    |> List.sort compare |> String.concat ","
-  in
-  let resyncs = Array.map (fun p -> if p then "1" else "0") t.resync_pending in
-  let b = Buffer.create 256 in
-  Printf.bprintf b "a%s|c%d|n%d|u%d|m%s|rs%s|e%s" (pids t.active) t.cepoch t.next_slot
-    (Usig.counter t.usig)
-    (pids (List.init t.config.n (Usig.expected_next t.monitor)))
-    (String.concat "" (Array.to_list resyncs))
-    (String.concat "," (List.map id (Shell.executed t.sh)));
-  Hashtbl.fold (fun key s acc -> (key, s) :: acc) t.slots []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-  |> List.iter (fun ((epoch, slot), s) ->
-         Printf.bprintf b "|s%d.%d=%s/%s%s" epoch slot
-           (match s.prepare with
-            | None -> "-"
-            | Some p -> id p.Mmsg.prequest ^ "@" ^ string_of_int p.Mmsg.pui.Usig.counter)
-           (pids (List.sort compare s.committers))
-           (if s.executed then "x" else ""));
-  Printf.bprintf b "|pr%s|w%s" (ids t.proposed) (ids t.awaiting_prepare);
-  Buffer.add_string b (Shell.fingerprint t.sh);
-  Buffer.contents b
+let write_key t key =
+  let module K = Qs_stdx.State_key in
+  let module Smr = Qs_sim.Smr_cluster in
+  K.add_pids key t.active;
+  K.add key t.cepoch;
+  K.add key t.next_slot;
+  K.add key (Usig.counter t.usig);
+  K.add_list key (K.add key) (List.init t.config.n (Usig.expected_next t.monitor));
+  Array.iter (K.add_bool key) t.resync_pending;
+  K.add_list key (Smr.write_id key) (Shell.executed t.sh);
+  K.add_table key t.slots (fun (epoch, slot) s ->
+      K.add key epoch;
+      K.add key slot;
+      (match s.prepare with
+       | None -> K.add key 0
+       | Some p ->
+         K.add key 1;
+         Smr.write_id key p.Mmsg.prequest;
+         K.add key p.Mmsg.pui.Usig.counter);
+      K.add_pids_sorted key s.committers;
+      K.add_bool key s.executed);
+  Smr.write_id_table key t.proposed ignore;
+  Smr.write_id_table key t.awaiting_prepare ignore;
+  Shell.write_key t.sh key
 
 let create config ~me ~auth ~usig ~usig_directory ~sim ~net_send
     ?(on_execute = fun _ -> ()) () =

@@ -74,7 +74,7 @@ val usig_gaps : t -> int
 (** Certificates this replica refused for arriving out of counter order —
     omission evidence from the trusted component. *)
 
-val fingerprint : t -> string
+val write_key : t -> Qs_stdx.State_key.t -> unit
 (** The model-checker key of the replica: its protocol state (active set,
     config epoch, USIG counters, executed requests, slots, proposal and
-    wait tables), then {!Qs_shell.Shell.fingerprint}. *)
+    wait tables), then {!Qs_shell.Shell.write_key}. *)

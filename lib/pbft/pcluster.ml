@@ -28,7 +28,7 @@ include Qs_sim.Smr_cluster.Make (struct
 
   let set_fault = Preplica.set_fault
 
-  let fingerprint = Preplica.fingerprint
+  let write_key = Preplica.write_key
 
   let encode (m : Pmsg.t) = string_of_int m.sender ^ "|" ^ Pmsg.encode_body m.body
 end)

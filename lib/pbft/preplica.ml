@@ -507,47 +507,53 @@ let executed t =
    watermark, execution cursor and phase, every slot's binding, votes and
    marks, the proposal and wait tables and the stashed VIEW-CHANGEs, then
    the shell's part. *)
-let fingerprint t =
-  let pids l = String.concat "," (List.map string_of_int l) in
-  let sorted l = String.concat "," (List.sort compare l) in
-  let keys tbl f = sorted (Hashtbl.fold (fun k v acc -> f k v :: acc) tbl []) in
-  let id (r : Pmsg.request) = Printf.sprintf "%d.%d" r.Pmsg.client r.Pmsg.rid in
-  let entries es =
-    String.concat ";"
-      (List.map
-         (fun (e : Pmsg.entry) ->
-           Printf.sprintf "%d:%d:%s%s" e.Pmsg.eview e.Pmsg.eslot (id e.Pmsg.erequest)
-             (if e.Pmsg.ecommitted then "c" else ""))
-         es)
+let write_key t key =
+  let module K = Qs_stdx.State_key in
+  let module Smr = Qs_sim.Smr_cluster in
+  let entries =
+    K.add_list key (fun (e : Pmsg.entry) ->
+        K.add key e.Pmsg.eview;
+        K.add key e.Pmsg.eslot;
+        Smr.write_id key e.Pmsg.erequest;
+        K.add_bool key e.Pmsg.ecommitted)
   in
-  let b = Buffer.create 256 in
-  Printf.bprintf b "v%d|a%s|r%d|x%d|" t.view (pids t.active) t.last_vc_view t.exec_cursor;
+  K.add key t.view;
+  K.add_pids key t.active;
+  K.add key t.last_vc_view;
+  K.add key t.exec_cursor;
   (match t.phase with
-   | Normal -> Buffer.add_string b "N"
-   | Awaiting_nv -> Buffer.add_string b "A"
+   | Normal -> K.add key 0
+   | Awaiting_nv -> K.add key 1
    | Collecting tbl ->
-     let vc src es = Printf.sprintf "%d=%s" src (entries es) in
-     Buffer.add_string b ("C" ^ keys tbl vc));
+     K.add key 2;
+     K.add_table key tbl (fun src es ->
+         K.add_pid key src;
+         entries es));
   for slot = 0 to t.max_slot do
     match Hashtbl.find_opt t.slots slot with
     | None -> ()
     | Some s ->
-      Printf.bprintf b "|s%d=%s/%s/%s%s%s%s" slot
-        (match s.spp with
-         | None -> "-"
-         | Some { Pmsg.pp; _ } -> Printf.sprintf "%d:%s" pp.Pmsg.view (id pp.Pmsg.request))
-        (pids (List.sort compare s.prepares))
-        (pids (List.sort compare s.commits))
-        (if s.prepared then "p" else "")
-        (if s.committed then "c" else "")
-        (if s.executed then "x" else "")
+      K.add key slot;
+      (match s.spp with
+       | None -> K.add key 0
+       | Some { Pmsg.pp; _ } ->
+         K.add key 1;
+         K.add key pp.Pmsg.view;
+         Smr.write_id key pp.Pmsg.request);
+      K.add_pids_sorted key s.prepares;
+      K.add_pids_sorted key s.commits;
+      K.add_bool key s.prepared;
+      K.add_bool key s.committed;
+      K.add_bool key s.executed
   done;
-  Printf.bprintf b "|pr%s|w%s|vc%s"
-    (keys t.proposed (fun (c, r) slot -> Printf.sprintf "%d.%d@%d" c r slot))
-    (keys t.awaiting_pp (fun (c, r) () -> Printf.sprintf "%d.%d" c r))
-    (keys t.pending_vcs (fun (v, src) es -> Printf.sprintf "%d/%d=%s" v src (entries es)));
-  Buffer.add_string b (Shell.fingerprint t.sh);
-  Buffer.contents b
+  K.add key (-1);
+  Smr.write_id_table key t.proposed (K.add key);
+  Smr.write_id_table key t.awaiting_pp ignore;
+  K.add_table key t.pending_vcs (fun (v, src) es ->
+      K.add key v;
+      K.add_pid key src;
+      entries es);
+  Shell.write_key t.sh key
 
 let create config ~me ~auth ~sim ~net_send ?(on_execute = fun ~slot:_ _ -> ()) () =
   if config.n <> (3 * config.f) + 1 then invalid_arg "Preplica.create: need n = 3f+1";

@@ -69,7 +69,7 @@ val detector : t -> Pmsg.t Qs_fd.Detector.t
 val quorum_selector : t -> Qs_core.Quorum_select.t option
 (** Present in [Selected] mode. *)
 
-val fingerprint : t -> string
+val write_key : t -> Qs_stdx.State_key.t -> unit
 (** The model-checker key of the replica: its protocol state (view,
     participants, phase, slots with votes and marks, proposal and wait
-    tables, stashed VIEW-CHANGEs), then {!Qs_shell.Shell.fingerprint}. *)
+    tables, stashed VIEW-CHANGEs), then {!Qs_shell.Shell.write_key}. *)

@@ -364,8 +364,7 @@ let write_key t key ~matrix =
   State_key.add key t.completed;
   State_key.add key t.bad_payloads;
   State_key.add key t.gave_up;
-  State_key.add key (List.length t.pending);
-  List.iter (write_payload key ~matrix) t.pending
+  State_key.add_list key (write_payload key ~matrix) t.pending
 
 let write_msg key ~matrix = function
   | State_req { rid } ->
@@ -383,8 +382,7 @@ let write_msg key ~matrix = function
     State_key.add_string key delta
   | Delta_ack { acks } ->
     State_key.add key 4;
-    State_key.add key (List.length acks);
-    List.iter
+    State_key.add_list key
       (fun (l, v) ->
         State_key.add key l;
         State_key.add key v)

@@ -127,9 +127,12 @@ let execute_once t r =
 
 let executed t = List.rev t.executed
 
-let fingerprint t =
-  let pids l = String.concat "," (List.map string_of_int l) in
-  Printf.sprintf "|su%s|oe%d%s"
-    (pids (Detector.suspected t.detector))
-    (Detector.open_expectations t.detector)
-    (match t.selector with Some qs -> "|qs:" ^ QS.fingerprint qs | None -> "")
+let write_key t key =
+  let module K = Qs_stdx.State_key in
+  K.add_pids key (Detector.suspected t.detector);
+  K.add key (Detector.open_expectations t.detector);
+  match t.selector with
+  | Some qs ->
+    K.add key 1;
+    QS.write_key qs key
+  | None -> K.add key 0

@@ -114,7 +114,8 @@ val execute_once : _ t -> Qs_sim.Smr_cluster.request -> bool
 val executed : _ t -> Qs_sim.Smr_cluster.request list
 (** Requests admitted by {!execute_once}, oldest first. *)
 
-val fingerprint : _ t -> string
+val write_key : _ t -> Qs_stdx.State_key.t -> unit
 (** The model-checker key of what the shell owns: the detector's suspected
-    set and open-expectation count, then the {!Select} selector's
-    fingerprint. Timeouts and deadlines are left out (see DESIGN.md). *)
+    set and open-expectation count, then the {!Select} selector's key,
+    tagged present or absent. Timeouts and deadlines are left out (see
+    DESIGN.md). *)

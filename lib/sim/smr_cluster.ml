@@ -9,6 +9,8 @@
    few genuine extras. The module is mostly signatures, so it has no
    separate interface file: [Make]'s result is sealed by [S]. *)
 
+module State_key = Qs_stdx.State_key
+
 (** A client request, the one record every stack orders and executes:
     (client, rid) identifies it, [op] is the opaque state-machine
     operation. *)
@@ -23,6 +25,19 @@ let encode_request r = Printf.sprintf "REQ|%d|%d|%s" r.client r.rid r.op
 
 (** (client, rid) *)
 let request_id r = (r.client, r.rid)
+
+(** A request's (client, rid) as a model-checker key. *)
+let write_id key r =
+  State_key.add key r.client;
+  State_key.add key r.rid
+
+(** A table keyed by (client, rid) as a model-checker key: per binding,
+    the id, then the value as [write] writes it. *)
+let write_id_table key tbl write =
+  State_key.add_table key tbl (fun (client, rid) v ->
+      State_key.add key client;
+      State_key.add key rid;
+      write v)
 
 (** One history is a prefix of the other. *)
 let prefix_compatible a b =
@@ -43,12 +58,15 @@ let rec prefix_consistent = function
 (** A parked message's id-free key, [src>dst#digest]. *)
 let parked_key digest src dst payload = Printf.sprintf "%d>%d#%s" src dst (digest payload)
 
-(** The multiset of messages parked on a controlled network, as sorted
-    {!parked_key}s. *)
-let parked net digest =
-  Network.pending net
-  |> List.map (fun (_, src, dst, payload) -> parked_key digest src dst payload)
-  |> List.sort compare |> String.concat ","
+(** The multiset of messages parked on a controlled network as a
+    model-checker key: per message, its ends packed into one int, then its
+    payload [digest]; id-free, like {!parked_key}. *)
+let write_parked key net digest =
+  State_key.add_multiset key
+    (fun (_, src, dst, payload) ->
+      State_key.add key (State_key.pack key src dst 0);
+      State_key.add_string key (digest payload))
+    (Network.pending net)
 
 (** When a request counts as committed. *)
 type 'r commit_rule =
@@ -95,7 +113,7 @@ module type REPLICA = sig
 
   val set_fault : t -> fault -> unit
 
-  val fingerprint : t -> string
+  val write_key : t -> State_key.t -> unit
   (** The model-checker key: protocol state, then the shell's. *)
 
   val encode : msg -> string
@@ -169,10 +187,10 @@ module type S = sig
   val digest : msg -> string
   (** Hex SHA-256 of a message's canonical bytes. *)
 
-  val fingerprint : t -> string
-  (** The model-checker key: a line per replica, the {!parked} messages,
-      and [@time/pending-events] — a weak proxy for the opaque simulator
-      queue (see DESIGN.md). *)
+  val write_key : t -> State_key.t -> unit
+  (** The model-checker key: each replica's, the {!write_parked}
+      messages, then the virtual time and the pending-event count — a weak
+      proxy for the opaque simulator queue (see DESIGN.md). *)
 end
 
 module Make (R : REPLICA) :
@@ -311,13 +329,11 @@ module Make (R : REPLICA) :
 
   let digest m = Qs_crypto.Sha256.digest_hex (R.encode m)
 
-  let fingerprint t =
-    let buf = Buffer.create 512 in
-    Array.iter (fun r -> Buffer.add_string buf (R.fingerprint r ^ "\n")) t.replicas;
-    Buffer.add_string buf ("[" ^ parked t.net digest ^ "]");
-    Buffer.add_string buf
-      (Printf.sprintf "@%.3f/%d" (Stime.to_ms (Sim.now t.sim)) (Sim.pending_events t.sim));
-    Buffer.contents buf
+  let write_key t key =
+    Array.iter (fun r -> R.write_key r key) t.replicas;
+    write_parked key t.net digest;
+    State_key.add key (Sim.now t.sim);
+    State_key.add key (Sim.pending_events t.sim)
 
   let commit_latency t request =
     let key = request_id request in

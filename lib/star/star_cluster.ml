@@ -26,7 +26,7 @@ include Qs_sim.Smr_cluster.Make (struct
 
   let set_fault = Star_node.set_fault
 
-  let fingerprint = Star_node.fingerprint
+  let write_key = Star_node.write_key
 
   let encode (m : Star_msg.t) = string_of_int m.sender ^ "|" ^ Star_msg.encode_body m.body
 end)

@@ -196,29 +196,28 @@ let receive t = Shell.receive t.sh
    slot, the executed requests in order, every slot's request, acks and
    mark, the proposal and wait tables and the Follower Selection instance,
    then the shell's part. *)
-let fingerprint t =
-  let pids l = String.concat "," (List.map string_of_int l) in
-  let keys tbl f =
-    Hashtbl.fold (fun k v acc -> f k v :: acc) tbl []
-    |> List.sort compare |> String.concat ","
-  in
-  let id r = Printf.sprintf "%d.%d" r.Star_msg.client r.Star_msg.rid in
-  let b = Buffer.create 256 in
-  Printf.bprintf b "l%d|q%s|e%d|n%d|x%s" t.leader (pids t.quorum) t.qepoch t.next_slot
-    (String.concat "," (List.map id (Shell.executed t.sh)));
-  Hashtbl.fold (fun key s acc -> (key, s) :: acc) t.slots []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-  |> List.iter (fun ((epoch, slot), s) ->
-         Printf.bprintf b "|s%d.%d=%s/%s%s" epoch slot
-           (match s.request with None -> "-" | Some r -> id r)
-           (pids (List.sort compare s.acks))
-           (if s.applied then "a" else ""));
-  Printf.bprintf b "|pr%s|w%s|fs:%s"
-    (keys t.proposed (fun (c, r) slot -> Printf.sprintf "%d.%d@%d" c r slot))
-    (keys t.awaiting_lead (fun (c, r) () -> Printf.sprintf "%d.%d" c r))
-    (Fsel.fingerprint (selector t));
-  Buffer.add_string b (Shell.fingerprint t.sh);
-  Buffer.contents b
+let write_key t key =
+  let module K = Qs_stdx.State_key in
+  let module Smr = Qs_sim.Smr_cluster in
+  K.add_pid key t.leader;
+  K.add_pids key t.quorum;
+  K.add key t.qepoch;
+  K.add key t.next_slot;
+  K.add_list key (Smr.write_id key) (Shell.executed t.sh);
+  K.add_table key t.slots (fun (epoch, slot) s ->
+      K.add key epoch;
+      K.add key slot;
+      (match s.request with
+       | None -> K.add key 0
+       | Some r ->
+         K.add key 1;
+         Smr.write_id key r);
+      K.add_pids_sorted key s.acks;
+      K.add_bool key s.applied);
+  Smr.write_id_table key t.proposed (K.add key);
+  Smr.write_id_table key t.awaiting_lead ignore;
+  Fsel.write_key (selector t) key;
+  Shell.write_key t.sh key
 
 let create config ~me ~auth ~sim ~net_send ?(on_execute = fun _ -> ()) () =
   if config.n <= 3 * config.f then invalid_arg "Star_node.create: requires n > 3f";

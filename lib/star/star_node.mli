@@ -67,8 +67,8 @@ val detector : t -> Star_msg.t Qs_fd.Detector.t
 
 val selector : t -> Qs_follower.Follower_select.t
 
-val fingerprint : t -> string
+val write_key : t -> Qs_stdx.State_key.t -> unit
 (** The model-checker key of the node: its protocol state (leader, quorum,
     quorum epoch, executed requests, slots with acks, proposal and wait
     tables, the Follower Selection instance), then
-    {!Qs_shell.Shell.fingerprint}. *)
+    {!Qs_shell.Shell.write_key}. *)

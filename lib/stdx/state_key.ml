@@ -48,9 +48,11 @@ let pack t a b v =
 
 let old t i = t.inv.(i)
 
-let add_pids t ps =
-  add t (List.length ps);
-  List.iter (fun p -> add t t.label.(p)) ps
+let add_list t write xs =
+  add t (List.length xs);
+  List.iter write xs
+
+let add_pids t ps = add_list t (add_pid t) ps
 
 (* Insertion sort: the runs sorted here are a handful of ints. *)
 let sort_from t from =
@@ -135,6 +137,19 @@ let sort_records t starts =
         incr at
       done
     done
+
+let add_multiset t write xs =
+  add t (List.length xs);
+  sort_records t
+    (List.map
+       (fun x ->
+         let start = t.len in
+         write x;
+         start)
+       xs)
+
+let add_table t tbl write =
+  add_multiset t (fun (k, v) -> write k v) (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
 
 let compare a b = compare_segments a.buf 0 a.len b.buf 0 b.len
 

@@ -45,6 +45,10 @@ val old : t -> int -> int
     dense structure indexed by pid (a matrix, a row) is written slot by
     slot as [x.(old t i)]. *)
 
+val add_list : t -> ('a -> unit) -> 'a list -> unit
+(** [add_list t write xs]: the count, then each element as [write] writes
+    it, in list order. *)
+
 val add_pids : t -> int list -> unit
 (** Count, then each pid's label, in list order. *)
 
@@ -60,11 +64,13 @@ val sort_from : t -> int -> unit
 (** [sort_from t i] sorts the ints written since length [i] in increasing
     order: the key of a multiset of one-int records. *)
 
-val sort_records : t -> int list -> unit
-(** [sort_records t starts] reorders the records written since the first
-    of [starts] into increasing order, where [starts] lists each record's
-    starting length in writing order and the last record runs to the end:
-    the key of a multiset of self-delimiting records. *)
+val add_multiset : t -> ('a -> unit) -> 'a list -> unit
+(** [add_multiset t write xs]: the count, then each element as [write]
+    writes it, a self-delimiting record, with the records sorted into
+    increasing order: the key of the multiset [xs], whatever its order. *)
+
+val add_table : t -> ('k, 'v) Hashtbl.t -> ('k -> 'v -> unit) -> unit
+(** [add_table t tbl write]: the bindings as {!add_multiset} writes them. *)
 
 val compare : t -> t -> int
 

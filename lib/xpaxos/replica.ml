@@ -538,40 +538,34 @@ let amnesia_restart t ~view =
 (* The model checker's key for this replica: the view/group/phase machine,
    the log (prepares, votes, commit/execute marks), the execution cursor
    and the permanent detections, then the shell's part. *)
-let fingerprint t =
-  let b = Buffer.create 256 in
-  Buffer.add_string b
-    (Printf.sprintf "v%d|g%s|x%d|" t.view
-       (String.concat "," (List.map string_of_int t.grp))
-       t.exec_cursor);
+let write_key t key =
+  let module K = Qs_stdx.State_key in
+  K.add key t.view;
+  K.add_pids key t.grp;
+  K.add key t.exec_cursor;
   (match t.phase with
-   | Normal -> Buffer.add_string b "N"
-   | Passive -> Buffer.add_string b "P"
-   | Awaiting_new_view -> Buffer.add_string b "A"
+   | Normal -> K.add key 0
+   | Passive -> K.add key 1
+   | Awaiting_new_view -> K.add key 2
    | Leading_collect tbl ->
-     let members = Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] in
-     Buffer.add_string b
-       ("L" ^ String.concat "," (List.map string_of_int (List.sort compare members))));
+     K.add key 3;
+     K.add_pids_sorted key (Hashtbl.fold (fun k _ acc -> k :: acc) tbl []));
   for slot = 0 to Xlog.max_slot t.log do
     match Xlog.find t.log slot with
     | None -> ()
     | Some e ->
-      let sp =
-        match e.Xlog.sp with
-        | None -> "-"
-        | Some sp ->
-          Printf.sprintf "%d:%d.%d:%s" sp.Xmsg.prepare.Xmsg.view
-            sp.Xmsg.prepare.Xmsg.request.Xmsg.client sp.Xmsg.prepare.Xmsg.request.Xmsg.rid
-            sp.Xmsg.prepare.Xmsg.request.Xmsg.op
-      in
-      Buffer.add_string b
-        (Printf.sprintf "|s%d=%s/%s%s%s" slot sp
-           (String.concat "," (List.map string_of_int (List.sort compare e.Xlog.votes)))
-           (if e.Xlog.committed then "c" else "")
-           (if e.Xlog.executed then "x" else ""))
+      K.add key slot;
+      (match e.Xlog.sp with
+       | None -> K.add key 0
+       | Some { Xmsg.prepare = p; _ } ->
+         K.add key 1;
+         K.add key p.Xmsg.view;
+         Qs_sim.Smr_cluster.write_id key p.Xmsg.request;
+         K.add_string key p.Xmsg.request.Xmsg.op);
+      K.add_pids_sorted key e.Xlog.votes;
+      K.add_bool key e.Xlog.committed;
+      K.add_bool key e.Xlog.executed
   done;
-  Buffer.add_string b
-    (Printf.sprintf "|d%s"
-       (String.concat "," (List.map string_of_int (List.sort_uniq compare t.detections))));
-  Buffer.add_string b (Shell.fingerprint t.sh);
-  Buffer.contents b
+  K.add key (-1);
+  K.add_pids_sorted key (List.sort_uniq compare t.detections);
+  Shell.write_key t.sh key

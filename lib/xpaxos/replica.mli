@@ -136,7 +136,7 @@ val amnesia_restart : t -> view:int -> unit
     durable), and puts the embedded selector in its dormant post-amnesia
     state awaiting a {!Qs_core.Quorum_select.absorb}. *)
 
-val fingerprint : t -> string
+val write_key : t -> Qs_stdx.State_key.t -> unit
 (** The model-checker key of the replica: its protocol state (view, group,
     phase, log with votes and commit/execute marks, execution cursor,
-    detections), then {!Qs_shell.Shell.fingerprint}. *)
+    detections), then {!Qs_shell.Shell.write_key}. *)

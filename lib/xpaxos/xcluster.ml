@@ -33,7 +33,7 @@ module C = Qs_sim.Smr_cluster.Make (struct
 
   let set_fault = Replica.set_fault
 
-  let fingerprint = Replica.fingerprint
+  let write_key = Replica.write_key
 
   let encode (m : Xmsg.t) = string_of_int m.sender ^ "|" ^ Xmsg.encode_body m.body
 end)
@@ -120,7 +120,7 @@ let commit_latency t = C.commit_latency t.c
 
 let digest = C.digest
 
-let fingerprint t = C.fingerprint t.c
+let write_key t = C.write_key t.c
 
 let omit_link t ~src ~dst = Hashtbl.replace t.omitted (src, dst) ()
 

@@ -553,7 +553,9 @@ module Toy = struct
 
   let set_fault t muted = t.muted <- muted
 
-  let fingerprint t = String.concat "," (List.map Smr_cluster.encode_request t.log)
+  let write_key t key =
+    Qs_stdx.State_key.(add_list key (fun r -> add_string key (Smr_cluster.encode_request r)))
+      t.log
 
   let encode () = ""
 end

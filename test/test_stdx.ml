@@ -390,6 +390,39 @@ let prop_rank_unrank =
       let r = r mod total in
       Combin.rank n (Combin.unrank n k r) = r)
 
+(* ---------------------------------------------------------------- state keys *)
+
+module Key = Qs_stdx.State_key
+
+let key_of write =
+  let k = Key.create () in
+  Key.reset k (Array.init 4 Fun.id);
+  write k;
+  k
+
+(* A multiset's key ignores order but not multiplicity; records of
+   different lengths that share a prefix stay apart. *)
+let test_key_multiset () =
+  let ms xs = key_of (fun k -> Key.add_multiset k (Key.add_list k (Key.add k)) xs) in
+  let same a b = Key.compare (ms a) (ms b) = 0 in
+  check_bool "order ignored" true (same [ [ 1; 2 ]; [ 3 ]; [ 1 ] ] [ [ 1 ]; [ 3 ]; [ 1; 2 ] ]);
+  check_bool "multiplicity kept" false (same [ [ 3 ]; [ 3 ] ] [ [ 3 ] ]);
+  check_bool "prefix records apart" false (same [ [ 1; 2 ]; [ 1 ] ] [ [ 1 ]; [ 1; 2; 1 ] ])
+
+let test_key_table () =
+  let table bindings =
+    let t = Hashtbl.create 4 in
+    List.iter (fun (k, v) -> Hashtbl.replace t k v) bindings;
+    key_of (fun key ->
+        Key.add_table key t (fun k v ->
+            Key.add key k;
+            Key.add_string key v))
+  in
+  check_int "insertion order ignored" 0
+    (Key.compare (table [ (1, "a"); (2, "b"); (7, "") ]) (table [ (7, ""); (2, "b"); (1, "a") ]));
+  check_bool "values count" true
+    (Key.compare (table [ (1, "a"); (2, "b") ]) (table [ (1, "a"); (2, "c") ]) <> 0)
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -462,6 +495,11 @@ let () =
           Alcotest.test_case "rank/unrank roundtrip" `Quick test_rank_unrank_roundtrip;
           Alcotest.test_case "last subset" `Quick test_next_subset_end;
           Alcotest.test_case "unrank bounds" `Quick test_unrank_out_of_range;
+        ] );
+      ( "state-key",
+        [
+          Alcotest.test_case "multiset" `Quick test_key_multiset;
+          Alcotest.test_case "table" `Quick test_key_table;
         ] );
       ("properties", qsuite);
     ]
