@@ -54,18 +54,22 @@ let replay scenario choices =
 (* A canonical fingerprint of the global state: per-node (epoch, matrix,
    last quorum) plus the multiset of in-flight messages. *)
 let fingerprint world =
-  let node_part =
-    Array.to_list world.nodes
-    |> List.map (fun node ->
-           Format.asprintf "%d|%a|%s" (QS.epoch node) Matrix.pp (QS.matrix node)
-             (String.concat "," (List.map string_of_int (QS.last_quorum node))))
-  in
-  let msg_part =
-    List.map (fun (dst, msg) -> Printf.sprintf "%d>%s" dst (Msg.encode msg.Msg.update))
-      !(world.inflight)
-    |> List.sort compare
-  in
-  Qs_crypto.Sha256.digest_string (String.concat ";" (node_part @ msg_part))
+  let module K = Qs_stdx.State_key in
+  let key = K.create () in
+  K.reset key (Array.init (Array.length world.nodes) Fun.id);
+  Array.iter
+    (fun node ->
+      K.add key (QS.epoch node);
+      Matrix.write_key (QS.matrix node) key;
+      K.add_pids key (QS.last_quorum node))
+    world.nodes;
+  K.add_multiset key
+    (fun (dst, msg) ->
+      K.add_pid key dst;
+      K.add_pid key msg.Msg.update.Msg.owner;
+      K.add_row key msg.Msg.update.Msg.row)
+    !(world.inflight);
+  K.to_string key
 
 (* Distinct next choices: delivering two identical (dst, msg) entries leads
    to the same state, so keep one representative index per distinct entry. *)
