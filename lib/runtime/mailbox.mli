@@ -18,7 +18,15 @@ val push : 'a t -> 'a -> bool
 
 val pop : ?timeout:float -> 'a t -> 'a option
 (** Block until an element is available ([Some]), the optional [timeout]
-    in seconds elapses, or the mailbox is closed and drained ([None]). *)
+    in seconds elapses, or the mailbox is closed and drained ([None]).
+
+    A push or close wakes the waiter at once, with or without [timeout]:
+    a timed pop sleeps in [Unix.select] on the mailbox's own self-pipe,
+    which {!push} and {!close} write one byte into while such a waiter is
+    registered. The pipe is opened on the first timed sleep and closed
+    with the mailbox once no timed waiter is left, so a mailbox that has
+    slept holds two descriptors until {!close}. [Unix.select] limits
+    them to numbers below [FD_SETSIZE] (1024 on Linux). *)
 
 val close : _ t -> unit
 (** Wake all waiters; subsequent pushes are discarded, pops drain what

@@ -38,7 +38,16 @@ module Make (M : WIRE) = struct
   type msg = M.msg
 
   (* One outgoing link: a bounded queue drained by a supervised sender
-     thread that owns the connection and its reconnect backoff. *)
+     thread that owns the connection and its reconnect backoff.
+
+     Socket ownership: every socket has exactly one owning thread, and only
+     that thread closes it — the sender its link's [fd], a receiver its
+     inbound connection, the acceptor the listening socket. Other threads
+     ([kill_links], [stop]) only [Unix.shutdown] it, which wakes the owner's
+     blocked read, write or accept with an error or end-of-file. Closing
+     from outside would free the fd {e number} while the owner still holds
+     it, and the owner's next read, write or close would land on whatever
+     socket or pipe reuses that number. *)
   type link = {
     dst : int;
     queue : string Mailbox.t;
@@ -62,8 +71,8 @@ module Make (M : WIRE) = struct
     links : link option array;  (* [None] at index [me] *)
     (* receiver-side dedup: src -> (incarnation, seq high-watermark) *)
     dedup : (int, int * int) Hashtbl.t;
-    mutable listen_fd : Unix.file_descr option;
-    mutable inbound : Unix.file_descr list;
+    listen_fd : Unix.file_descr;
+    mutable inbound : Unix.file_descr list;  (* receiver-owned, under [em] *)
     mutable refusing : bool;
     mutable paused : bool;
     mutable running : bool;
@@ -135,12 +144,27 @@ module Make (M : WIRE) = struct
 
   let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
+  let shutdown_quietly fd =
+    try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
+
+  (* Sender thread only: it owns [link.fd]. Closed under [link.m] so a
+     concurrent [shutdown_link] never sees a number that is already freed. *)
   let link_drop_conn link =
     Mutex.lock link.m;
-    let fd = link.fd in
+    Option.iter close_quietly link.fd;
     link.fd <- None;
-    Mutex.unlock link.m;
-    match fd with None -> () | Some fd -> close_quietly fd
+    Mutex.unlock link.m
+
+  let shutdown_link link =
+    Mutex.lock link.m;
+    Option.iter shutdown_quietly link.fd;
+    Mutex.unlock link.m
+
+  (* Inbound sockets belong to their receivers: shut down, never closed. *)
+  let shutdown_inbound ep =
+    Mutex.lock ep.em;
+    List.iter shutdown_quietly ep.inbound;
+    Mutex.unlock ep.em
 
   (* Connect with exponential backoff and jitter. Returns [None] when the
      endpoint is shutting down. *)
@@ -192,6 +216,7 @@ module Make (M : WIRE) = struct
 
   let sender_loop t ep link () =
     let idle_budget = Wallclock.to_seconds t.keepalive_every in
+    Fun.protect ~finally:(fun () -> link_drop_conn link) @@ fun () ->
     while ep.running do
       let fd =
         match link.fd with Some fd -> Some fd | None -> connect_loop t ep link
@@ -284,6 +309,13 @@ module Make (M : WIRE) = struct
      is quarantined) but never marks the claimed sender: a forger must not
      be able to get its victim blamed by sending garbage under its name. *)
   let receiver_loop ep fd () =
+    let release () =
+      Mutex.lock ep.em;
+      ep.inbound <- List.filter (fun g -> g != fd) ep.inbound;
+      Mutex.unlock ep.em;
+      close_quietly fd
+    in
+    Fun.protect ~finally:release @@ fun () ->
     match
       let rec loop () =
         let f = Frame.read fd in
@@ -306,44 +338,47 @@ module Make (M : WIRE) = struct
       loop ()
     with
     | () -> ()
-    | exception End_of_file -> close_quietly fd
-    | exception Unix.Unix_error _ -> close_quietly fd
+    | exception (End_of_file | Unix.Unix_error _) -> ()
     | exception Codec.Corrupt reason ->
       ignore
         (Mailbox.push ep.inbox (fun () ->
              ep.corrupt_rejected <- ep.corrupt_rejected + 1)
           : bool);
-      Log.debug (fun m -> m "endpoint %d: quarantining connection: %s" ep.me reason);
-      close_quietly fd
+      Log.debug (fun m -> m "endpoint %d: quarantining connection: %s" ep.me reason)
 
-  let accept_loop ep () =
-    match ep.listen_fd with
-    | None -> ()
-    | Some lfd -> (
-      try
-        while ep.running do
-          let fd, _peer = Unix.accept lfd in
-          if ep.refusing || not ep.running then close_quietly fd
-          else begin
-            Unix.setsockopt fd Unix.TCP_NODELAY true;
-            Mutex.lock ep.em;
-            ep.inbound <- fd :: ep.inbound;
-            Mutex.unlock ep.em;
-            ep.threads <-
-              Supervisor.spawn
-                ~name:(Printf.sprintf "tcp.recv.%d" ep.me)
-                ~restarts:0 (receiver_loop ep fd)
-              :: ep.threads
-          end
-        done
-      with Unix.Unix_error _ -> () (* listener closed during shutdown *))
+  (* The acceptor owns the listening socket; [stop] shuts it down, which
+     fails the blocked [accept]. An accepted socket is registered under
+     [ep.em] only while the endpoint runs, so [stop] and [kill_links] shut
+     down every connection a receiver owns. *)
+  let accept_loop ep lfd () =
+    Fun.protect ~finally:(fun () -> close_quietly lfd) @@ fun () ->
+    try
+      while ep.running do
+        let fd, _peer = Unix.accept lfd in
+        Mutex.lock ep.em;
+        let keep = ep.running && not ep.refusing in
+        if keep then ep.inbound <- fd :: ep.inbound;
+        Mutex.unlock ep.em;
+        if not keep then close_quietly fd
+        else begin
+          Unix.setsockopt fd Unix.TCP_NODELAY true;
+          ep.threads <-
+            Supervisor.spawn
+              ~name:(Printf.sprintf "tcp.recv.%d" ep.me)
+              ~restarts:0 (receiver_loop ep fd)
+            :: ep.threads
+        end
+      done
+    with Unix.Unix_error _ -> () (* listener shut down by [stop] *)
 
   (* ---------------- driver ---------------- *)
 
   (* The endpoint's execution context: a single thread that advances the
      private timer wheel to the wall clock (firing due protocol timers) and
      runs posted closures (message deliveries, client submissions, nemesis
-     actions), all under the process-wide core lock. *)
+     actions), all under the process-wide core lock. A post wakes the pop
+     at once; its 2 ms timeout is the wheel's cadence, which also picks up
+     timers other threads schedule ([Node.create], [start_gossip]). *)
   let driver_loop t ep () =
     while ep.running do
       Corelock.with_lock (fun () ->
@@ -373,6 +408,17 @@ module Make (M : WIRE) = struct
        invalid_arg (Printf.sprintf "Tcp.start: endpoint %d already started" me)
      | None ->
        let prng = Prng.create (Int64.add t.seed (Int64.of_int me)) in
+       let lfd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+       (match
+          Unix.setsockopt lfd Unix.SO_REUSEADDR true;
+          Unix.bind lfd t.addrs.(me);
+          Unix.listen lfd t.n
+        with
+        | () -> ()
+        | exception e ->
+          close_quietly lfd;
+          Mutex.unlock t.fm;
+          raise e);
        let ep =
          {
            me;
@@ -385,7 +431,7 @@ module Make (M : WIRE) = struct
            handler = None;
            links = Array.make t.n None;
            dedup = Hashtbl.create 16;
-           listen_fd = None;
+           listen_fd = lfd;
            inbound = [];
            refusing = false;
            paused = false;
@@ -398,11 +444,6 @@ module Make (M : WIRE) = struct
            threads = [];
          }
        in
-       let lfd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-       Unix.setsockopt lfd Unix.SO_REUSEADDR true;
-       Unix.bind lfd t.addrs.(me);
-       Unix.listen lfd t.n;
-       ep.listen_fd <- Some lfd;
        for dst = 0 to t.n - 1 do
          if dst <> me then begin
            let link =
@@ -431,7 +472,7 @@ module Make (M : WIRE) = struct
          Supervisor.spawn ~name:(Printf.sprintf "tcp.driver.%d" me) ~restarts:3
            (driver_loop t ep)
          :: Supervisor.spawn ~name:(Printf.sprintf "tcp.accept.%d" me) ~restarts:0
-             (accept_loop ep)
+             (accept_loop ep lfd)
          :: ep.threads;
        Array.iter
          (function
@@ -451,23 +492,15 @@ module Make (M : WIRE) = struct
     | Some ep ->
       ep.running <- false;
       Mailbox.close ep.inbox;
-      (match ep.listen_fd with
-       | Some fd ->
-         ep.listen_fd <- None;
-         close_quietly fd
-       | None -> ());
+      shutdown_quietly ep.listen_fd;
       Array.iter
         (function
           | None -> ()
           | Some link ->
             Mailbox.close link.queue;
-            link_drop_conn link)
+            shutdown_link link)
         ep.links;
-      Mutex.lock ep.em;
-      let inbound = ep.inbound in
-      ep.inbound <- [];
-      Mutex.unlock ep.em;
-      List.iter close_quietly inbound;
+      shutdown_inbound ep;
       List.iter Supervisor.stop ep.threads;
       t.endpoints.(me) <- None
 
@@ -483,14 +516,8 @@ module Make (M : WIRE) = struct
     match t.endpoints.(me) with
     | None -> ()
     | Some ep ->
-      Array.iter
-        (function None -> () | Some link -> link_drop_conn link)
-        ep.links;
-      Mutex.lock ep.em;
-      let inbound = ep.inbound in
-      ep.inbound <- [];
-      Mutex.unlock ep.em;
-      List.iter close_quietly inbound
+      Array.iter (Option.iter shutdown_link) ep.links;
+      shutdown_inbound ep
 
   let set_refusing t ~me refusing =
     match t.endpoints.(me) with None -> () | Some ep -> ep.refusing <- refusing

@@ -69,8 +69,11 @@ module Make (M : WIRE) : sig
       per-peer sender threads. [Invalid_argument] if already started. *)
 
   val stop : t -> me:int -> unit
-  (** Close every socket and queue and release the slot; threads wind down
-      asynchronously. Restarting the slot later gets a fresh incarnation. *)
+  (** Close every queue, shut down every socket and release the slot;
+      threads wind down asynchronously, each closing the sockets it owns
+      (sender: its connection; receiver: its inbound connection; acceptor:
+      the listening socket). Restarting the slot later gets a fresh
+      incarnation. *)
 
   val clock : t -> Wallclock.t
   (** The fabric's shared wall clock (tick 0 = fabric creation). *)
@@ -81,8 +84,11 @@ module Make (M : WIRE) : sig
   val set_policy : t -> src:int -> dst:int -> policy option -> unit
 
   val kill_links : t -> me:int -> unit
-  (** Close every live connection at [me] (both directions); senders
-      reconnect under backoff. *)
+  (** Shut down every live connection at [me] (both directions). The
+      thread that owns each socket sees the error or end-of-file and closes
+      it; senders then reconnect under backoff. No socket is closed from
+      the calling thread, so no fd number is freed under a thread that
+      still uses it. *)
 
   val set_refusing : t -> me:int -> bool -> unit
   (** While refusing, accepted connections are closed immediately — a

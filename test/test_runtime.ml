@@ -63,6 +63,54 @@ let test_mailbox_cross_thread () =
   Alcotest.(check int) "all delivered" 100 (List.length !got);
   Alcotest.(check (list int)) "in order" (List.init 100 (fun i -> i)) (List.rev !got)
 
+(* A timed pop sleeps until a push or close wakes it, not in fixed slices. *)
+let timed_pop_woken_by action =
+  let mb = Mailbox.create ~capacity:4 in
+  let acted_at = ref 0.0 in
+  let actor =
+    Thread.create
+      (fun () ->
+        Thread.delay 0.05;
+        acted_at := Unix.gettimeofday ();
+        action mb)
+      ()
+  in
+  let r = Mailbox.pop ~timeout:1.0 mb in
+  let returned_at = Unix.gettimeofday () in
+  Thread.join actor;
+  (r, returned_at -. !acted_at)
+
+let test_mailbox_timed_pop_wakes_on_push () =
+  let r, lag = timed_pop_woken_by (fun mb -> ignore (Mailbox.push mb 7 : bool)) in
+  Alcotest.(check (option int)) "got the pushed element" (Some 7) r;
+  if lag >= 0.02 then Alcotest.failf "returned %.1f ms after the push" (lag *. 1e3)
+
+let test_mailbox_timed_pop_wakes_on_close () =
+  let r, lag = timed_pop_woken_by Mailbox.close in
+  Alcotest.(check (option int)) "closed and empty" None r;
+  if lag >= 0.02 then Alcotest.failf "returned %.1f ms after the close" (lag *. 1e3)
+
+let test_mailbox_timed_pop_times_out () =
+  let mb = Mailbox.create ~capacity:4 in
+  let t0 = Unix.gettimeofday () in
+  Alcotest.(check (option int)) "nothing arrives" None (Mailbox.pop ~timeout:0.05 mb);
+  let waited = Unix.gettimeofday () -. t0 in
+  if waited < 0.05 then Alcotest.failf "gave up after %.1f ms" (waited *. 1e3)
+
+(* Each timed sleep opens the mailbox's wake-up pipe; closing the mailbox
+   must release it. Counted through /proc, so skipped where there is none. *)
+let test_mailbox_releases_descriptors () =
+  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  if Sys.file_exists "/proc/self/fd" then begin
+    let before = open_fds () in
+    for _ = 1 to 1000 do
+      let mb = Mailbox.create ~capacity:4 in
+      ignore (Mailbox.pop ~timeout:0.0001 mb : int option);
+      Mailbox.close mb
+    done;
+    Alcotest.(check int) "open descriptors" before (open_fds ())
+  end
+
 (* ------------------------------------------------------------------ *)
 (* Supervisor *)
 
@@ -261,6 +309,49 @@ let test_corrupt_frame_quarantines_connection_not_sender () =
   StrTcp.stop fabric ~me:0;
   StrTcp.stop fabric ~me:1
 
+(* [kill_links] must leave every socket to the thread that owns it. Were it
+   to close them itself, the numbers it frees would be reused at once (here
+   by the sentinel pipe), and the receivers and senders still holding them
+   would read from, write to or close that pipe within a keepalive period. *)
+let test_kill_links_leaves_reused_fds_alone () =
+  let addrs = Cluster.loopback_addrs ~n:2 () in
+  let fabric = StrTcp.create ~addrs () in
+  let got = ref 0 in
+  StrTcp.start fabric ~me:0;
+  StrTcp.start fabric ~me:1;
+  StrTcp.set_handler fabric 0 (fun ~src:_ _ -> incr got);
+  StrTcp.set_handler fabric 1 (fun ~src:_ _ -> incr got);
+  for i = 1 to 10 do
+    StrTcp.send fabric ~src:0 ~dst:1 (string_of_int i);
+    StrTcp.send fabric ~src:1 ~dst:0 (string_of_int i)
+  done;
+  Alcotest.(check bool) "traffic both ways" true (wait_for (fun () -> !got = 20));
+  StrTcp.kill_links fabric ~me:0;
+  let r, w = Unix.pipe ~cloexec:true () in
+  let sentinel = "sentinel" in
+  ignore (Unix.write_substring w sentinel 0 (String.length sentinel) : int);
+  Thread.delay 0.15;
+  let kind fd =
+    match (Unix.fstat fd).Unix.st_kind with
+    | Unix.S_FIFO -> "fifo"
+    | _ -> "not a fifo"
+    | exception Unix.Unix_error (e, _, _) -> Unix.error_message e
+  in
+  Alcotest.(check string) "read end still open" "fifo" (kind r);
+  Alcotest.(check string) "write end still open" "fifo" (kind w);
+  Unix.set_nonblock r;
+  let buf = Bytes.create 64 in
+  let held =
+    match Unix.read r buf 0 64 with
+    | k -> Bytes.sub_string buf 0 k
+    | exception Unix.Unix_error (e, _, _) -> Unix.error_message e
+  in
+  Alcotest.(check string) "pipe holds exactly its bytes" sentinel held;
+  (try Unix.close r with Unix.Unix_error _ -> ());
+  (try Unix.close w with Unix.Unix_error _ -> ());
+  StrTcp.stop fabric ~me:0;
+  StrTcp.stop fabric ~me:1
+
 (* Re-sent sequence numbers are dropped; a new incarnation resets the
    watermark (a restarted process must not be deduped into silence). *)
 let test_dedup_watermark_and_incarnation () =
@@ -428,6 +519,14 @@ let () =
           Alcotest.test_case "drop-oldest shedding" `Quick test_mailbox_shed_oldest;
           Alcotest.test_case "close drains then stops" `Quick test_mailbox_close_drains;
           Alcotest.test_case "cross-thread order" `Quick test_mailbox_cross_thread;
+          Alcotest.test_case "timed pop wakes on push" `Quick
+            test_mailbox_timed_pop_wakes_on_push;
+          Alcotest.test_case "timed pop wakes on close" `Quick
+            test_mailbox_timed_pop_wakes_on_close;
+          Alcotest.test_case "timed pop times out" `Quick
+            test_mailbox_timed_pop_times_out;
+          Alcotest.test_case "close releases descriptors" `Quick
+            test_mailbox_releases_descriptors;
         ] );
       ( "supervisor",
         [ Alcotest.test_case "restart budget" `Quick test_supervisor_restart_budget ] );
@@ -445,6 +544,8 @@ let () =
         ] );
       ( "tcp",
         [
+          Alcotest.test_case "kill_links leaves reused fd numbers alone" `Quick
+            test_kill_links_leaves_reused_fds_alone;
           Alcotest.test_case "corrupt frame quarantines connection, not sender"
             `Quick test_corrupt_frame_quarantines_connection_not_sender;
           Alcotest.test_case "dedup watermark + incarnation reset" `Quick
